@@ -6,14 +6,20 @@ failure becomes report content with a replayable instance attached.
 ``run_fuzz`` drives batches of random instances through the same
 campaign and shrinks the first failure.
 
+Each check names with ``_declare`` what it needs (see ``_NEEDS``); an
+unmet need makes it a ``skip`` with that need's reason, and an exception
+inside a check becomes its ``fail`` result while the others still run.
+
 Exact-table checks are gated by default at 10 vertices and 10 edges;
 the BETTI_CAP_N environment variable overrides the vertex cap. Family
-sweeps stop at 16 edges. Reports are deterministic for fixed inputs and
-seed: everything that varies between runs lives under the ``meta`` key.
+sweeps stop at 16 edges. Reports follow ``SCHEMA_VERSION`` 2 and are
+deterministic for fixed inputs and seed: everything that varies between
+runs lives under the ``meta`` key.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -24,7 +30,7 @@ from datetime import datetime, timezone
 from math import comb
 
 from .bitsets import bits_of
-from .errors import CertificateError, ViolationFound
+from .errors import CertificateError, ValidationError
 from .families import (
     FAMILY_BUDGET,
     classify,
@@ -33,7 +39,12 @@ from .families import (
 )
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
-from .homology import betti_table, homology_of_restrictions, table_from_homology
+from .homology import (
+    betti_table,
+    homology_of_restrictions,
+    table_from_homology,
+    vertex_cap,
+)
 from .hypergraph import (
     TRIANGULATED_CAP,
     Hypergraph,
@@ -59,36 +70,10 @@ from .taylor import (
     is_maximal_l_admissible,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXACT_N_CAP = 10
 EXACT_M_CAP = 10
 SAMPLED_ORDERINGS = 6
-
-CHECK_NAMES = (
-    "implication-chain",
-    "invariant-inequalities",
-    "graph-identities",
-    "uniform-spread-identity",
-    "degree-window",
-    "restriction-monotonicity",
-    "engine-agreement",
-    "induced-matching-slices",
-    "pd-reg-lower-bounds",
-    "lower-bound-certificates",
-    "basis-sandwich",
-    "conditional-slice-bounds",
-    "conditional-pd-cap",
-    "admissibility-orderings",
-    "splitting-recursion",
-    "matching-persistence",
-    "split-extension",
-    "disjointness-characterization",
-)
-
-
-def exact_vertex_cap() -> int:
-    raw = os.environ.get("BETTI_CAP_N")
-    return int(raw) if raw else EXACT_N_CAP
 
 
 @dataclass
@@ -165,19 +150,19 @@ class _Ctx:
         self.field = field
         self.seed = seed
         self.profile = uniformity_profile(h)
-        self.exact_ok = h.n <= exact_vertex_cap() and h.m <= EXACT_M_CAP
-        self.survey_ok = h.m <= FAMILY_BUDGET
+        exact_ok = h.n <= vertex_cap(EXACT_N_CAP) and h.m <= EXACT_M_CAP
+        survey_ok = h.m <= FAMILY_BUDGET
         self.hom = None
         self.table = None
-        if self.exact_ok:
+        if exact_ok:
             self.hom = homology_of_restrictions(h, field, cap=h.n)
             self.table = table_from_homology(self.hom, field, h.n)
-        self.sv = survey(h) if self.survey_ok else None
-        report = compute_invariants(h, precomputed=self.sv) if self.survey_ok else None
+        self.sv = survey(h) if survey_ok else None
+        report = compute_invariants(h, precomputed=self.sv) if survey_ok else None
         self.inv = report.as_dict() if report is not None else None
         self.witnesses = report.witnesses if report is not None else None
         self.taylor = (
-            analyze_taylor(h, field) if self.exact_ok and h.m <= TAYLOR_BUDGET else None
+            analyze_taylor(h, field) if exact_ok and h.m <= TAYLOR_BUDGET else None
         )
         self.special = (
             self.profile.is_special_class
@@ -191,10 +176,52 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, "skip", 0, detail=why)
 
 
-def _check_implication_chain(ctx: _Ctx) -> CheckResult:
-    name = "implication-chain"
-    if not ctx.survey_ok or ctx.h.m > EXACT_M_CAP:
-        return _skip(name, "family enumeration too large")
+# What a check may declare it needs: a predicate on _Ctx, and the skip
+# reason reported when the predicate does not hold.
+_NEEDS = {
+    "table": (lambda ctx: ctx.table is not None, "instance above exact-table caps"),
+    "survey": (lambda ctx: ctx.sv is not None, "family enumeration too large"),
+    "taylor": (lambda ctx: ctx.taylor is not None, "instance above Taylor-analysis caps"),
+    "special": (lambda ctx: ctx.special,
+                "needs a triangulated instance of the restricted class"),
+    "edges": (lambda ctx: ctx.h.m > 0, "no edges"),
+    "graph": (lambda ctx: ctx.profile.d == 2 or ctx.h.m == 0, "not a graph"),
+    "uniform": (lambda ctx: ctx.profile.is_uniform and ctx.profile.d is not None,
+                "not uniform"),
+    "edge-cap": (lambda ctx: ctx.h.m <= EXACT_M_CAP, f"more than {EXACT_M_CAP} edges"),
+}
+
+
+def _declare(name: str, *needs: str):
+    """Declare the campaign check ``name``, run only when all ``needs`` hold.
+
+    The body takes ``(ctx, name)``; the entry it becomes takes ``ctx``,
+    skips with the first unmet need's reason, and turns any exception
+    from the body into a ``fail`` with a replayable instance. Both stay
+    inside the entry: wrappers around ``_CHECKS`` entries, such as a
+    tracer's, keep no function attributes.
+    """
+    gates = [_NEEDS[need] for need in needs]
+
+    def wrap(body):
+        @functools.wraps(body)
+        def entry(ctx: _Ctx) -> CheckResult:
+            for holds, why in gates:
+                if not holds(ctx):
+                    return _skip(name, why)
+            try:
+                return body(ctx, name)
+            except Exception as exc:
+                return _fail(name, ctx.h, f"{type(exc).__name__}: {exc}")
+
+        entry.check_name = name
+        return entry
+
+    return wrap
+
+
+@_declare("implication-chain", "survey", "edge-cap")
+def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
     h = ctx.h
     checked = 0
     for bits in range(1, 1 << h.m):
@@ -217,10 +244,8 @@ def _check_implication_chain(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_invariant_inequalities(ctx: _Ctx) -> CheckResult:
-    name = "invariant-inequalities"
-    if not ctx.survey_ok:
-        return _skip(name, "family enumeration too large")
+@_declare("invariant-inequalities", "survey")
+def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
     v = ctx.inv
     relations = (
         ("a<=m", v["a"] <= v["m"]),
@@ -239,12 +264,8 @@ def _check_invariant_inequalities(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", len(relations))
 
 
-def _check_graph_identities(ctx: _Ctx) -> CheckResult:
-    name = "graph-identities"
-    if not ctx.survey_ok:
-        return _skip(name, "family enumeration too large")
-    if ctx.profile.d != 2 and ctx.h.m > 0:
-        return _skip(name, "not a graph")
+@_declare("graph-identities", "survey", "graph")
+def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
     v = ctx.inv
     if not (v["d_g"] == v["d1"] == v["d2"]):
         return _fail(name, ctx.h, f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
@@ -257,12 +278,8 @@ def _check_graph_identities(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", 3)
 
 
-def _check_uniform_spread_identity(ctx: _Ctx) -> CheckResult:
-    name = "uniform-spread-identity"
-    if not ctx.survey_ok:
-        return _skip(name, "family enumeration too large")
-    if not ctx.profile.is_uniform or ctx.profile.d is None:
-        return _skip(name, "not uniform")
+@_declare("uniform-spread-identity", "survey", "uniform")
+def _check_uniform_spread_identity(ctx: _Ctx, name: str) -> CheckResult:
     v = ctx.inv
     d = ctx.profile.d
     if v["d1_prime"] != (d - 1) * v["a"]:
@@ -270,12 +287,8 @@ def _check_uniform_spread_identity(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", 1)
 
 
-def _check_degree_window(ctx: _Ctx) -> CheckResult:
-    name = "degree-window"
-    if ctx.table is None:
-        return _skip(name, "instance above exact-table caps")
-    if ctx.h.m == 0:
-        return _skip(name, "no edges")
+@_declare("degree-window", "table", "edges")
+def _check_degree_window(ctx: _Ctx, name: str) -> CheckResult:
     sizes = [mask.bit_count() for mask in ctx.h.edges]
     t, tp = max(sizes), min(sizes)
     checked = 0
@@ -291,10 +304,8 @@ def _check_degree_window(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked + 1)
 
 
-def _check_restriction_monotonicity(ctx: _Ctx) -> CheckResult:
-    name = "restriction-monotonicity"
-    if ctx.hom is None:
-        return _skip(name, "instance above exact-table caps")
+@_declare("restriction-monotonicity", "table")
+def _check_restriction_monotonicity(ctx: _Ctx, name: str) -> CheckResult:
     full = ctx.table
     checked = 0
     for wmask in range((1 << ctx.h.n) - 1):
@@ -313,10 +324,8 @@ def _check_restriction_monotonicity(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_engine_agreement(ctx: _Ctx) -> CheckResult:
-    name = "engine-agreement"
-    if ctx.table is None:
-        return _skip(name, "instance above exact-table caps")
+@_declare("engine-agreement", "table")
+def _check_engine_agreement(ctx: _Ctx, name: str) -> CheckResult:
     checked = 0
     if ctx.taylor is not None:
         if ctx.taylor.table().entries != ctx.table.entries:
@@ -335,12 +344,8 @@ def _check_engine_agreement(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_induced_matching_slices(ctx: _Ctx) -> CheckResult:
-    name = "induced-matching-slices"
-    if ctx.table is None or not ctx.survey_ok:
-        return _skip(name, "needs exact table and family sweep")
-    if ctx.h.m == 0:
-        return _skip(name, "no edges")
+@_declare("induced-matching-slices", "table", "survey", "edges")
+def _check_induced_matching_slices(ctx: _Ctx, name: str) -> CheckResult:
     t = max(mask.bit_count() for mask in ctx.h.edges)
     checked = 0
     for i in range(1, ctx.h.m + 1):
@@ -355,10 +360,8 @@ def _check_induced_matching_slices(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_pd_reg_lower_bounds(ctx: _Ctx) -> CheckResult:
-    name = "pd-reg-lower-bounds"
-    if ctx.table is None or not ctx.survey_ok:
-        return _skip(name, "needs exact table and family sweep")
+@_declare("pd-reg-lower-bounds", "table", "survey")
+def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
     v = ctx.inv
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
     bounds = [
@@ -377,10 +380,8 @@ def _check_pd_reg_lower_bounds(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", len(bounds))
 
 
-def _check_lower_bound_certificates(ctx: _Ctx) -> CheckResult:
-    name = "lower-bound-certificates"
-    if ctx.table is None or not ctx.survey_ok:
-        return _skip(name, "needs exact table and family sweep")
+@_declare("lower-bound-certificates", "table", "survey")
+def _check_lower_bound_certificates(ctx: _Ctx, name: str) -> CheckResult:
     plans = (
         ("a", "induced_matching"),
         ("b", "semi_induced"),
@@ -410,10 +411,8 @@ def _check_lower_bound_certificates(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", len(issued), witness={"certificates": issued})
 
 
-def _check_basis_sandwich(ctx: _Ctx) -> CheckResult:
-    name = "basis-sandwich"
-    if ctx.taylor is None or not ctx.survey_ok:
-        return _skip(name, "needs Taylor analysis and family sweep")
+@_declare("basis-sandwich", "taylor", "survey")
+def _check_basis_sandwich(ctx: _Ctx, name: str) -> CheckResult:
     checked = 0
     for (i, j) in sorted(ctx.taylor.slices):
         if i == 0:
@@ -429,10 +428,8 @@ def _check_basis_sandwich(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_conditional_slice_bounds(ctx: _Ctx) -> CheckResult:
-    name = "conditional-slice-bounds"
-    if ctx.table is None or ctx.taylor is None or not ctx.survey_ok:
-        return _skip(name, "needs exact table, Taylor analysis, family sweep")
+@_declare("conditional-slice-bounds", "table", "taylor", "survey")
+def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
     checked = 0
     for (i, j) in sorted(ctx.taylor.slices):
         if i == 0 or not ctx.taylor.slices[(i, j)]:
@@ -465,10 +462,8 @@ def _check_conditional_slice_bounds(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_conditional_pd_cap(ctx: _Ctx) -> CheckResult:
-    name = "conditional-pd-cap"
-    if ctx.table is None or not ctx.survey_ok:
-        return _skip(name, "needs exact table and family sweep")
+@_declare("conditional-pd-cap", "table", "survey")
+def _check_conditional_pd_cap(ctx: _Ctx, name: str) -> CheckResult:
     e = ctx.inv["e"]
     if any(i >= e for (i, j) in ctx.sv.hyp1_violations):
         return _skip(name, "all-reduced hypothesis fails at or above e")
@@ -478,10 +473,8 @@ def _check_conditional_pd_cap(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", 1, witness={"pd": pd, "e": e})
 
 
-def _check_admissibility_orderings(ctx: _Ctx) -> CheckResult:
-    name = "admissibility-orderings"
-    if not ctx.survey_ok or ctx.h.m == 0:
-        return _skip(name, "needs edges within the family budget")
+@_declare("admissibility-orderings", "survey", "edges")
+def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
     h = ctx.h
     rng = random.Random(ctx.seed)
     orderings = [tuple(range(h.m))]
@@ -533,12 +526,8 @@ def _check_admissibility_orderings(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_splitting_recursion(ctx: _Ctx) -> CheckResult:
-    name = "splitting-recursion"
-    if not ctx.special or ctx.h.m == 0:
-        return _skip(name, "needs a triangulated instance of the restricted class")
-    if ctx.table is None:
-        return _skip(name, "instance above exact-table caps")
+@_declare("splitting-recursion", "special", "edges", "table")
+def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
     dec = split(ctx.h)
     t, d = dec.t, dec.d
     tab1 = betti_table(dec.h1, ctx.field, cap=ctx.h.n)
@@ -565,39 +554,24 @@ def _check_splitting_recursion(ctx: _Ctx) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-def _check_matching_persistence(ctx: _Ctx) -> CheckResult:
-    name = "matching-persistence"
-    if not ctx.special or ctx.h.m == 0 or not ctx.survey_ok:
-        return _skip(name, "needs a triangulated instance of the restricted class")
+@_declare("matching-persistence", "special", "edges", "survey")
+def _check_matching_persistence(ctx: _Ctx, name: str) -> CheckResult:
     x = find_simplicial_vertex(ctx.h)
     s = next(s for s in range(ctx.h.m) if ctx.h.edge_mask(s) >> x & 1)
-    try:
-        count = verify_matching_persistence(ctx.h, x, s)
-    except ViolationFound as exc:
-        return _fail(name, ctx.h, str(exc))
+    count = verify_matching_persistence(ctx.h, x, s)
     return CheckResult(name, "pass", count, witness={"x": x, "s": s})
 
 
-def _check_split_extension(ctx: _Ctx) -> CheckResult:
-    name = "split-extension"
-    if not ctx.special or ctx.h.m == 0 or not ctx.survey_ok:
-        return _skip(name, "needs a triangulated instance of the restricted class")
+@_declare("split-extension", "special", "edges", "survey")
+def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
     dec = split(ctx.h)
-    try:
-        count = verify_split_extension(ctx.h, dec)
-    except ViolationFound as exc:
-        return _fail(name, ctx.h, str(exc))
+    count = verify_split_extension(ctx.h, dec)
     return CheckResult(name, "pass", count, witness={"x": dec.x, "s": dec.s})
 
 
-def _check_disjointness_characterization(ctx: _Ctx) -> CheckResult:
-    name = "disjointness-characterization"
-    if not ctx.special or not ctx.survey_ok:
-        return _skip(name, "needs a triangulated instance of the restricted class")
-    try:
-        rep = verify_disjointness_characterization(ctx.h, ctx.field)
-    except ViolationFound as exc:
-        return _fail(name, ctx.h, str(exc))
+@_declare("disjointness-characterization", "special", "survey")
+def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
+    rep = verify_disjointness_characterization(ctx.h, ctx.field)
     checked = 3
     if ctx.profile.d == 2 or ctx.h.m == 0:
         v = ctx.inv
@@ -634,6 +608,8 @@ _CHECKS = (
     _check_split_extension,
     _check_disjointness_characterization,
 )
+# Names are read once, here: tests and tracers replace _CHECKS entries later.
+CHECK_NAMES = tuple(check.check_name for check in _CHECKS)
 
 
 def run_checks(h: Hypergraph, field: Field = QQ, seed: int = 0) -> CampaignReport:
@@ -722,8 +698,14 @@ def run_fuzz(class_spec: str, n: int, m: int, count: int, seed: int,
 
     The first failing (instance, check) pair is shrunk and embedded in
     the report. Reports merge in instance order, so the output does not
-    depend on the worker schedule.
+    depend on the worker schedule. ``count`` and ``jobs`` must be at
+    least 1; at most one worker per CPU and per instance is started.
     """
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1, count)
     start = time.perf_counter()
     instances = make_batch(class_spec, n, m, count, seed)
     tasks = [

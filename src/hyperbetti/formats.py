@@ -47,11 +47,7 @@ def parse_json(text: str) -> Hypergraph:
 
 
 def serialize_json(h: Hypergraph) -> str:
-    payload = {
-        "vertices": list(h.labels),
-        "edges": [list(h.edge_vertices(s)) for s in range(h.m)],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(instance_payload(h), indent=2) + "\n"
 
 
 def parse_edgelist(text: str) -> Hypergraph:

@@ -26,10 +26,10 @@ from .linalg import QQ, Field, rank_of
 BETTI_CAP_N = 14
 
 
-def vertex_cap() -> int:
-    """Vertex cap for the homology engine; env BETTI_CAP_N overrides."""
+def vertex_cap(default: int = BETTI_CAP_N) -> int:
+    """Vertex cap for the exact engines: ``default`` unless env BETTI_CAP_N is set."""
     raw = os.environ.get("BETTI_CAP_N")
-    return int(raw) if raw else BETTI_CAP_N
+    return int(raw) if raw else default
 
 
 @dataclass(frozen=True)

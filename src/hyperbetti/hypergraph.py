@@ -153,11 +153,6 @@ def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, dict[int
     return Hypergraph(labels, tuple(new_edges)), edge_map
 
 
-def restrict_mask(h: Hypergraph, wmask: int) -> tuple[int, ...]:
-    """Edge masks of the induced subhypergraph on ``wmask``, unrelabelled."""
-    return tuple(mask for mask in h.edges if is_subset(mask, wmask))
-
-
 def delete_edge(h: Hypergraph, s: int) -> Hypergraph:
     """Remove edge ``s``; vertex set unchanged, later edges shift down."""
     h.edge_mask(s)
@@ -175,18 +170,6 @@ def edge_neighborhood(h: Hypergraph, s: int) -> int:
         if mask & smask:
             out |= mask & ~smask
     return out
-
-
-def vertex_neighborhood(h: Hypergraph, x: int, closed: bool = False) -> int:
-    """Bitmask of vertices sharing an edge with ``x`` (open by default)."""
-    h.check_vertex(x)
-    out = 0
-    xbit = 1 << x
-    for mask in h.edges:
-        if mask & xbit:
-            out |= mask
-    out &= ~xbit
-    return out | xbit if closed else out
 
 
 @dataclass(frozen=True)

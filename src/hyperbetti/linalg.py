@@ -14,6 +14,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic primality for ``p < PRIME_LIMIT``."""
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Field:
     """Coefficient field tag: characteristic 0 (``p == 0``) or prime ``p``."""
@@ -23,9 +53,10 @@ class Field:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("characteristic must be 0 or a prime")
-        if self.p:
-            if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
-                raise ValueError(f"{self.p} is not prime")
+        if self.p >= PRIME_LIMIT:
+            raise ValueError(f"characteristic {self.p} is not below {PRIME_LIMIT}")
+        if self.p and not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     def elem(self, value: int):
         return value % self.p if self.p else Fraction(value)

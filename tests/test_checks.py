@@ -16,6 +16,7 @@ from hyperbetti.checks import (
     run_fuzz,
     shrink_failure,
 )
+from hyperbetti.errors import ViolationFound
 from hyperbetti.formats import instance_payload, parse_json
 from hyperbetti.generators import path_graph
 from hyperbetti.hypergraph import build
@@ -50,7 +51,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 1
+    assert a["schema_version"] == 2
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
                       "failures", "meta"}
     # everything that may vary between runs lives under meta
@@ -158,6 +159,56 @@ def test_run_fuzz_shrinks_first_failure(monkeypatch):
     for s in range(h.m):
         covered |= h.edges[s]
     assert covered.bit_count() == h.n  # no deletable isolated vertex remains
+
+
+def test_entries_keep_their_declared_names():
+    # span names of wrapped entries are derived from __name__
+    for check, name in zip(checks._CHECKS, CHECK_NAMES):
+        assert check.__name__ == "_check_" + name.replace("-", "_")
+
+
+@checks._declare("implication-chain")
+def _check_implication_chain(ctx, name):
+    raise ViolationFound(name, "injected")
+
+
+@checks._declare("splitting-recursion", "edges")
+def _check_splitting_recursion(ctx, name):
+    raise ZeroDivisionError("injected")
+
+
+def _inject_raising_checks(monkeypatch):
+    entries = list(checks._CHECKS)
+    entries[CHECK_NAMES.index("implication-chain")] = _check_implication_chain
+    entries[CHECK_NAMES.index("splitting-recursion")] = _check_splitting_recursion
+    monkeypatch.setattr(checks, "_CHECKS", tuple(entries))
+
+
+def test_exceptions_inside_checks_become_failures(monkeypatch):
+    _inject_raising_checks(monkeypatch)
+    h = path_graph(4)
+    report = run_checks(h)
+    assert [r.name for r in report.checks] == list(CHECK_NAMES)
+    failed = {r.name: r for r in report.checks if r.status == "fail"}
+    assert set(failed) == {"implication-chain", "splitting-recursion"}
+    assert failed["implication-chain"].detail == "ViolationFound: implication-chain: injected"
+    assert failed["splitting-recursion"].detail == "ZeroDivisionError: injected"
+    for result in failed.values():
+        again = parse_json(json.dumps(result.counterexample["instance"]))
+        assert again.labels == h.labels and again.edges == h.edges
+    assert sum(r.status == "pass" for r in report.checks) > 0
+
+
+def test_run_fuzz_shrinks_a_raising_check(monkeypatch):
+    _inject_raising_checks(monkeypatch)
+    report = run_fuzz("general", 5, 4, count=3, seed=1)
+    assert report.instances == 3 and not report.ok
+    statuses = {r.name: r.status for r in report.checks}
+    assert statuses["implication-chain"] == statuses["splitting-recursion"] == "fail"
+    failure = report.failures[0]
+    assert failure["check"] == "implication-chain"
+    # the check raises on every instance, so shrinking reaches the empty hypergraph
+    assert parse_json(json.dumps(failure["shrunk"])).n == 0
 
 
 def test_instance_payload_round_trip():

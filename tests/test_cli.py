@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from hyperbetti.cli import main
+from hyperbetti.linalg import PRIME_LIMIT, Field, parse_field
 
 
 @pytest.fixture
@@ -59,6 +61,9 @@ def test_recursive_needs_elimination_order(c4_file, capsys):
     [
         ["betti", "/definitely/not/here.txt"],
         ["betti", "FILE", "--field", "gf:composite"],
+        # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5, 7
+        ["betti", "FILE", "--field", "gf:561"],
+        ["betti", "FILE", "--field", "gf:3215031751"],
         ["classify", "FILE", "--family", "zero one"],
         ["classify", "FILE", "--family", "0 99"],
     ],
@@ -67,6 +72,15 @@ def test_usage_errors_exit_two(argv, p3_file, capsys):
     argv = [p3_file if a == "FILE" else a for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_large_prime_field_is_accepted_quickly():
+    start = time.perf_counter()
+    assert parse_field("gf:100000000000000000039").p == 10**20 + 39
+    assert time.perf_counter() - start < 1.0
+    # the first composite that the 13 Miller-Rabin bases pass
+    with pytest.raises(ValueError):
+        Field(PRIME_LIMIT)
 
 
 def test_malformed_file_exits_two(tmp_path, capsys):
@@ -144,3 +158,12 @@ def test_fuzz_stdout_and_bad_class(capsys):
     assert main(["fuzz", "--class", "nope", "--vertices", "5", "--edges", "4",
                  "--count", "1", "--seed", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag,value", [("--count", "-3"), ("--count", "0"), ("--jobs", "0")])
+def test_fuzz_rejects_counts_below_one(flag, value, capsys):
+    argv = ["fuzz", "--class", "general", "--vertices", "5", "--edges", "4",
+            "--count", "2", "--seed", "0", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
