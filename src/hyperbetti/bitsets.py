@@ -8,7 +8,6 @@ fast word-sized path and anything larger.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -35,16 +34,3 @@ def is_subset(a: int, b: int) -> bool:
     """True when bitset ``a`` is contained in bitset ``b``."""
     return a & ~b == 0
 
-
-def submasks_desc_size(mask: int):
-    """Yield the submasks of ``mask`` by decreasing popcount.
-
-    Within one size, submasks appear in lexicographic order of their
-    sorted bit positions, so the order is total and deterministic.
-    Lazy on purpose: scans that accept the first hit stay cheap even
-    when the mask is wide.
-    """
-    positions = tuple(bits_of(mask))
-    for size in range(len(positions), -1, -1):
-        for combo in combinations(positions, size):
-            yield mask_of(combo)

@@ -19,7 +19,7 @@ Class definitions, for a family S_1, ..., S_i inside a hypergraph H:
 * induced matching: matching and semi-induced.
 * self disjoint set: reduced, with an induced matching S_0 inside the
   family such that every member outside S_0 differs from some member of
-  S_0 by exactly one vertex.
+  S_0 by exactly one vertex (it has one vertex outside that member).
 * self semi-disjoint set: same with S_0 only semi-induced.
 * self ordered set: a singleton, or reduced and such that every outside
   edge S admits a position k below the last with S_k contained in S
@@ -27,6 +27,11 @@ Class definitions, for a family S_1, ..., S_i inside a hypergraph H:
 
 The empty family vacuously belongs to every unordered class above and
 is the degenerate witness of value 0 for each invariant.
+
+Inside the package a family is also an edge bitmask, bit s standing for
+edge index s, and every class predicate above lives once, in
+``_Kernel``: ``classify``, ``survey``, the Taylor engine and the bouquet
+translation all call it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .bitsets import bits_of, is_subset, submasks_desc_size, tuple_of
+from .bitsets import bits_of, mask_of, tuple_of
 from .errors import (
     BudgetExceeded,
     NotAGraph,
@@ -46,6 +51,219 @@ from .errors import (
 from .hypergraph import Hypergraph, uniformity_profile
 
 FAMILY_BUDGET = 16
+
+
+# ---------------------------------------------------------------------------
+# the class predicates, on edge bitmasks
+
+
+class _Unions(dict):
+    """Vertex unions of edge families, keyed by edge bitmask and computed
+    on first lookup."""
+
+    def __init__(self, masks):
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, bits: int) -> int:
+        u = 0
+        for k in bits_of(bits):
+            u |= self.masks[k]
+        self[bits] = u
+        return u
+
+
+def _union_table(masks) -> list[int]:
+    """Vertex union of every edge family, indexed by edge bitmask."""
+    union = [0] * (1 << len(masks))
+    for bits in range(1, len(union)):
+        low = bits & -bits
+        union[bits] = union[bits ^ low] | masks[low.bit_length() - 1]
+    return union
+
+
+class _Kernel:
+    """The family-class predicates of one hypergraph.
+
+    ``masks`` are the edges' vertex masks and ``union[bits]`` the vertex
+    union of the family ``bits``: a full ``_union_table`` for a sweep over
+    every family, or by default a ``_Unions`` filled on demand. Each
+    predicate tests one condition of the module docstring on its own; a
+    class that also asks for a reduced family is the conjunction with
+    ``not absorbed(bits)``, taken by the caller.
+    """
+
+    def __init__(self, masks, union=None):
+        self.masks = masks
+        self.union = _Unions(masks) if union is None else union
+        self.sizes = [mask.bit_count() for mask in masks]
+        self._semi: dict[int, bool] = {}
+        self._near: list[int | None] = [None] * len(masks)
+
+    def absorbed(self, bits: int) -> int:
+        """Members of ``bits`` contained in the union of the others."""
+        masks, union = self.masks, self.union
+        out = 0
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
+                out |= low
+        return out
+
+    def matching(self, bits: int) -> bool:
+        """Members pairwise disjoint."""
+        sizes, total = self.sizes, 0
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            total += sizes[low.bit_length() - 1]
+        return total == self.union[bits].bit_count()
+
+    def semi_induced(self, bits: int) -> bool:
+        """No edge outside ``bits`` inside its union."""
+        hit = self._semi.get(bits)
+        if hit is None:
+            u = self.union[bits]
+            hit = True
+            for s, mask in enumerate(self.masks):
+                if not mask & ~u and not bits >> s & 1:
+                    hit = False
+                    break
+            self._semi[bits] = hit
+        return hit
+
+    def self_contained(self, bits: int) -> bool:
+        """Every outside edge S inside the union admits a member S_k inside
+        S together with the other members."""
+        masks, union = self.masks, self.union
+        u = union[bits]
+        members = [(masks[k], union[bits ^ (1 << k)]) for k in bits_of(bits)]
+        for s, mask in enumerate(masks):
+            if mask & ~u or bits >> s & 1:
+                continue
+            if all(mk & ~(mask | others) for mk, others in members):
+                return False
+        return True
+
+    def near(self, k: int) -> int:
+        """Edges b with S_k minus S_b a single vertex."""
+        out = self._near[k]
+        if out is None:
+            mk = self.masks[k]
+            out = 0
+            for b, mb in enumerate(self.masks):
+                if (mk & ~mb).bit_count() == 1:
+                    out |= 1 << b
+            self._near[k] = out
+        return out
+
+    def disjoint_witnesses(self, fam: tuple[int, ...]):
+        """Witnesses S_0 of ``fam`` for the self disjoint and the self
+        semi-disjoint class, each a sub-tuple or None.
+
+        S_0 must be semi-induced, a matching for the disjoint class, and
+        every other member must have exactly one vertex outside some
+        member of S_0. The family is assumed reduced.
+        Candidates are scanned by decreasing size, then lexicographically
+        in the positions of ``fam``, so the family itself, which works
+        whenever it is a (semi-)induced matching, comes first. The first
+        semi-disjoint witness that is a matching is the disjoint one too.
+        """
+        bits = mask_of(fam)
+        semi_disjoint = None
+        for size in range(len(fam), -1, -1):
+            for chosen in itertools.combinations(fam, size):
+                sub = mask_of(chosen)
+                matching = self.matching(sub)
+                if not (matching or semi_disjoint is None) or not self.semi_induced(sub):
+                    continue
+                if all(self.near(k) & sub for k in bits_of(bits ^ sub)):
+                    if matching:
+                        return chosen, chosen if semi_disjoint is None else semi_disjoint
+                    semi_disjoint = chosen
+        return None, semi_disjoint
+
+    def ordered_in(self, order: tuple[int, ...]) -> bool:
+        """The ordered class, in exactly the order given."""
+        if len(order) <= 1:
+            return bool(order) or not self.masks
+        bits = mask_of(order)
+        if self.absorbed(bits):
+            return False
+        masks = self.masks
+        # after[k]: union of the members after position k
+        after = [0] * len(order)
+        for k in range(len(order) - 1, 0, -1):
+            after[k - 1] = after[k] | masks[order[k]]
+        probes = [(masks[order[k]], after[k]) for k in range(len(order) - 1)]
+        for s, mask in enumerate(masks):
+            if bits >> s & 1:
+                continue
+            if all(mk & ~(mask | u) for mk, u in probes):
+                return False
+        return True
+
+    def orderable(self, bits: int) -> bool:
+        """Whether some ordering of the reduced family ``bits`` satisfies
+        the outside-edge condition of the ordered class.
+
+        Builds orderings back to front; a state is (edges still to place,
+        outside edges still lacking a witness position), and the union of
+        already placed edges depends only on the set, so states memoize.
+        """
+        masks, union = self.masks, self.union
+        memo: dict[tuple[int, int], bool] = {}
+
+        def feasible(rem: int, unwit: int) -> bool:
+            if not unwit:
+                return True
+            if not rem:
+                return False
+            key = (rem, unwit)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            placed_union = union[bits ^ rem]
+            result = False
+            r = rem
+            while r:
+                low = r & -r
+                r ^= low
+                e_mask = masks[low.bit_length() - 1]
+                new_unwit = unwit
+                w = unwit
+                while w:
+                    lw = w & -w
+                    w ^= lw
+                    if not e_mask & ~(masks[lw.bit_length() - 1] | placed_union):
+                        new_unwit ^= lw
+                if feasible(rem ^ low, new_unwit):
+                    result = True
+                    break
+            memo[key] = result
+            return result
+
+        return feasible(bits, ((1 << len(masks)) - 1) & ~bits)
+
+
+def _family_kernel(h: Hypergraph, fam: tuple[int, ...]) -> _Kernel:
+    """Kernel for one family, its union and the unions of all members
+    but one seeded from prefix and suffix ORs."""
+    masks = h.edges
+    union = _Unions(masks)
+    prefix = [0]
+    for s in fam:
+        prefix.append(prefix[-1] | masks[s])
+    bits = mask_of(fam)
+    union[bits] = prefix[-1]
+    suffix = 0
+    for k in range(len(fam) - 1, -1, -1):
+        union[bits ^ (1 << fam[k])] = prefix[k] | suffix
+        suffix |= masks[fam[k]]
+    return _Kernel(masks, union)
 
 
 # ---------------------------------------------------------------------------
@@ -79,130 +297,38 @@ def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
     return fam
 
 
-def _is_reduced(masks: list[int]) -> bool:
-    """No member inside the union of the others."""
-    for k, mk in enumerate(masks):
-        others = 0
-        for t, mt in enumerate(masks):
-            if t != k:
-                others |= mt
-        if is_subset(mk, others):
-            return False
-    return True
-
-
-def _is_semi_induced(h: Hypergraph, fam_set: set[int], union: int) -> bool:
-    for s, mask in enumerate(h.edges):
-        if s not in fam_set and is_subset(mask, union):
-            return False
-    return True
-
-
-def _near_one(a: int, b: int) -> bool:
-    return (a & ~b).bit_count() == 1
-
-
 def classify(h: Hypergraph, fam) -> FamilyClassification:
     """Evaluate every family class on ``fam`` (order matters only for the
     ordered class, which is tested in the given order)."""
     fam = _validate_family(h, fam)
-    masks = [h.edges[s] for s in fam]
-    union = 0
-    for mask in masks:
-        union |= mask
-    i, j = len(fam), union.bit_count()
-    fam_set = set(fam)
-    reduced = _is_reduced(masks)
-    matching = sum(mask.bit_count() for mask in masks) == j
-    semi = _is_semi_induced(h, fam_set, union)
-    ssi = reduced and semi
-    induced = matching and semi
-    contained = reduced and _self_contained_holds(h, fam, masks, union)
-    sd_w = _disjoint_witness(h, fam, masks, require_matching=True) if reduced else None
-    ssd_w = _disjoint_witness(h, fam, masks, require_matching=False) if reduced else None
+    kernel = _family_kernel(h, fam)
+    bits = mask_of(fam)
+    reduced = not kernel.absorbed(bits)
+    matching = kernel.matching(bits)
+    semi = kernel.semi_induced(bits)
+    sd_w, ssd_w = kernel.disjoint_witnesses(fam) if reduced else (None, None)
     return FamilyClassification(
         family=fam,
-        i=i,
-        j=j,
+        i=len(fam),
+        j=kernel.union[bits].bit_count(),
         matching=matching,
         semi_induced=semi,
         reduced=reduced,
-        self_semi_induced=ssi,
-        self_contained=contained,
-        induced=induced,
+        self_semi_induced=reduced and semi,
+        self_contained=reduced and kernel.self_contained(bits),
+        induced=matching and semi,
         self_disjoint=sd_w is not None,
         self_disjoint_witness=sd_w,
         self_semi_disjoint=ssd_w is not None,
         self_semi_disjoint_witness=ssd_w,
-        self_ordered=is_self_ordered(h, fam),
+        self_ordered=kernel.ordered_in(fam),
     )
-
-
-def _self_contained_holds(h: Hypergraph, fam, masks, union) -> bool:
-    fam_set = set(fam)
-    total = len(masks)
-    others = []
-    for k in range(total):
-        u = 0
-        for t in range(total):
-            if t != k:
-                u |= masks[t]
-        others.append(u)
-    for s, mask in enumerate(h.edges):
-        if s in fam_set or not is_subset(mask, union):
-            continue
-        if not any(is_subset(masks[k], mask | others[k]) for k in range(total)):
-            return False
-    return True
-
-
-def _disjoint_witness(h: Hypergraph, fam, masks, require_matching: bool) -> tuple[int, ...] | None:
-    """Witness sub-family S_0 for the (semi-)disjoint classes, or None.
-
-    Candidates are scanned in decreasing size so the full family, which
-    works whenever it is itself a (semi-)induced matching, exits first.
-    The family is assumed reduced.
-    """
-    if not fam:
-        return ()
-    by_pos = list(fam)
-    full = (1 << len(fam)) - 1
-    for sub in submasks_desc_size(full):
-        chosen = [by_pos[p] for p in bits_of(sub)]
-        union = 0
-        for s in chosen:
-            union |= h.edges[s]
-        if require_matching and sum(h.edges[s].bit_count() for s in chosen) != union.bit_count():
-            continue
-        if not _is_semi_induced(h, set(chosen), union):
-            continue
-        rest = [by_pos[p] for p in bits_of(full ^ sub)]
-        if all(any(_near_one(h.edges[s], h.edges[k]) for k in chosen) for s in rest):
-            return tuple(chosen)
-    return None
 
 
 def is_self_ordered(h: Hypergraph, fam) -> bool:
     """Test the ordered class in exactly the order given."""
     fam = _validate_family(h, fam)
-    i = len(fam)
-    if i == 1:
-        return True
-    if i == 0:
-        return h.m == 0
-    masks = [h.edges[s] for s in fam]
-    if not _is_reduced(masks):
-        return False
-    suffix = [0] * (i + 1)
-    for k in range(i - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | masks[k]
-    fam_set = set(fam)
-    for s, mask in enumerate(h.edges):
-        if s in fam_set:
-            continue
-        if not any(is_subset(masks[k], mask | suffix[k + 1]) for k in range(i - 1)):
-            return False
-    return True
+    return _family_kernel(h, fam).ordered_in(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +369,20 @@ class FamilySurvey:
     maxima_a_t: dict[int, _Max] = dc_field(default_factory=dict)
 
     def families_all_reduced(self, i: int, j: int) -> bool:
-        """Every size-i family covering j vertices is reduced."""
+        """Every size-i family covering j vertices is reduced.
+
+        Under this hypothesis the reduced basis symbols of the Taylor
+        slice span its homology, so beta_{i,j} is at most |B_{i,j}|.
+        """
         return (i, j) not in self.hyp1_violations
 
     def absorbing_families_stay_reduced(self, i: int, j: int) -> bool:
         """No family of i+1 edges with an absorbed member and union size j
-        has a second absorbed member."""
+        has a second absorbed member.
+
+        Under this hypothesis the classes of B_{i,j} are independent, so
+        beta_{i,j} is at least |B_{i,j}|.
+        """
         return (i, j) not in self.hyp2_violations
 
 
@@ -261,23 +395,8 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
     m = h.m
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds family enumeration budget {budget}")
-    masks = list(h.edges)
-    sizes = [mask.bit_count() for mask in masks]
-    full = (1 << m) - 1
-
-    union = [0] * (1 << m)
-    size_sum = [0] * (1 << m)
-    low_index = {1 << k: k for k in range(m)}
-    for bits in range(1, 1 << m):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | masks[low_index[low]]
-        size_sum[bits] = size_sum[bits ^ low] + sizes[low_index[low]]
-
-    near_mask = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a != b and _near_one(masks[a], masks[b]):
-                near_mask[a] |= 1 << b
+    kernel = _Kernel(h.edges, _union_table(h.edges))
+    sizes = kernel.sizes
 
     kinds = ("matching", "induced", "semi_induced", "self_semi_induced",
              "self_contained", "self_disjoint", "self_semi_disjoint", "self_ordered")
@@ -294,29 +413,19 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
                "d1_prime", "d2_prime", "e")}
     a_t: dict[int, _Max] = {}
 
-    def subfamily_semi_induced(sub_bits: int) -> bool:
-        u = union[sub_bits]
-        for s in range(m):
-            if not sub_bits >> s & 1 and is_subset(masks[s], u):
-                return False
-        return True
-
     for bits in _subsets_lex(m):
-        members = list(bits_of(bits))
-        i = len(members)
-        u = union[bits]
-        j = u.bit_count()
-        fam = tuple(members)
+        fam = tuple_of(bits)
+        i = len(fam)
+        j = kernel.union[bits].bit_count()
 
-        absorbed = [k for k in members if is_subset(masks[k], union[bits ^ (1 << k)])]
-        reduced = not absorbed
-        if not reduced:
+        absorbed = kernel.absorbed(bits)
+        if absorbed:
             hyp1_violations.add((i, j))
-        if len(absorbed) >= 2:
+        if absorbed & (absorbed - 1):
             hyp2_violations.add((i - 1, j))
 
-        matching = size_sum[bits] == j
-        semi = subfamily_semi_induced(bits)
+        matching = kernel.matching(bits)
+        semi = kernel.semi_induced(bits)
 
         if matching:
             types["matching"].add((i, j))
@@ -326,11 +435,11 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
         if matching and semi:
             types["induced"].add((i, j))
             maxima["a"].offer(i, fam)
-            t = sizes[members[0]]
-            if all(sizes[k] == t for k in members):
+            t = sizes[fam[0]]
+            if all(sizes[k] == t for k in fam):
                 counts_induced_uniform[t, i] = counts_induced_uniform.get((t, i), 0) + 1
                 a_t.setdefault(t, _Max()).offer(i, fam)
-        if not reduced:
+        if absorbed:
             continue
 
         if semi:
@@ -339,43 +448,22 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
             maxima["b"].offer(i, fam)
             maxima["b_prime"].offer(j - i, fam)
 
-        others_union = [union[bits ^ (1 << k)] for k in members]
-        contained = True
-        for s in range(m):
-            if bits >> s & 1 or not is_subset(masks[s], u):
-                continue
-            if not any(is_subset(masks[members[k]], masks[s] | others_union[k]) for k in range(i)):
-                contained = False
-                break
-        if contained:
+        if kernel.self_contained(bits):
             types["self_contained"].add((i, j))
             counts_scsi[i, j] = counts_scsi.get((i, j), 0) + 1
             maxima["e"].offer(i, fam)
 
-        ssd = sd = False
-        for sub in submasks_desc_size(bits):
-            if not ssd and subfamily_semi_induced(sub):
-                rest = bits ^ sub
-                if all(near_mask[k] & sub for k in bits_of(rest)):
-                    ssd = True
-                    if size_sum[sub] == union[sub].bit_count():
-                        sd = True
-            if not sd and size_sum[sub] == union[sub].bit_count() and subfamily_semi_induced(sub):
-                rest = bits ^ sub
-                if all(near_mask[k] & sub for k in bits_of(rest)):
-                    sd = True
-            if ssd and sd:
-                break
-        if ssd:
+        sd, ssd = kernel.disjoint_witnesses(fam)
+        if ssd is not None:
             types["self_semi_disjoint"].add((i, j))
             maxima["d2"].offer(i, fam)
             maxima["d2_prime"].offer(j - i, fam)
-        if sd:
+        if sd is not None:
             types["self_disjoint"].add((i, j))
             maxima["d1"].offer(i, fam)
             maxima["d1_prime"].offer(j - i, fam)
 
-        if i == 1 or _self_ordered_feasible(masks, union, bits, full):
+        if i == 1 or kernel.orderable(bits):
             types["self_ordered"].add((i, j))
             maxima["c"].offer(i, fam)
             maxima["c_prime"].offer(j - i, fam)
@@ -406,54 +494,12 @@ def _subsets_lex(m: int):
     yield from grow(0, 0)
 
 
-def _self_ordered_feasible(masks, union, bits: int, full: int) -> bool:
-    """Whether some ordering of the reduced family ``bits`` satisfies the
-    outside-edge condition of the ordered class.
-
-    Builds orderings back to front; a state is (edges still to place,
-    outside edges still lacking a witness position), and the union of
-    already placed edges depends only on the set, so states memoize.
-    """
-    outside0 = full & ~bits
-    memo: dict[tuple[int, int], bool] = {}
-
-    def feasible(rem: int, unwit: int) -> bool:
-        if not unwit:
-            return True
-        if not rem:
-            return False
-        key = (rem, unwit)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        placed_union = union[bits ^ rem]
-        result = False
-        r = rem
-        while r:
-            low = r & -r
-            r ^= low
-            e_mask = masks[low.bit_length() - 1]
-            new_unwit = unwit
-            w = unwit
-            while w:
-                lw = w & -w
-                w ^= lw
-                if is_subset(e_mask, masks[lw.bit_length() - 1] | placed_union):
-                    new_unwit ^= lw
-            if feasible(rem ^ low, new_unwit):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return feasible(bits, outside0)
-
-
 def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
+    kernel = _family_kernel(h, fam)
     for perm in itertools.permutations(fam):
-        if is_self_ordered(h, perm):
+        if kernel.ordered_in(perm):
             return perm
     return None
 
@@ -663,20 +709,20 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All induced matchings of ``h`` as sorted index tuples (empty omitted)."""
+    kernel = _Kernel(h.edges)
     out: list[tuple[int, ...]] = []
 
-    def grow(current: list[int], covered: int, start: int):
+    def grow(bits: int, start: int):
+        covered = kernel.union[bits]
         for s in range(start, h.m):
-            mask = h.edges[s]
-            if mask & covered:
+            if h.edges[s] & covered:
                 continue
-            u = covered | mask
-            chosen = current + [s]
-            if all(t in chosen or not is_subset(h.edges[t], u) for t in range(h.m)):
-                out.append(tuple(chosen))
-            grow(chosen, u, s + 1)
+            nxt = bits | 1 << s
+            if kernel.semi_induced(nxt):
+                out.append(tuple_of(nxt))
+            grow(nxt, s + 1)
 
-    grow([], 0, 0)
+    grow(0, 0)
     return out
 
 
@@ -734,15 +780,11 @@ def _stem_selection(h: Hypergraph, bouquets: tuple[Bouquet, ...]) -> list[int] |
                 raise NotStronglyDisjoint(f"stem {(a, c)} of bouquet {b} is not an edge")
             opts.append(s)
         options.append(opts)
+    kernel = _Kernel(h.edges)
     for combo in itertools.product(*options):
-        chosen = list(combo)
-        u = 0
-        for s in chosen:
-            u |= h.edges[s]
-        if sum(h.edges[s].bit_count() for s in chosen) != u.bit_count():
-            continue
-        if all(t in chosen or not is_subset(h.edges[t], u) for t in range(h.m)):
-            return chosen
+        bits = mask_of(combo)
+        if kernel.matching(bits) and kernel.semi_induced(bits):
+            return list(combo)
     return None
 
 

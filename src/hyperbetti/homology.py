@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import os
 
 from .bitsets import bits_of, is_subset, tuple_of
-from .errors import SizeCapExceeded
+from .errors import SizeCapExceeded, ValidationError
 from .hypergraph import Hypergraph
 from .linalg import QQ, Field, rank_of
 
@@ -27,9 +27,14 @@ BETTI_CAP_N = 14
 
 
 def vertex_cap(default: int = BETTI_CAP_N) -> int:
-    """Vertex cap for the exact engines: ``default`` unless env BETTI_CAP_N is set."""
+    """Vertex cap for the exact engines: ``default`` unless env BETTI_CAP_N
+    is set, which must then be a positive integer."""
     raw = os.environ.get("BETTI_CAP_N")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValidationError(f"BETTI_CAP_N must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

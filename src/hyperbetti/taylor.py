@@ -11,8 +11,9 @@ beta_{i,j} is the homology dimension of the (size i, degree j) slice.
 A basis symbol lies in the kernel precisely when no member is absorbed
 by the others ("reduced" below). The set B_{i,j} collects the reduced
 basis symbols of the slice that are also outside the image from above;
-under the two subset hypotheses checked here it bounds or equals
-beta_{i,j}.
+under the two subset hypotheses that ``FamilySurvey`` records it bounds
+or equals beta_{i,j}. Absorption is tested by the family kernel of
+``families``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bitsets import bits_of, is_subset
+from .bitsets import bits_of, is_subset, mask_of
 from .errors import BettiVanishes, BudgetExceeded, PremiseFails, ValidationError
-from .families import classify, is_self_ordered, _validate_family
+from .families import (
+    _family_kernel,
+    _Kernel,
+    _union_table,
+    _validate_family,
+    classify,
+    is_self_ordered,
+    survey,
+)
 from .homology import BettiTable, betti_table
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .linalg import QQ, Field, RowSpace
@@ -37,22 +46,9 @@ def chain_union(h: Hypergraph, chain) -> int:
     return u
 
 
-def chain_degree(h: Hypergraph, chain) -> int:
-    return chain_union(h, chain).bit_count()
-
-
-def in_kernel(h: Hypergraph, chain) -> bool:
-    """Boundary of the basis symbol vanishes: no member absorbed."""
-    chain = tuple(chain)
-    masks = [h.edge_mask(s) for s in chain]
-    for k in range(len(chain)):
-        others = 0
-        for t in range(len(chain)):
-            if t != k:
-                others |= masks[t]
-        if is_subset(masks[k], others):
-            return False
-    return True
+def _faces(chain: tuple[int, ...], absorbed: int) -> list[tuple[int, tuple[int, ...]]]:
+    return [(-1 if k % 2 == 0 else 1, chain[:k] + chain[k + 1:])
+            for k, s in enumerate(chain) if absorbed >> s & 1]
 
 
 def reduced_boundary(h: Hypergraph, chain) -> list[tuple[int, tuple[int, ...]]]:
@@ -65,17 +61,8 @@ def reduced_boundary(h: Hypergraph, chain) -> list[tuple[int, tuple[int, ...]]]:
     chain = tuple(chain)
     if len(set(chain)) != len(chain) or list(chain) != sorted(chain):
         raise ValidationError(f"symbol {chain} must be strictly increasing")
-    masks = [h.edge_mask(s) for s in chain]
-    out = []
-    for k in range(len(chain)):
-        others = 0
-        for t in range(len(chain)):
-            if t != k:
-                others |= masks[t]
-        if is_subset(masks[k], others):
-            sign = -1 if k % 2 == 0 else 1
-            out.append((sign, chain[:k] + chain[k + 1 :]))
-    return out
+    chain = _validate_family(h, chain)
+    return _faces(chain, _family_kernel(h, chain).absorbed(mask_of(chain)))
 
 
 @dataclass
@@ -87,7 +74,7 @@ class TaylorAnalysis:
     slices: dict[tuple[int, int], list[tuple[int, ...]]]
     boundary_rank: dict[tuple[int, int], int]
     image_into: dict[tuple[int, int], RowSpace]
-    kernel_flags: dict[tuple[int, ...], bool]
+    kernel: _Kernel
 
     def betti(self, i: int, j: int) -> int:
         basis = self.slices.get((i, j), [])
@@ -104,13 +91,12 @@ class TaylorAnalysis:
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
         """Reduced basis symbols of the slice not hit from above."""
         basis = self.slices.get((i, j), [])
-        index = {c: pos for pos, c in enumerate(basis)}
         image = self.image_into.get((i, j))
         out = []
-        for c in basis:
-            if not self.kernel_flags[c]:
+        for pos, c in enumerate(basis):
+            if self.kernel.absorbed(mask_of(c)):
                 continue
-            if image is not None and image.contains({index[c]: 1}):
+            if image is not None and image.contains({pos: 1}):
                 continue
             out.append(c)
         return out
@@ -121,13 +107,12 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -
     m = h.m
     if m > cap:
         raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {cap}")
+    kernel = _Kernel(h.edges, _union_table(h.edges))
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    kernel_flags: dict[tuple[int, ...], bool] = {}
     for size in range(m + 1):
         for chain in itertools.combinations(range(m), size):
-            key = (size, chain_degree(h, chain))
+            key = (size, kernel.union[mask_of(chain)].bit_count())
             slices.setdefault(key, []).append(chain)
-            kernel_flags[chain] = in_kernel(h, chain)
     index: dict[tuple[int, ...], int] = {}
     for basis in slices.values():
         basis.sort()
@@ -140,71 +125,28 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -
             continue
         space = RowSpace(field)
         for c in basis:
-            row = {}
-            for sign, face in reduced_boundary(h, c):
-                row[index[face]] = sign
+            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(mask_of(c)))}
             if row:
                 space.add(row)
         boundary_rank[i, j] = space.rank
         image_into[i - 1, j] = space
-    return TaylorAnalysis(h, field, slices, boundary_rank, image_into, kernel_flags)
+    return TaylorAnalysis(h, field, slices, boundary_rank, image_into, kernel)
 
 
 def betti_via_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -> BettiTable:
     return analyze_taylor(h, field, cap).table()
 
 
-def b_set(h: Hypergraph, i: int, j: int, field: Field = QQ, cap: int = TAYLOR_BUDGET):
-    return analyze_taylor(h, field, cap).b_set(i, j)
-
-
-# ---------------------------------------------------------------------------
-# the two basis hypotheses
-
-
-def all_families_reduced(h: Hypergraph, i: int, j: int) -> bool:
-    """Every family of i edges covering j vertices is reduced.
-
-    Under this hypothesis the reduced basis symbols of the slice span
-    its homology, so beta_{i,j} is at most the size of B_{i,j}.
-    """
-    for chain in itertools.combinations(range(h.m), i):
-        u = chain_union(h, chain)
-        if u.bit_count() == j and not in_kernel(h, chain):
-            return False
-    return True
-
-
-def absorbing_families_stay_reduced(h: Hypergraph, i: int, j: int) -> bool:
-    """No family of i+1 edges with an absorbed member and union size j
-    has a second absorbed member.
-
-    Under this hypothesis the classes of B_{i,j} are independent, so
-    beta_{i,j} is at least the size of B_{i,j}.
-    """
-    masks = h.edges
-    for chain in itertools.combinations(range(h.m), i + 1):
-        u = chain_union(h, chain)
-        absorbed = 0
-        for k in chain:
-            others = 0
-            for t in chain:
-                if t != k:
-                    others |= masks[t]
-            if is_subset(masks[k], others):
-                absorbed += 1
-                if absorbed >= 2 and u.bit_count() == j:
-                    return False
-    return True
-
-
 def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,
                  analysis: TaylorAnalysis | None = None) -> dict:
-    """Betti bounds from B_{i,j} where the hypotheses above apply."""
+    """Betti bounds from B_{i,j} where the two basis hypotheses apply
+    (see ``FamilySurvey.families_all_reduced`` and
+    ``FamilySurvey.absorbing_families_stay_reduced``)."""
     an = analysis if analysis is not None else analyze_taylor(h, field)
     size = len(an.b_set(i, j))
-    hyp_upper = all_families_reduced(h, i, j)
-    hyp_lower = absorbing_families_stay_reduced(h, i, j)
+    sv = survey(h)
+    hyp_upper = sv.families_all_reduced(i, j)
+    hyp_lower = sv.absorbing_families_stay_reduced(i, j)
     out = {
         "i": i,
         "j": j,
@@ -223,25 +165,6 @@ def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,
 # symbol admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityConvention:
-    """Resolution of the two readings of the admissibility condition.
-
-    ``suffix_members_only`` unions only the symbol members from the
-    probed position up; the alternative unions every edge whose
-    ordering position lies in the closed interval. ``check_last``
-    includes the final symbol position among the probed ones. The
-    defaults give the classical construction, under which admissible
-    symbols form a complex closed under taking subsymbols.
-    """
-
-    suffix_members_only: bool = True
-    check_last: bool = True
-
-
-CLASSICAL = AdmissibilityConvention()
-
-
 def _ordering_masks(h: Hypergraph, ordering) -> list[int]:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(h.m)):
@@ -249,54 +172,43 @@ def _ordering_masks(h: Hypergraph, ordering) -> list[int]:
     return [h.edges[s] for s in ordering]
 
 
-def is_l_admissible(h: Hypergraph, ordering, chain,
-                    convention: AdmissibilityConvention = CLASSICAL) -> bool:
+def is_l_admissible(h: Hypergraph, ordering, chain) -> bool:
     """Admissibility of a symbol of ordering positions.
 
     ``chain`` lists positions into ``ordering`` in strictly increasing
-    order. The symbol is admissible when for every probed position p of
-    the chain, no edge ordered strictly before p is contained in the
-    suffix union at p (see :class:`AdmissibilityConvention`).
+    order. The symbol is admissible when for every position p of the
+    chain, no edge ordered strictly before p is contained in the union
+    of the symbol members from p on. This is the classical construction,
+    under which admissible symbols form a complex closed under taking
+    subsymbols; unioning every edge ordered between p and the last
+    position instead is a different reading, which this package rejects.
     """
     masks = _ordering_masks(h, ordering)
     chain = tuple(chain)
     if list(chain) != sorted(set(chain)) or (chain and not (0 <= chain[0] and chain[-1] < h.m)):
         raise ValidationError(f"chain {chain} must be strictly increasing ordering positions")
-    i = len(chain)
-    probe_limit = i if convention.check_last else i - 1
-    for t in range(probe_limit):
-        p = chain[t]
-        if convention.suffix_members_only:
-            u = 0
-            for k in range(t, i):
-                u |= masks[chain[k]]
-        else:
-            u = 0
-            for r in range(p, chain[-1] + 1):
-                u |= masks[r]
-        for q in range(p):
-            if is_subset(masks[q], u):
-                return False
+    u = 0
+    for p in reversed(chain):
+        u |= masks[p]
+        if any(is_subset(masks[q], u) for q in range(p)):
+            return False
     return True
 
 
-def is_maximal_l_admissible(h: Hypergraph, ordering, chain,
-                            convention: AdmissibilityConvention = CLASSICAL) -> bool:
+def is_maximal_l_admissible(h: Hypergraph, ordering, chain) -> bool:
     """No strictly larger admissible symbol contains ``chain``.
 
-    Checked against every superset of positions, so the answer is the
-    literal one under any convention, monotone or not.
+    Admissible symbols are closed under subsymbols: dropping a member
+    shrinks the suffix unions and leaves the earlier edges of every
+    remaining position alone. So an admissible superset exists exactly
+    when an admissible one-position extension does, and only those are
+    checked.
     """
-    if not is_l_admissible(h, ordering, chain, convention):
+    if not is_l_admissible(h, ordering, chain):
         return False
     chain = tuple(chain)
-    rest = [p for p in range(h.m) if p not in chain]
-    for size in range(1, len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            bigger = tuple(sorted(chain + extra))
-            if is_l_admissible(h, ordering, bigger, convention):
-                return False
-    return True
+    return not any(is_l_admissible(h, ordering, tuple(sorted(chain + (p,))))
+                   for p in range(h.m) if p not in chain)
 
 
 # ---------------------------------------------------------------------------

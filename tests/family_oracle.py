@@ -1,0 +1,155 @@
+"""Independent brute-force family-class oracle used only by the test suite.
+
+Written straight from the class definitions in the ``hyperbetti.families``
+docstring and deliberately sharing no code with the package: edges are
+frozensets of vertices, families are tuples of edge indices, and every
+quantifier is spelled out over all candidates. Slow and obvious beats
+fast and clever here.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+
+def edge_sets(h):
+    """The edges of a package hypergraph as frozensets of vertex ids."""
+    return [frozenset(v for v in range(h.n) if mask >> v & 1) for mask in h.edges]
+
+
+def union(edges, fam):
+    return frozenset().union(*(edges[s] for s in fam))
+
+
+def _outside(edges, fam):
+    return [s for s in range(len(edges)) if s not in fam]
+
+
+def _others(edges, fam, k):
+    return union(edges, [t for t in fam if t != k])
+
+
+def matching(edges, fam):
+    return all(not edges[a] & edges[b] for a, b in itertools.combinations(fam, 2))
+
+
+def semi_induced(edges, fam):
+    u = union(edges, fam)
+    return not any(edges[s] <= u for s in _outside(edges, fam))
+
+
+def absorbed(edges, fam):
+    """Members contained in the union of the other members."""
+    return [k for k in fam if edges[k] <= _others(edges, fam, k)]
+
+
+def reduced(edges, fam):
+    return not absorbed(edges, fam)
+
+
+def self_semi_induced(edges, fam):
+    return semi_induced(edges, fam) and reduced(edges, fam)
+
+
+def self_contained(edges, fam):
+    u = union(edges, fam)
+    return reduced(edges, fam) and all(
+        any(edges[k] <= edges[s] | _others(edges, fam, k) for k in fam)
+        for s in _outside(edges, fam) if edges[s] <= u)
+
+
+def induced(edges, fam):
+    return matching(edges, fam) and semi_induced(edges, fam)
+
+
+def is_disjoint_witness(edges, fam, s0, require_matching):
+    """S_0 inside the family, semi-induced (an induced matching when
+    ``require_matching``), and every member outside S_0 differs from some
+    member of S_0 by exactly one vertex: it has one vertex outside it."""
+    if not set(s0) <= set(fam):
+        return False
+    if not semi_induced(edges, s0) or (require_matching and not matching(edges, s0)):
+        return False
+    return all(any(len(edges[s] - edges[k]) == 1 for k in s0)
+               for s in fam if s not in s0)
+
+
+def _sub_families(fam):
+    for r in range(len(fam) + 1):
+        yield from itertools.combinations(fam, r)
+
+
+def first_disjoint_witness(edges, order, require_matching):
+    """The witness the package reports: among all valid S_0 of a reduced
+    family, the largest, and of equal sizes the first in the positions
+    of ``order``."""
+    if not reduced(edges, order):
+        return None
+    for r in range(len(order), -1, -1):
+        for s0 in itertools.combinations(order, r):
+            if is_disjoint_witness(edges, order, s0, require_matching):
+                return s0
+    return None
+
+
+def self_disjoint(edges, fam):
+    return first_disjoint_witness(edges, fam, True) is not None
+
+
+def self_semi_disjoint(edges, fam):
+    return first_disjoint_witness(edges, fam, False) is not None
+
+
+def self_ordered_in(edges, order):
+    """The ordered class in exactly the order given."""
+    if len(order) == 1:
+        return True
+    return reduced(edges, order) and all(
+        any(edges[order[k]] <= edges[s] | union(edges, order[k + 1:])
+            for k in range(len(order) - 1))
+        for s in _outside(edges, order))
+
+
+def self_ordered_some_order(edges, fam):
+    return any(self_ordered_in(edges, perm) for perm in itertools.permutations(fam))
+
+
+UNORDERED_CLASSES = {
+    "matching": matching,
+    "semi_induced": semi_induced,
+    "reduced": reduced,
+    "self_semi_induced": self_semi_induced,
+    "self_contained": self_contained,
+    "induced": induced,
+    "self_disjoint": self_disjoint,
+    "self_semi_disjoint": self_semi_disjoint,
+}
+
+
+def survey_facts(edges):
+    """What a sweep over every family must report: the (i, j) types of
+    each class, the counts of self semi-induced and self-contained
+    families per type, and the types that break the two basis
+    hypotheses (a non-reduced family of type (i, j); a family of type
+    (i + 1, j) with two absorbed members)."""
+    kinds = [k for k in UNORDERED_CLASSES if k != "reduced"]
+    types = {k: set() for k in kinds + ["self_ordered"]}
+    counts_ssi: dict[tuple[int, int], int] = {}
+    counts_scsi: dict[tuple[int, int], int] = {}
+    hyp1, hyp2 = set(), set()
+    for fam in _sub_families(tuple(range(len(edges)))):
+        key = (len(fam), len(union(edges, fam)))
+        for k in kinds:
+            if UNORDERED_CLASSES[k](edges, fam):
+                types[k].add(key)
+        if self_ordered_some_order(edges, fam):
+            types["self_ordered"].add(key)
+        if self_semi_induced(edges, fam):
+            counts_ssi[key] = counts_ssi.get(key, 0) + 1
+        if self_contained(edges, fam):
+            counts_scsi[key] = counts_scsi.get(key, 0) + 1
+        if not reduced(edges, fam):
+            hyp1.add(key)
+        if len(absorbed(edges, fam)) >= 2:
+            hyp2.add((key[0] - 1, key[1]))
+    return types, counts_ssi, counts_scsi, hyp1, hyp2

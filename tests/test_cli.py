@@ -74,6 +74,14 @@ def test_usage_errors_exit_two(argv, p3_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["-3", "abc"])
+def test_bad_cap_env_exits_two(value, p3_file, capsys, monkeypatch):
+    monkeypatch.setenv("BETTI_CAP_N", value)
+    assert main(["check", p3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BETTI_CAP_N") and not captured.out
+
+
 def test_large_prime_field_is_accepted_quickly():
     start = time.perf_counter()
     assert parse_field("gf:100000000000000000039").p == 10**20 + 39
@@ -117,6 +125,18 @@ def test_classify_flags(c4_file, capsys):
     assert main(["classify", c4_file, "--family", "0", "--ordered"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["self_ordered_in_given_order"] is True
+
+
+def test_classify_witness_follows_the_given_order(tmp_path, capsys):
+    f = tmp_path / "tie.json"
+    f.write_text(json.dumps({
+        "vertices": ["v0", "v1", "v2", "v3", "v4"],
+        "edges": [[2, 3], [0, 4], [1, 4], [0, 3]],
+    }))
+    assert main(["classify", str(f), "--family", "2 1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["self_disjoint_witness"] == [2]
+    assert out["self_semi_disjoint_witness"] == [2, 1]
 
 
 def test_check_reports_json(p3_file, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti.errors import (
@@ -29,6 +29,7 @@ from hyperbetti.families import (
 )
 from hyperbetti.hypergraph import build, from_edge_labels
 
+import family_oracle as oracle
 from conftest import path_graph
 
 
@@ -46,6 +47,23 @@ def hypergraphs(draw, max_n=6, max_m=5):
         if any(cand <= e or e <= cand for e in edges):
             continue
         edges.append(cand)
+    return build([f"v{i}" for i in range(n)], [tuple(sorted(e)) for e in edges])
+
+
+@st.composite
+def sized_hypergraphs(draw, max_n=7, max_m=6):
+    """Antichains of three to ``max_m`` edges; ``hypergraphs`` above
+    mostly draws one or two, too few for families to interact."""
+    n = draw(st.integers(min_value=4, max_value=max_n))
+    target = draw(st.integers(min_value=3, max_value=max_m))
+    edges: list[frozenset[int]] = []
+    for _ in range(4 * max_m):
+        cand = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1)))
+        if not any(cand <= e or e <= cand for e in edges):
+            edges.append(cand)
+            if len(edges) == target:
+                break
+    assume(len(edges) >= 3)
     return build([f"v{i}" for i in range(n)], [tuple(sorted(e)) for e in edges])
 
 
@@ -134,6 +152,17 @@ def test_triple_overlap_full_family(triple_overlap):
     # a smaller witness also satisfies the defining condition
     part = classify(triple_overlap, (0, 2))
     assert part.self_semi_induced
+
+
+def test_unsorted_family_breaks_witness_ties_by_position():
+    # the witness scan walks the family in the order given, so of two
+    # equally large witnesses the one at the earlier position wins, not
+    # the one with the smaller edge index
+    h = build([f"v{i}" for i in range(5)], [(2, 3), (0, 4), (1, 4), (0, 3)])
+    cls = classify(h, (2, 1))
+    assert cls.self_disjoint_witness == (2,)
+    assert cls.self_semi_disjoint_witness == (2, 1)
+    assert classify(h, (1, 2)).self_disjoint_witness == (1,)
 
 
 def test_classify_rejects_bad_indices(p3):
@@ -261,6 +290,39 @@ def test_survey_types_match_classify(p4, c4, triple_overlap):
                         seen[k].add((cls.i, cls.j))
         for k in kinds:
             assert sv.types[k] == seen[k], (k, h.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_hypergraphs(), st.randoms(use_true_random=False))
+def test_classify_matches_family_oracle(h, rnd):
+    edges = oracle.edge_sets(h)
+    for r in range(h.m + 1):
+        for fam in itertools.combinations(range(h.m), r):
+            order = list(fam)
+            rnd.shuffle(order)
+            cls = classify(h, order)
+            assert cls.family == tuple(order)
+            assert (cls.i, cls.j) == (len(fam), len(oracle.union(edges, fam)))
+            for name, holds in oracle.UNORDERED_CLASSES.items():
+                assert getattr(cls, name) == holds(edges, fam), (name, order, edges)
+            assert cls.self_ordered == oracle.self_ordered_in(edges, order)
+            for witness, matching in ((cls.self_disjoint_witness, True),
+                                      (cls.self_semi_disjoint_witness, False)):
+                assert witness == oracle.first_disjoint_witness(edges, order, matching)
+                if witness is not None:
+                    assert oracle.is_disjoint_witness(edges, fam, witness, matching)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sized_hypergraphs())
+def test_survey_matches_family_oracle(h):
+    types, counts_ssi, counts_scsi, hyp1, hyp2 = oracle.survey_facts(oracle.edge_sets(h))
+    sv = survey(h)
+    assert sv.types == types
+    assert sv.counts_ssi == counts_ssi
+    assert sv.counts_scsi == counts_scsi
+    assert sv.hyp1_violations == hyp1
+    assert sv.hyp2_violations == hyp2
 
 
 # ---------------------------------------------------------------------------

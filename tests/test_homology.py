@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.homology import (
     betti_table,
@@ -19,6 +20,7 @@ from hyperbetti.homology import (
 )
 from hyperbetti.hypergraph import build
 from hyperbetti.linalg import GF2, QQ
+from hyperbetti.taylor import betti_via_taylor
 
 from conftest import cycle_graph, path_graph
 from oracle import oracle_betti
@@ -122,3 +124,22 @@ def test_cap_env_override(monkeypatch):
         betti_table(h)
     monkeypatch.setenv("BETTI_CAP_N", "5")
     assert betti_table(h).get(1, 2) == 1
+
+
+# The triples that are not faces of the 6-vertex triangulation of the
+# real projective plane. Every pair of vertices lies in a face, so the
+# independence complex is RP^2 itself, whose homology has 2-torsion.
+RP2_NON_FACES = [(0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5)]
+
+
+def test_rp2_table_depends_on_the_field():
+    h = build([f"p{i}" for i in range(6)], RP2_NON_FACES)
+    qq = betti_table(h, QQ)
+    assert qq.entries == oracle_betti(6, RP2_NON_FACES)
+    assert (qq.projective_dimension(), qq.regularity()) == (3, 2)
+    gf2 = betti_table(h, GF2)
+    assert (gf2.projective_dimension(), gf2.regularity()) == (4, 3)
+    for field, table in ((QQ, qq), (GF2, gf2)):
+        assert betti_via_taylor(h, field).entries == table.entries
+        assert run_checks(h, field).ok

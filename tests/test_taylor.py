@@ -10,29 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
-from hyperbetti.families import classify
+from hyperbetti.families import classify, survey
 from hyperbetti.hypergraph import build, from_edge_labels
 from hyperbetti.homology import betti_table
 from hyperbetti.linalg import GF2, QQ
 from hyperbetti.taylor import (
-    CLASSICAL,
-    AdmissibilityConvention,
     Certificate,
-    all_families_reduced,
-    absorbing_families_stay_reduced,
     analyze_taylor,
-    b_set,
     basis_bounds,
     betti_via_taylor,
     certify_nonvanishing,
-    in_kernel,
     is_l_admissible,
     is_maximal_l_admissible,
     reduced_boundary,
 )
 
 from conftest import path_graph
-from test_families import hypergraphs
+from test_families import hypergraphs, sized_hypergraphs
 
 
 def test_boundary_signs_on_triangle(c3):
@@ -43,8 +37,8 @@ def test_boundary_signs_on_triangle(c3):
 
 def test_boundary_drops_only_absorbed(p3):
     assert reduced_boundary(p3, (0, 1)) == []
-    assert in_kernel(p3, (0, 1))
-    assert not in_kernel(c3_full := build(["x", "y", "z"], [(0, 1), (0, 2), (1, 2)]), (0, 1, 2))
+    assert classify(p3, (0, 1)).reduced
+    assert not classify(c3_full := build(["x", "y", "z"], [(0, 1), (0, 2), (1, 2)]), (0, 1, 2)).reduced
     assert reduced_boundary(c3_full, (0, 1)) == []
 
 
@@ -97,15 +91,15 @@ def test_triangle_slice_two_three(c3):
 def test_exact_bound_on_path(p3):
     bounds = basis_bounds(p3, 1, 2)
     assert bounds["exact"] == 2 == bounds["beta"]
-    assert all_families_reduced(p3, 1, 2)
-    assert absorbing_families_stay_reduced(p3, 1, 2)
+    assert survey(p3).families_all_reduced(1, 2)
+    assert survey(p3).absorbing_families_stay_reduced(1, 2)
 
 
 def test_uniform_degree_slice_counts_induced_matchings():
     # at j = t*i the slice collects exactly the induced matchings
     p5 = path_graph(5)
-    assert all_families_reduced(p5, 2, 4)
-    assert absorbing_families_stay_reduced(p5, 2, 4)
+    assert survey(p5).families_all_reduced(2, 4)
+    assert survey(p5).absorbing_families_stay_reduced(2, 4)
     assert basis_bounds(p5, 2, 4)["exact"] == 1
     assert betti_table(p5).get(2, 4) == 1
 
@@ -137,7 +131,7 @@ def test_basis_sandwich(h):
 # admissible symbols
 
 
-def test_triangle_admissibility(c3):
+def test_triangle_admissibility(c3, c4):
     order = (0, 1, 2)  # xy, xz, yz
     assert is_l_admissible(c3, order, (0, 1))
     assert not is_l_admissible(c3, order, (1, 2))  # xy precedes and is inside
@@ -145,6 +139,9 @@ def test_triangle_admissibility(c3):
     assert is_maximal_l_admissible(c3, order, (0, 1))
     assert is_l_admissible(c3, order, (0, 2))
     assert not is_maximal_l_admissible(c3, order, (0,))
+    # only symbol members enter the union: with c4 ordered zw, xy, yz, wx,
+    # the skipped yz would absorb zw, but it is not in the symbol (1, 3)
+    assert is_l_admissible(c4, (3, 1, 2, 0), (1, 3))
 
 
 def test_admissibility_validates_input(c3):
@@ -154,27 +151,24 @@ def test_admissibility_validates_input(c3):
         is_l_admissible(c3, (0, 1, 2), (1, 0))
 
 
-def test_interval_union_convention_differs(c4):
-    # c4 edges: wx, xy, yz, zw; order them zw, xy, yz, wx and pick the
-    # symbol on positions 1 and 3. The skipped edge yz lands in the
-    # interval union and absorbs zw only under the interval reading.
-    order = (3, 1, 2, 0)
-    chain = (1, 3)
-    assert is_l_admissible(c4, order, chain)
-    interval = AdmissibilityConvention(suffix_members_only=False)
-    assert not is_l_admissible(c4, order, chain, interval)
+def _maximal_by_every_superset(h, ordering, chain):
+    if not is_l_admissible(h, ordering, chain):
+        return False
+    rest = [p for p in range(h.m) if p not in chain]
+    return not any(is_l_admissible(h, ordering, tuple(sorted(chain + extra)))
+                   for size in range(1, len(rest) + 1)
+                   for extra in itertools.combinations(rest, size))
 
 
-def test_last_position_probe_is_free_on_antichains(c3, p4, triple_overlap):
-    # no edge fits inside another, so probing the final position never
-    # rejects anything and the two conventions agree
-    lax = AdmissibilityConvention(check_last=False)
-    for h in (c3, p4, triple_overlap):
-        for perm in itertools.permutations(range(h.m)):
-            for r in range(1, h.m + 1):
-                for chain in itertools.combinations(range(h.m), r):
-                    assert is_l_admissible(h, perm, chain) == is_l_admissible(
-                        h, perm, chain, lax)
+@settings(max_examples=50, deadline=None)
+@given(sized_hypergraphs(), st.randoms(use_true_random=False))
+def test_maximality_needs_only_one_position_extensions(h, rnd):
+    ordering = list(range(h.m))
+    rnd.shuffle(ordering)
+    for r in range(h.m + 1):
+        for chain in itertools.combinations(range(h.m), r):
+            assert is_maximal_l_admissible(h, ordering, chain) == _maximal_by_every_superset(
+                h, ordering, chain), (ordering, chain, h.edges)
 
 
 def test_every_ordering_admits_semi_induced_symbols(p6):
