@@ -160,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", required=True,
                    help="general, uniform:D, special:D, or chordal")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--edges", type=int, required=True,
+                   help="most edges per instance; special:D instances seldom reach "
+                        "it, since the vertex count usually decides their size")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="q")

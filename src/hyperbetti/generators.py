@@ -125,6 +125,11 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
     fresh vertex, occasionally opening a disjoint component; candidates
     that break the pairwise-intersection rule or triangulatedness are
     rejected, so every result is a valid input for the recursive engine.
+
+    ``m`` is an upper bound on the edge count, seldom reached: every new
+    edge takes a fresh vertex and every new component takes d, and
+    growth stops when fresh vertices run out, so ``n`` usually decides
+    the size.
     """
     if d < 2:
         raise ValidationError("edge size must be at least 2")

@@ -1,17 +1,22 @@
 """Exact sparse linear algebra over the rationals or a prime field.
 
-Vectors are dicts mapping column index to a nonzero coefficient. The
-rational path uses Fraction; the modular path keeps ints in 0..p-1.
-Matrices here come from simplicial and algebraic boundary maps, so they
-are small and very sparse. Plain exact elimination with an incremental
-echelon basis covers both rank and membership queries with one code
-path and no rounding anywhere.
+Vectors are dicts mapping column index to a nonzero integer
+coefficient. The modular path keeps ints in 0..p-1. The rational path
+never leaves the integers: a rational row spans the same line as its
+primitive integer multiple (entries with gcd 1, lead entry positive),
+so that is the row it stores, and elimination scales by integers and
+divides out gcds instead of forming fractions (compare Bareiss, Math.
+Comp. 1968, on fraction-free elimination). Matrices here come from
+simplicial and algebraic boundary maps, so they are small and very
+sparse. Plain exact elimination with an incremental echelon basis
+covers both rank and membership queries with one code path and no
+rounding anywhere, whatever the size of the coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below
@@ -58,14 +63,6 @@ class Field:
         if self.p and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def elem(self, value: int):
-        return value % self.p if self.p else Fraction(value)
-
-    def inv(self, value):
-        if self.p:
-            return pow(value, self.p - 2, self.p)
-        return Fraction(1) / value
-
     def __str__(self) -> str:
         return "QQ" if self.p == 0 else f"GF({self.p})"
 
@@ -75,18 +72,28 @@ GF2 = Field(2)
 
 
 class RowSpace:
-    """Incremental echelon basis of a span of sparse vectors."""
+    """Incremental echelon basis of a span of sparse integer vectors.
+
+    Over GF(p) each stored row has lead coefficient 1. Over QQ each
+    stored row is a primitive integer row: its entries have gcd 1 and
+    its lead entry is positive.
+    """
 
     def __init__(self, field: Field):
         self.field = field
-        # pivot column -> row normalized to leading coefficient 1
-        self.rows: dict[int, dict] = {}
+        # pivot column -> row; see the class docstring for its scaling
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def _reduce(self, vec: dict) -> dict:
+        """Reduce ``vec`` against the stored rows.
+
+        Returns a nonzero multiple of the residual, which is empty
+        exactly when ``vec`` lies in the span.
+        """
         p = self.field.p
         v = dict(vec)
         while v:
@@ -94,15 +101,21 @@ class RowSpace:
             row = self.rows.get(lead)
             if row is None:
                 return v
-            coeff = v[lead]
+            a, b = row[lead], v[lead]
+            if a != 1:
+                v = {col: a * val for col, val in v.items()}
             for col, val in row.items():
-                cur = v.get(col, 0) - coeff * val
+                cur = v.get(col, 0) - b * val
                 if p:
                     cur %= p
                 if cur:
                     v[col] = cur
                 else:
                     v.pop(col, None)
+            if not p and v:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {col: val // g for col, val in v.items()}
         return v
 
     def add(self, vec: dict) -> bool:
@@ -111,21 +124,28 @@ class RowSpace:
         if not v:
             return False
         lead = min(v)
-        inv = self.field.inv(v[lead])
         p = self.field.p
-        self.rows[lead] = {c: (x * inv % p if p else x * inv) for c, x in v.items()}
+        if p:
+            inv = pow(v[lead], p - 2, p)
+            self.rows[lead] = {c: x * inv % p for c, x in v.items()}
+        else:
+            g = gcd(*v.values())
+            if v[lead] < 0:
+                g = -g
+            self.rows[lead] = {c: x // g for c, x in v.items()}
         return True
 
     def contains(self, vec: dict) -> bool:
         return not self._reduce(self._clean(vec))
 
     def _clean(self, vec: dict) -> dict:
-        elem = self.field.elem
+        p = self.field.p
         out = {}
         for col, val in vec.items():
-            e = elem(val) if isinstance(val, int) else val
-            if e:
-                out[col] = e
+            if p:
+                val %= p
+            if val:
+                out[col] = val
         return out
 
 

@@ -34,26 +34,9 @@ from conftest import path_graph
 
 
 @st.composite
-def hypergraphs(draw, max_n=6, max_m=5):
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    wanted = draw(
-        st.lists(
-            st.sets(st.integers(0, n - 1), min_size=2, max_size=n),
-            max_size=max_m,
-        )
-    )
-    edges: list[frozenset[int]] = []
-    for cand in map(frozenset, wanted):
-        if any(cand <= e or e <= cand for e in edges):
-            continue
-        edges.append(cand)
-    return build([f"v{i}" for i in range(n)], [tuple(sorted(e)) for e in edges])
-
-
-@st.composite
 def sized_hypergraphs(draw, max_n=7, max_m=6):
-    """Antichains of three to ``max_m`` edges; ``hypergraphs`` above
-    mostly draws one or two, too few for families to interact."""
+    """Antichains of three to ``max_m`` edges, enough for families to
+    interact; a filtered list of random edges mostly keeps one or two."""
     n = draw(st.integers(min_value=4, max_value=max_n))
     target = draw(st.integers(min_value=3, max_value=max_m))
     edges: list[frozenset[int]] = []
@@ -330,7 +313,7 @@ def test_survey_matches_family_oracle(h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hypergraphs())
+@given(sized_hypergraphs())
 def test_class_implications(h):
     for r in range(h.m + 1):
         for fam in itertools.combinations(range(h.m), r):
@@ -349,7 +332,7 @@ def test_class_implications(h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hypergraphs())
+@given(sized_hypergraphs())
 def test_invariant_inequalities(h):
     d = compute_invariants(h).as_dict()
     assert d["a"] <= d["m"]

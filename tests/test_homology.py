@@ -11,6 +11,7 @@ import pytest
 
 from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
+from hyperbetti.generators import make_batch
 from hyperbetti.homology import (
     betti_table,
     independent_faces,
@@ -19,7 +20,7 @@ from hyperbetti.homology import (
     homology_of_restrictions,
 )
 from hyperbetti.hypergraph import build
-from hyperbetti.linalg import GF2, QQ
+from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.taylor import betti_via_taylor
 
 from conftest import cycle_graph, path_graph
@@ -133,13 +134,26 @@ RP2_NON_FACES = [(0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5)]
 
 
+GF3 = Field(3)
+
+
 def test_rp2_table_depends_on_the_field():
     h = build([f"p{i}" for i in range(6)], RP2_NON_FACES)
-    qq = betti_table(h, QQ)
-    assert qq.entries == oracle_betti(6, RP2_NON_FACES)
-    assert (qq.projective_dimension(), qq.regularity()) == (3, 2)
-    gf2 = betti_table(h, GF2)
-    assert (gf2.projective_dimension(), gf2.regularity()) == (4, 3)
-    for field, table in ((QQ, qq), (GF2, gf2)):
+    tables = {field: betti_table(h, field) for field in (QQ, GF2, GF3)}
+    for field, table in tables.items():
+        assert table.entries == oracle_betti(6, RP2_NON_FACES, field.p)
         assert betti_via_taylor(h, field).entries == table.entries
         assert run_checks(h, field).ok
+    qq, gf2 = tables[QQ], tables[GF2]
+    assert (qq.projective_dimension(), qq.regularity()) == (3, 2)
+    assert (gf2.projective_dimension(), gf2.regularity()) == (4, 3)
+    assert tables[GF3].entries == qq.entries
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+def test_prime_field_tables_match_the_oracle(field):
+    for h in make_batch("general", 6, 6, 12, 606):
+        edges = [h.edge_vertices(s) for s in range(h.m)]
+        expected = oracle_betti(h.n, edges, field.p)
+        assert betti_table(h, field).entries == expected
+        assert betti_via_taylor(h, field).entries == expected

@@ -13,7 +13,7 @@ from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
 from hyperbetti.families import classify, survey
 from hyperbetti.hypergraph import build, from_edge_labels
 from hyperbetti.homology import betti_table
-from hyperbetti.linalg import GF2, QQ
+from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.taylor import (
     Certificate,
     analyze_taylor,
@@ -26,7 +26,7 @@ from hyperbetti.taylor import (
 )
 
 from conftest import path_graph
-from test_families import hypergraphs, sized_hypergraphs
+from test_families import sized_hypergraphs
 
 
 def test_boundary_signs_on_triangle(c3):
@@ -54,9 +54,10 @@ def test_taylor_matches_hochster_on_fixtures(p3, p4, p6, c3, c4, triple_overlap)
 
 
 @settings(max_examples=50, deadline=None)
-@given(hypergraphs())
+@given(sized_hypergraphs())
 def test_taylor_matches_hochster_random(h):
-    assert betti_via_taylor(h).entries == betti_table(h).entries
+    for field in (QQ, GF2, Field(3)):
+        assert betti_via_taylor(h, field).entries == betti_table(h, field).entries
 
 
 def test_budget_enforced():
@@ -105,7 +106,7 @@ def test_uniform_degree_slice_counts_induced_matchings():
 
 
 @settings(max_examples=50, deadline=None)
-@given(hypergraphs(max_n=6, max_m=5))
+@given(sized_hypergraphs())
 def test_basis_sandwich(h):
     an = analyze_taylor(h)
     ssi: dict[tuple[int, int], set] = {}
