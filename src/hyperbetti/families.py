@@ -90,15 +90,18 @@ class _Kernel:
     every family, or by default a ``_Unions`` filled on demand. Each
     predicate tests one condition of the module docstring on its own; a
     class that also asks for a reduced family is the conjunction with
-    ``not absorbed(bits)``, taken by the caller.
+    ``not absorbed(bits)``, taken by the caller. The ordered class has
+    two tests: ``ordered_in`` for one given order, and ``least_ordering``,
+    a memoized and pruned search over orders that returns the first.
     """
 
     def __init__(self, masks, union=None):
         self.masks = masks
         self.union = _Unions(masks) if union is None else union
         self.sizes = [mask.bit_count() for mask in masks]
-        self._semi: dict[int, bool] = {}
+        self._inside: dict[int, int] = {}
         self._near: list[int | None] = [None] * len(masks)
+        self._incident: list[int] | None = None
 
     def absorbed(self, bits: int) -> int:
         """Members of ``bits`` contained in the union of the others."""
@@ -123,17 +126,18 @@ class _Kernel:
         return total == self.union[bits].bit_count()
 
     def semi_induced(self, bits: int) -> bool:
-        """No edge outside ``bits`` inside its union."""
-        hit = self._semi.get(bits)
-        if hit is None:
-            u = self.union[bits]
-            hit = True
+        """No edge outside ``bits`` inside its union: the edges inside the
+        union, which include the members, are exactly the members. Many
+        families share a union, so the edges inside memoize per union."""
+        u = self.union[bits]
+        inside = self._inside.get(u)
+        if inside is None:
+            inside = 0
             for s, mask in enumerate(self.masks):
-                if not mask & ~u and not bits >> s & 1:
-                    hit = False
-                    break
-            self._semi[bits] = hit
-        return hit
+                if not mask & ~u:
+                    inside |= 1 << s
+            self._inside[u] = inside
+        return inside == bits
 
     def self_contained(self, bits: int) -> bool:
         """Every outside edge S inside the union admits a member S_k inside
@@ -171,19 +175,30 @@ class _Kernel:
         in the positions of ``fam``, so the family itself, which works
         whenever it is a (semi-)induced matching, comes first. The first
         semi-disjoint witness that is a matching is the disjoint one too.
+        A member one vertex away from no other member must lie in S_0, so
+        only the other members are chosen; two candidates that share
+        those forced members compare as their chosen parts do, so the
+        scan order stays the same.
         """
         bits = mask_of(fam)
+        forced, free = 0, []
+        for k in fam:
+            if self.near(k) & bits:
+                free.append(k)
+            else:
+                forced |= 1 << k
         semi_disjoint = None
-        for size in range(len(fam), -1, -1):
-            for chosen in itertools.combinations(fam, size):
-                sub = mask_of(chosen)
+        for size in range(len(free), -1, -1):
+            for chosen in itertools.combinations(free, size):
+                sub = forced | mask_of(chosen)
                 matching = self.matching(sub)
                 if not (matching or semi_disjoint is None) or not self.semi_induced(sub):
                     continue
                 if all(self.near(k) & sub for k in bits_of(bits ^ sub)):
+                    witness = tuple(k for k in fam if sub >> k & 1)
                     if matching:
-                        return chosen, chosen if semi_disjoint is None else semi_disjoint
-                    semi_disjoint = chosen
+                        return witness, witness if semi_disjoint is None else semi_disjoint
+                    semi_disjoint = witness
         return None, semi_disjoint
 
     def ordered_in(self, order: tuple[int, ...]) -> bool:
@@ -206,47 +221,72 @@ class _Kernel:
                 return False
         return True
 
-    def orderable(self, bits: int) -> bool:
-        """Whether some ordering of the reduced family ``bits`` satisfies
-        the outside-edge condition of the ordered class.
+    def incident(self) -> list[int]:
+        """Per vertex, the edges containing it, as an edge bitmask."""
+        if self._incident is None:
+            self._incident = [0] * max((mask.bit_length() for mask in self.masks), default=0)
+            for s, mask in enumerate(self.masks):
+                for v in bits_of(mask):
+                    self._incident[v] |= 1 << s
+        return self._incident
 
-        Builds orderings back to front; a state is (edges still to place,
-        outside edges still lacking a witness position), and the union of
-        already placed edges depends only on the set, so states memoize.
+    def least_ordering(self, bits: int) -> tuple[int, ...] | None:
+        """Lexicographically least ordering of the reduced family ``bits``,
+        of two or more members, that satisfies the outside-edge condition
+        of the ordered class; None when no ordering does.
+
+        Builds orderings front to back. The member at a position witnesses
+        an outside edge S iff it lies inside S together with the members
+        still to place after it, which depends only on the set of those
+        members; so a state is (members still to place, outside edges
+        still lacking a witness), and failed states memoize. A state fails
+        at once when some unwitnessed edge has no witness among the members
+        that could come next: placing a member later only shrinks the union
+        after it, so its witnesses only shrink too. The last member
+        witnesses nothing. Candidates are tried in increasing index order,
+        so the first ordering found is the least.
         """
-        masks, union = self.masks, self.union
-        memo: dict[tuple[int, int], bool] = {}
+        masks, union, incident = self.masks, self.union, self.incident()
+        failed: set[int] = set()
+        order: list[int] = []
 
-        def feasible(rem: int, unwit: int) -> bool:
+        def place(rem: int, unwit: int) -> bool:
             if not unwit:
+                order.extend(bits_of(rem))
                 return True
-            if not rem:
+            # rem and unwit are disjoint parts of the edge set: rem inside
+            # bits, unwit outside it, so their union keys the state
+            key = rem | unwit
+            if not rem & (rem - 1) or key in failed:
                 return False
-            key = (rem, unwit)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            placed_union = union[bits ^ rem]
-            result = False
+            options = []
+            cover = 0
             r = rem
             while r:
                 low = r & -r
                 r ^= low
-                e_mask = masks[low.bit_length() - 1]
-                new_unwit = unwit
-                w = unwit
-                while w:
-                    lw = w & -w
-                    w ^= lw
-                    if not e_mask & ~(masks[lw.bit_length() - 1] | placed_union):
-                        new_unwit ^= lw
-                if feasible(rem ^ low, new_unwit):
-                    result = True
-                    break
-            memo[key] = result
-            return result
+                k = low.bit_length() - 1
+                # member k placed next witnesses S iff S holds all of need
+                need = masks[k] & ~union[rem ^ low]
+                wit = unwit
+                while need and wit:
+                    v = need & -need
+                    need ^= v
+                    wit &= incident[v.bit_length() - 1]
+                cover |= wit
+                options.append((k, low, wit))
+            if cover == unwit:
+                for k, low, wit in options:
+                    order.append(k)
+                    if place(rem ^ low, unwit ^ wit):
+                        return True
+                    order.pop()
+            failed.add(key)
+            return False
 
-        return feasible(bits, ((1 << len(masks)) - 1) & ~bits)
+        if place(bits, ((1 << len(masks)) - 1) & ~bits):
+            return tuple(order)
+        return None
 
 
 def _family_kernel(h: Hypergraph, fam: tuple[int, ...]) -> _Kernel:
@@ -389,6 +429,24 @@ class FamilySurvey:
 def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
     """Classify every family of edges in one sweep.
 
+    Families come in lexicographic order, and each predicate runs only
+    where its answer can change the result:
+
+    * A family with an absorbed member is no matching (that member meets
+      another), so it is in none of the classes but the semi-induced one.
+      It adds its type to the hypothesis sets, and is tested for
+      semi-induced only while its type is not yet in that class.
+    * A member absorbed in a family stays absorbed in every larger one,
+      so once the family less its last index has two absorbed members
+      ``absorbed`` is not asked again.
+    * The self disjoint and the self ordered tests run only on a reduced
+      family whose type is not yet in that class. A family of a type
+      already seen cannot add a type, and its size and spread equal
+      those of a family offered before it, so it cannot raise a maximum
+      or, since ``_Max`` keeps the first witness on ties, change one.
+      Every self disjoint family is self semi-disjoint, so the same
+      skip leaves the semi-disjoint class unchanged too.
+
     Raises BudgetExceeded when the hypergraph has more than ``budget``
     edges; the sweep is exponential in the edge count by design.
     """
@@ -413,17 +471,26 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
                "d1_prime", "d2_prime", "e")}
     a_t: dict[int, _Max] = {}
 
+    # absorbed_of[bits]: the absorbed members of a visited family, or two
+    # or more of them once the family less its last index has two
+    absorbed_of = [0] * (1 << m)
     for bits in _subsets_lex(m):
-        fam = tuple_of(bits)
-        i = len(fam)
+        i = bits.bit_count()
         j = kernel.union[bits].bit_count()
 
-        absorbed = kernel.absorbed(bits)
+        prefix = absorbed_of[bits ^ (1 << (bits.bit_length() - 1))]
+        absorbed = prefix if prefix & (prefix - 1) else kernel.absorbed(bits)
+        absorbed_of[bits] = absorbed
         if absorbed:
+            # no matching, so of the classes only semi-induced is left
             hyp1_violations.add((i, j))
-        if absorbed & (absorbed - 1):
-            hyp2_violations.add((i - 1, j))
+            if absorbed & (absorbed - 1):
+                hyp2_violations.add((i - 1, j))
+            if (i, j) not in types["semi_induced"] and kernel.semi_induced(bits):
+                types["semi_induced"].add((i, j))
+            continue
 
+        fam = tuple_of(bits)
         matching = kernel.matching(bits)
         semi = kernel.semi_induced(bits)
 
@@ -439,8 +506,6 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
             if all(sizes[k] == t for k in fam):
                 counts_induced_uniform[t, i] = counts_induced_uniform.get((t, i), 0) + 1
                 a_t.setdefault(t, _Max()).offer(i, fam)
-        if absorbed:
-            continue
 
         if semi:
             types["self_semi_induced"].add((i, j))
@@ -453,17 +518,19 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
             counts_scsi[i, j] = counts_scsi.get((i, j), 0) + 1
             maxima["e"].offer(i, fam)
 
-        sd, ssd = kernel.disjoint_witnesses(fam)
-        if ssd is not None:
-            types["self_semi_disjoint"].add((i, j))
-            maxima["d2"].offer(i, fam)
-            maxima["d2_prime"].offer(j - i, fam)
-        if sd is not None:
-            types["self_disjoint"].add((i, j))
-            maxima["d1"].offer(i, fam)
-            maxima["d1_prime"].offer(j - i, fam)
+        if (i, j) not in types["self_disjoint"]:
+            sd, ssd = kernel.disjoint_witnesses(fam)
+            if ssd is not None:
+                types["self_semi_disjoint"].add((i, j))
+                maxima["d2"].offer(i, fam)
+                maxima["d2_prime"].offer(j - i, fam)
+            if sd is not None:
+                types["self_disjoint"].add((i, j))
+                maxima["d1"].offer(i, fam)
+                maxima["d1_prime"].offer(j - i, fam)
 
-        if i == 1 or kernel.orderable(bits):
+        if (i, j) not in types["self_ordered"] and (
+                i == 1 or kernel.least_ordering(bits) is not None):
             types["self_ordered"].add((i, j))
             maxima["c"].offer(i, fam)
             maxima["c_prime"].offer(j - i, fam)
@@ -483,25 +550,39 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
 
 def _subsets_lex(m: int):
     """Nonzero edge-index bitmasks in lexicographic order of their sorted
-    index tuples: (0), (0,1), (0,1,2), ..., (1), (1,2), ..."""
+    index tuples: (0), (0,1), (0,1,2), ..., (1), (1,2), ...
 
-    def grow(bits: int, start: int):
-        for k in range(start, m):
-            nxt = bits | (1 << k)
-            yield nxt
-            yield from grow(nxt, k + 1)
-
-    yield from grow(0, 0)
+    Each family is its predecessor with the next index appended, or, when
+    the predecessor ends at index m - 1, with that index dropped and the
+    new last index raised by one.
+    """
+    if not m:
+        return
+    bits, last = 0, -1
+    while True:
+        if last < m - 1:
+            last += 1
+        else:
+            bits ^= 1 << last
+            if not bits:
+                return
+            last = bits.bit_length() - 1
+            bits ^= 1 << last
+            last += 1
+        bits |= 1 << last
+        yield bits
 
 
 def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
     kernel = _family_kernel(h, fam)
-    for perm in itertools.permutations(fam):
-        if kernel.ordered_in(perm):
-            return perm
-    return None
+    if len(fam) <= 1:
+        return fam if kernel.ordered_in(fam) else None
+    bits = mask_of(fam)
+    if kernel.absorbed(bits):
+        return None
+    return kernel.least_ordering(bits)
 
 
 # ---------------------------------------------------------------------------

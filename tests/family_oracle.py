@@ -110,8 +110,15 @@ def self_ordered_in(edges, order):
         for s in _outside(edges, order))
 
 
+def first_self_ordering(edges, fam):
+    """The first permutation of the sorted family in the ordered class,
+    or None."""
+    return next((perm for perm in itertools.permutations(sorted(fam))
+                 if self_ordered_in(edges, perm)), None)
+
+
 def self_ordered_some_order(edges, fam):
-    return any(self_ordered_in(edges, perm) for perm in itertools.permutations(fam))
+    return first_self_ordering(edges, fam) is not None
 
 
 UNORDERED_CLASSES = {
@@ -153,3 +160,47 @@ def survey_facts(edges):
         if len(absorbed(edges, fam)) >= 2:
             hyp2.add((key[0] - 1, key[1]))
     return types, counts_ssi, counts_scsi, hyp1, hyp2
+
+
+def _size(edges, fam):
+    return len(fam)
+
+
+def _spread(edges, fam):
+    """Vertices covered minus members."""
+    return len(union(edges, fam)) - len(fam)
+
+
+def _maximum(edges, members, value):
+    """(value, witness) of the best family among ``members``: the largest
+    value, then the lexicographically first sorted tuple. The empty
+    family is the degenerate witness of value 0."""
+    best = min([()] + members, key=lambda fam: (-value(edges, fam), fam))
+    return value(edges, best), best
+
+
+def survey_maxima(edges):
+    """Each maximum a sweep over every family must report, as
+    (value, lexicographically first witness): the sizes ``m``, ``a``,
+    ``b``, ``c``, ``d1``, ``d2`` and ``e`` and the spreads ``b_prime``, ``c_prime``, ``d1_prime`` and
+    ``d2_prime`` of their classes, and per edge size t the size of the
+    largest induced matching of t-edges."""
+    families = [fam for fam in _sub_families(tuple(range(len(edges)))) if fam]
+    classes = dict(UNORDERED_CLASSES, self_ordered=self_ordered_some_order)
+    wanted = {"m": ("matching", _size), "a": ("induced", _size),
+              "b": ("self_semi_induced", _size), "b_prime": ("self_semi_induced", _spread),
+              "c": ("self_ordered", _size), "c_prime": ("self_ordered", _spread),
+              "d1": ("self_disjoint", _size), "d2": ("self_semi_disjoint", _size),
+              "d1_prime": ("self_disjoint", _spread), "d2_prime": ("self_semi_disjoint", _spread),
+              "e": ("self_contained", _size)}
+    members = {name: [fam for fam in families if holds(edges, fam)]
+               for name, holds in classes.items()}
+    maxima = {name: _maximum(edges, members[cls], value)
+              for name, (cls, value) in wanted.items()}
+    a_t = {}
+    for t in sorted({len(e) for e in edges}):
+        uniform = [fam for fam in members["induced"]
+                   if all(len(edges[s]) == t for s in fam)]
+        if uniform:
+            a_t[t] = _maximum(edges, uniform, _size)
+    return maxima, a_t

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti.errors import (
@@ -298,6 +299,11 @@ def test_classify_matches_family_oracle(h, rnd):
 
 @settings(max_examples=40, deadline=None)
 @given(sized_hypergraphs())
+# Type (2, 5) here: the first self semi-disjoint family, (1, 2), is not
+# self disjoint and the next, (1, 3), is, so the self disjoint class must
+# not be skipped on a type the semi-disjoint class already has.
+@example(h=build([f"v{i}" for i in range(7)],
+                 [(1, 2, 3, 4, 5, 6), (0, 2, 6), (0, 1, 5), (0, 1, 2, 4)]))
 def test_survey_matches_family_oracle(h):
     types, counts_ssi, counts_scsi, hyp1, hyp2 = oracle.survey_facts(oracle.edge_sets(h))
     sv = survey(h)
@@ -306,6 +312,31 @@ def test_survey_matches_family_oracle(h):
     assert sv.counts_scsi == counts_scsi
     assert sv.hyp1_violations == hyp1
     assert sv.hyp2_violations == hyp2
+    maxima, a_t = oracle.survey_maxima(oracle.edge_sets(h))
+    assert {name: (mx.value, mx.witness) for name, mx in sv.maxima.items()} == maxima
+    assert {t: (mx.value, mx.witness) for t, mx in sv.maxima_a_t.items()} == a_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_hypergraphs(), st.randoms(use_true_random=False))
+# Ordering (0, 2, 3, 4) here: the prefixes (0, 2) and (2, 0) leave the
+# same members {3, 4} to place, but only (2, 0) has witnessed outside
+# edge 6, so a search whose states forgot the unwitnessed edges would
+# return (2, 3, 0, 4) instead of (2, 0, 3, 4).
+@example(h=build([f"v{i}" for i in range(6)],
+                 [(0, 2), (1, 5), (0, 4), (1, 3), (3, 5), (0, 1), (4, 5)]),
+         rnd=random.Random(0))
+def test_self_ordered_witness_matches_family_oracle(h, rnd):
+    """Every family, sorted and shuffled: absorbed ones, the empty family
+    and singletons included."""
+    edges = oracle.edge_sets(h)
+    for r in range(h.m + 1):
+        for fam in itertools.combinations(range(h.m), r):
+            expected = oracle.first_self_ordering(edges, fam)
+            order = list(fam)
+            rnd.shuffle(order)
+            assert self_ordered_witness(h, fam) == expected, (fam, edges)
+            assert self_ordered_witness(h, order) == expected, (order, edges)
 
 
 # ---------------------------------------------------------------------------
