@@ -182,9 +182,9 @@ def _maximum(edges, members, value):
 def survey_maxima(edges):
     """Each maximum a sweep over every family must report, as
     (value, lexicographically first witness): the sizes ``m``, ``a``,
-    ``b``, ``c``, ``d1``, ``d2`` and ``e`` and the spreads ``b_prime``, ``c_prime``, ``d1_prime`` and
-    ``d2_prime`` of their classes, and per edge size t the size of the
-    largest induced matching of t-edges."""
+    ``b``, ``c``, ``d1``, ``d2`` and ``e`` and the spreads ``b_prime``,
+    ``c_prime``, ``d1_prime`` and ``d2_prime`` of their classes, and per
+    edge size t the size of the largest induced matching of t-edges."""
     families = [fam for fam in _sub_families(tuple(range(len(edges)))) if fam]
     classes = dict(UNORDERED_CLASSES, self_ordered=self_ordered_some_order)
     wanted = {"m": ("matching", _size), "a": ("induced", _size),
