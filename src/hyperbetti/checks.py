@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from math import comb
 
-from .bitsets import bits_of
+from .bitsets import bits_of, mask_of
 from .errors import CertificateError, ValidationError
 from .families import (
     FAMILY_BUDGET,
@@ -40,8 +40,10 @@ from .families import (
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
 from .homology import (
-    betti_table,
+    BettiTable,
     homology_of_restrictions,
+    independent_faces,
+    reduced_homology_dims,
     table_from_homology,
     vertex_cap,
 )
@@ -55,6 +57,8 @@ from .hypergraph import (
 )
 from .linalg import QQ, Field
 from .splitting import (
+    SplittingDecomposition,
+    betti_recursive,
     find_simplicial_vertex,
     split,
     verify_disjointness_characterization,
@@ -170,6 +174,16 @@ class _Ctx:
             and h.n <= TRIANGULATED_CAP
             and is_triangulated(h)
         )
+
+    @functools.cached_property
+    def recursive(self) -> BettiTable:
+        """Table by the splitting recursion; only for ``special`` instances.
+
+        Built on first use, inside the check that asks, so a violation it
+        raises becomes that check's ``fail`` rather than escaping
+        ``run_checks``.
+        """
+        return betti_recursive(self.h, self.field)
 
 
 def _skip(name: str, why: str) -> CheckResult:
@@ -334,10 +348,7 @@ def _check_engine_agreement(ctx: _Ctx, name: str) -> CheckResult:
             return _fail(name, ctx.h, "Taylor table differs from restriction-homology table")
         checked += 1
     if ctx.special:
-        from .splitting import betti_recursive
-
-        rec = betti_recursive(ctx.h, ctx.field)
-        if rec.entries != ctx.table.entries:
+        if ctx.recursive.entries != ctx.table.entries:
             return _fail(name, ctx.h, "recursive table differs from restriction-homology table",
                          checked)
         checked += 1
@@ -528,12 +539,34 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
+def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, BettiTable]:
+    """Tables of the split's H1 and H2, read from the restriction map of H.
+
+    H2 is H induced on the vertices outside S and its neighbours, so
+    its restrictions are those of H to subsets of that set. H1 is H
+    minus the edge S, on the same vertices. Inside a W that does not
+    contain S, H1 has exactly the edges of H, so the two restrictions
+    have the same independence complex. Only the 2^(n-|S|) restrictions
+    W containing S are computed again, on H1.
+    """
+    smask = ctx.h.edge_mask(dec.s)
+    hom1 = {
+        w: reduced_homology_dims(independent_faces(dec.h1, w), ctx.field)
+        if w & smask == smask else dims
+        for w, dims in ctx.hom.items()
+    }
+    keep = ((1 << ctx.h.n) - 1) & ~mask_of(dec.removed_vertices)
+    return (table_from_homology(hom1, ctx.field, ctx.h.n),
+            table_from_homology(ctx.hom, ctx.field, ctx.h.n, within=keep))
+
+
 @_declare("splitting-recursion", "special", "edges", "table")
 def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
     dec = split(ctx.h)
     t, d = dec.t, dec.d
-    tab1 = betti_table(dec.h1, ctx.field, cap=ctx.h.n)
-    tab2 = betti_table(dec.h2, ctx.field, cap=ctx.h.n)
+    # Both split tables come from ctx.hom; see _split_tables for why the
+    # restrictions of H stand in for those of H2 and of H1 away from S.
+    tab1, tab2 = _split_tables(ctx, dec)
     checked = 0
     for i in range(ctx.h.m + 2):
         for j in range(ctx.h.n + 1):
@@ -573,7 +606,8 @@ def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("disjointness-characterization", "special", "survey")
 def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
-    rep = verify_disjointness_characterization(ctx.h, ctx.field)
+    rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
+                                               precomputed=ctx.sv)
     checked = 3
     if ctx.profile.d == 2 or ctx.h.m == 0:
         v = ctx.inv
@@ -629,8 +663,18 @@ def run_checks(h: Hypergraph, field: Field = QQ, seed: int = 0) -> CampaignRepor
 
 
 def check_still_fails(h: Hypergraph, name: str, field: Field, seed: int) -> bool:
-    report = run_checks(h, field, seed)
-    return any(r.name == name and r.status == "fail" for r in report.checks)
+    """Whether check ``name`` still fails on ``h``.
+
+    Runs the campaign's entries in order and stops at the first result
+    named ``name``. Entries are matched by their results, because
+    ``_CHECKS`` may be replaced or wrapped after import.
+    """
+    ctx = _Ctx(h, field, seed)
+    for check in _CHECKS:
+        result = check(ctx)
+        if result.name == name:
+            return result.status == "fail"
+    return False
 
 
 def shrink_failure(h: Hypergraph, name: str, field: Field = QQ, seed: int = 0) -> Hypergraph:

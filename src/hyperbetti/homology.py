@@ -11,6 +11,18 @@ The empty subset contributes exactly beta_{0,0} = 1, since the complex
 whose only face is the empty face has one-dimensional reduced homology
 in degree -1. Each W is enumerated once and its homology reused for
 every i at that j.
+
+Elimination stops at the kernel dimension. The boundary of a boundary
+is zero, so the image of the boundary map out of level k lies in the
+kernel of the map out of level k - 1, and
+
+    rank d_k <= |F_{k-1}| - rank d_{k-1},
+
+with F_k the k-dimensional faces; for k = 1 the map out of level 0 is
+the augmentation onto the empty face, of rank 1. Equality holds exactly
+when reduced homology vanishes in degree k - 1, the common case. Once
+the rank of d_k reaches the bound, every further boundary row lies in
+the span already found, so those rows are never built or reduced.
 """
 
 from __future__ import annotations
@@ -106,17 +118,16 @@ def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
     return by_dim
 
 
-def _boundary_rows(faces: list[int], below_index: dict[int, int]) -> list[dict]:
-    """One sparse row per face: its signed boundary over the level below."""
-    rows = []
+def _boundary_rows(faces: list[int], below_index: dict[int, int]):
+    """One sparse row per face, built as it is read: its signed boundary
+    over the level below."""
     for face in faces:
         row = {}
         sign = 1
         for v in bits_of(face):
             row[below_index[face ^ (1 << v)]] = sign
             sign = -sign
-        rows.append(row)
-    return rows
+        yield row
 
 
 def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[int]:
@@ -133,7 +144,8 @@ def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[in
         ranks[0] = 1  # augmentation: every vertex maps to the empty face
     for k in range(1, top + 1):
         below_index = {mask: idx for idx, mask in enumerate(by_dim[k - 1])}
-        ranks[k] = rank_of(_boundary_rows(by_dim[k], below_index), field)
+        bound = len(by_dim[k - 1]) - ranks[k - 1]  # dim ker d_{k-1}
+        ranks[k] = rank_of(_boundary_rows(by_dim[k], below_index), field, limit=bound)
     dims = [1 - ranks[0]]
     for k in range(top + 1):
         above = ranks[k + 1] if k + 1 <= top else 0

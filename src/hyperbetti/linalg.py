@@ -149,11 +149,20 @@ class RowSpace:
         return out
 
 
-def rank_of(rows, field: Field) -> int:
-    """Rank of the span of an iterable of sparse integer vectors."""
+def rank_of(rows, field: Field, limit: int | None = None) -> int:
+    """Rank of the span of an iterable of sparse integer vectors.
+
+    With ``limit`` set, reading stops at the row that brings the rank
+    to ``limit``, so the result is ``min(rank, limit)`` and no later row
+    is drawn from ``rows``. A caller that knows the rank cannot exceed
+    some bound passes it to skip rows that could only reduce to zero.
+    """
+    if limit is not None and limit <= 0:
+        return 0
     space = RowSpace(field)
     for row in rows:
-        space.add(row)
+        if space.add(row) and space.rank == limit:
+            break
     return space.rank
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ViolationFound,
 )
-from .families import classify, survey
+from .families import FamilySurvey, classify, survey
 from .homology import BettiTable
 from .taylor import betti_via_taylor
 from .hypergraph import (
@@ -282,11 +282,18 @@ def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
 
 
 def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ,
-                                         cap: int = TRIANGULATED_CAP) -> dict:
+                                         cap: int = TRIANGULATED_CAP,
+                                         table: BettiTable | None = None,
+                                         precomputed: FamilySurvey | None = None) -> dict:
     """Nonzero table positions equal the self disjoint types, and the
-    homological invariants equal the disjointness invariants."""
-    table = betti_recursive(h, field, cap)
-    sv = survey(h)
+    homological invariants equal the disjointness invariants.
+
+    ``table`` and ``precomputed`` stand in for ``betti_recursive(h,
+    field, cap)`` and ``survey(h)`` when the caller already has them.
+    """
+    if table is None:
+        table = betti_recursive(h, field, cap)
+    sv = precomputed if precomputed is not None else survey(h)
     sd_types = sv.types["self_disjoint"]
     if set(table.entries) != sd_types:
         raise ViolationFound(

@@ -11,16 +11,21 @@ from hyperbetti.checks import (
     CHECK_NAMES,
     CampaignReport,
     CheckResult,
+    _Ctx,
     _merge_results,
+    _split_tables,
+    check_still_fails,
     run_checks,
     run_fuzz,
     shrink_failure,
 )
 from hyperbetti.errors import ViolationFound
 from hyperbetti.formats import instance_payload, parse_json
-from hyperbetti.generators import path_graph
+from hyperbetti.generators import make_batch, path_graph
+from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build
-from hyperbetti.linalg import GF2, QQ
+from hyperbetti.linalg import GF2, QQ, Field
+from hyperbetti.splitting import split
 
 from conftest import cycle_graph
 
@@ -216,3 +221,45 @@ def test_instance_payload_round_trip():
     payload = instance_payload(h)
     again = parse_json(json.dumps(payload))
     assert again.labels == h.labels and again.edges == h.edges
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, Field(3)], ids=str)
+@pytest.mark.parametrize("spec", ["special:3", "chordal"])
+def test_split_tables_from_the_shared_map_match_fresh_tables(spec, field):
+    splits = 0
+    for h in make_batch(spec, 8, 8, 6, 41) + make_batch(spec, 9, 9, 4, 43):
+        ctx = _Ctx(h, field, 0)
+        if not (ctx.special and h.m):
+            continue
+        dec = split(h)
+        tab1, tab2 = _split_tables(ctx, dec)
+        assert tab1 == betti_table(dec.h1, field)
+        assert tab2 == betti_table(dec.h2, field)
+        splits += 1
+    assert splits >= 8
+
+
+def test_check_still_fails_stops_at_the_named_check(monkeypatch):
+    ran = []
+
+    def traced(entry):
+        # like a tracer's wrapper: no attributes of the entry survive
+        def wrapper(ctx):
+            result = entry(ctx)
+            ran.append(result.name)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(checks, "_CHECKS", tuple(traced(e) for e in checks._CHECKS))
+    h = path_graph(4)
+    target = "engine-agreement"
+    assert not check_still_fails(h, target, QQ, 0)
+    assert ran == list(CHECK_NAMES[: CHECK_NAMES.index(target) + 1])
+    assert not check_still_fails(h, "no-such-check", QQ, 0)
+    # a failure of another check does not count
+    passing = CHECK_NAMES[1]
+    monkeypatch.setattr(checks, "_CHECKS", (
+        traced(_fails_while_two_edges),
+        traced(lambda ctx: CheckResult(passing, "pass", 1))))
+    assert check_still_fails(h, _FAKE, QQ, 0)
+    assert not check_still_fails(h, passing, QQ, 0)

@@ -187,3 +187,12 @@ def test_fuzz_rejects_counts_below_one(flag, value, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
+
+
+def test_fuzz_special_class_above_the_triangulation_cap(capsys):
+    argv = ["fuzz", "--class", "special:3", "--vertices", "17", "--edges", "6",
+            "--count", "1", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: special:D instances allow at most 16 vertices")
+    assert not captured.out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import hyperbetti.homology as homology
 from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.generators import make_batch
@@ -135,6 +136,36 @@ RP2_NON_FACES = [(0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
 
 
 GF3 = Field(3)
+
+
+def test_elimination_stops_at_the_kernel_dimension(monkeypatch):
+    # With no edges every restriction is a full simplex, which is
+    # acyclic, so each boundary rank meets its kernel bound and at least
+    # one row of the top two levels is never read.
+    rank_of = homology.rank_of
+    faces_read = []
+
+    def counting_rank_of(rows, field, limit=None):
+        drawn = []
+
+        def rows_read():
+            for row in rows:
+                drawn.append(row)
+                yield row
+
+        rank = rank_of(rows_read(), field, limit=limit)
+        faces_read.append(len(drawn))
+        return rank
+
+    monkeypatch.setattr(homology, "rank_of", counting_rank_of)
+    for field in (QQ, GF2, GF3):
+        faces_read.clear()
+        by_dim = independent_faces(build([f"v{i}" for i in range(6)], []), 0b111111)
+        assert reduced_homology_dims(by_dim, field) == [0]
+        assert len(faces_read) == len(by_dim) - 1
+        # d_5 has rank 1 and d_4 rank 5: the sixth 4-face is never read
+        assert faces_read[-2:] == [5, 1]
+        assert sum(faces_read) < sum(len(level) for level in by_dim[1:])
 
 
 def test_rp2_table_depends_on_the_field():

@@ -113,3 +113,26 @@ def test_rank_matches_sympy_near_two_to_the_seventy(offsets):
         assert space.add(_sparse(row)) == grew
         _assert_rows_normalized(space)
     assert space.rank == _sympy_rank(rows, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rank_limit_stops_at_the_row_that_reaches_it(field, rows):
+    r = _sympy_rank(rows, field.p)
+    sparse = [_sparse(row) for row in rows]
+    assert rank_of(sparse, field, limit=r) == r
+    assert rank_of(sparse, field, limit=None) == r
+    # the first prefix of full rank ends at the row that reaches the limit
+    needed = next(k for k in range(len(rows) + 1) if _sympy_rank(rows[:k], field.p) == r)
+    drawn = []
+
+    def rows_read():
+        for row in sparse:
+            drawn.append(row)
+            yield row
+
+    assert rank_of(rows_read(), field, limit=r) == r
+    assert len(drawn) == needed
+    if r:
+        assert rank_of(iter(sparse), field, limit=r - 1) == r - 1

@@ -12,8 +12,9 @@ from hyperbetti.errors import (
     NotTriangulated,
     SizeCapExceeded,
     ValidationError,
+    ViolationFound,
 )
-from hyperbetti.families import compute_invariants
+from hyperbetti.families import compute_invariants, survey
 from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build, delete_edge, is_triangulated
 from hyperbetti.linalg import GF2
@@ -177,6 +178,17 @@ def test_characterization_on_trees_and_stars(p6):
         assert rep["reg"] == inv["d_g_prime"] == inv["a"]
     rep = verify_disjointness_characterization(star_hypergraph(2))
     assert rep["pd"] == 2 and rep["reg"] == 2
+
+
+def test_characterization_takes_a_precomputed_table_and_survey(p6):
+    for h in (p6, star_hypergraph(3)):
+        fresh = verify_disjointness_characterization(h)
+        given = verify_disjointness_characterization(
+            h, table=betti_recursive(h), precomputed=survey(h))
+        assert given == fresh
+    # the given table is the one checked
+    with pytest.raises(ViolationFound):
+        verify_disjointness_characterization(p6, table=betti_table(path_graph(5)))
 
 
 def test_canonical_key_stability():
