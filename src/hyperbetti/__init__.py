@@ -40,7 +40,7 @@ from .hypergraph import (
 )
 from .linalg import GF2, QQ, Field, parse_field
 from .splitting import betti_recursive, split, verify_disjointness_characterization
-from .taylor import Certificate, betti_via_taylor, certify_nonvanishing
+from .taylor import Certificate, betti_via_lyubeznik, betti_via_taylor, certify_nonvanishing
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,7 @@ __all__ = [
     "ViolationFound",
     "betti_recursive",
     "betti_table",
+    "betti_via_lyubeznik",
     "betti_via_taylor",
     "bouquet_invariants",
     "build",

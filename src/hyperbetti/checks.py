@@ -10,6 +10,12 @@ Each check names with ``_declare`` what it needs (see ``_NEEDS``); an
 unmet need makes it a ``skip`` with that need's reason, and an exception
 inside a check becomes its ``fail`` result while the others still run.
 
+The exact table is read off one restriction map: each vertex subset W
+with nonzero reduced homology of its independence complex, taken from
+Lyubeznik's resolution (``taylor.lyubeznik_restrictions``), which by
+Hochster's formula gives the same numbers. ``engine-agreement``
+compares that table with the Taylor and recursive engines.
+
 Exact-table checks are gated by default at 10 vertices and 10 edges;
 the BETTI_CAP_N environment variable overrides the vertex cap. Family
 sweeps stop at 16 edges. Reports follow ``SCHEMA_VERSION`` 2 and are
@@ -39,14 +45,7 @@ from .families import (
 )
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
-from .homology import (
-    BettiTable,
-    homology_of_restrictions,
-    independent_faces,
-    reduced_homology_dims,
-    table_from_homology,
-    vertex_cap,
-)
+from .homology import BettiTable, table_from_homology, vertex_cap
 from .hypergraph import (
     TRIANGULATED_CAP,
     Hypergraph,
@@ -69,9 +68,11 @@ from .taylor import (
     TAYLOR_BUDGET,
     Certificate,
     analyze_taylor,
+    betti_via_lyubeznik,
     certify_nonvanishing,
     is_l_admissible,
     is_maximal_l_admissible,
+    lyubeznik_restrictions,
 )
 
 SCHEMA_VERSION = 2
@@ -159,7 +160,7 @@ class _Ctx:
         self.hom = None
         self.table = None
         if exact_ok:
-            self.hom = homology_of_restrictions(h, field, cap=h.n)
+            self.hom = lyubeznik_restrictions(h, field)
             self.table = table_from_homology(self.hom, field, h.n)
         self.sv = survey(h) if survey_ok else None
         report = compute_invariants(h, precomputed=self.sv) if survey_ok else None
@@ -321,11 +322,9 @@ def _check_degree_window(ctx: _Ctx, name: str) -> CheckResult:
 @_declare("restriction-monotonicity", "table")
 def _check_restriction_monotonicity(ctx: _Ctx, name: str) -> CheckResult:
     full = ctx.table
-    # A restriction with no reduced homology adds nothing to any table.
-    hom = {w: dims for w, dims in ctx.hom.items() if any(dims)}
     checked = 0
     for wmask in range((1 << ctx.h.n) - 1):
-        sub = table_from_homology(hom, ctx.field, ctx.h.n, within=wmask)
+        sub = table_from_homology(ctx.hom, ctx.field, ctx.h.n, within=wmask)
         for (i, j), value in sub.entries.items():
             if value > full.get(i, j):
                 return _fail(
@@ -540,23 +539,14 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
 
 
 def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, BettiTable]:
-    """Tables of the split's H1 and H2, read from the restriction map of H.
+    """Tables of the split's H1 and H2.
 
-    H2 is H induced on the vertices outside S and its neighbours, so
-    its restrictions are those of H to subsets of that set. H1 is H
-    minus the edge S, on the same vertices. Inside a W that does not
-    contain S, H1 has exactly the edges of H, so the two restrictions
-    have the same independence complex. Only the 2^(n-|S|) restrictions
-    W containing S are computed again, on H1.
+    H1, H minus the edge S, gets a table of its own. H2 is H induced on
+    the vertices outside S and its neighbours, so its restrictions are
+    those of H to subsets of that set, read from the restriction map.
     """
-    smask = ctx.h.edge_mask(dec.s)
-    hom1 = {
-        w: reduced_homology_dims(independent_faces(dec.h1, w), ctx.field)
-        if w & smask == smask else dims
-        for w, dims in ctx.hom.items()
-    }
     keep = ((1 << ctx.h.n) - 1) & ~mask_of(dec.removed_vertices)
-    return (table_from_homology(hom1, ctx.field, ctx.h.n),
+    return (betti_via_lyubeznik(dec.h1, ctx.field),
             table_from_homology(ctx.hom, ctx.field, ctx.h.n, within=keep))
 
 
@@ -564,8 +554,6 @@ def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, B
 def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
     dec = split(ctx.h)
     t, d = dec.t, dec.d
-    # Both split tables come from ctx.hom; see _split_tables for why the
-    # restrictions of H stand in for those of H2 and of H1 away from S.
     tab1, tab2 = _split_tables(ctx, dec)
     checked = 0
     for i in range(ctx.h.m + 2):

@@ -22,7 +22,7 @@ from .homology import betti_table
 from .hypergraph import Hypergraph
 from .linalg import parse_field
 from .splitting import betti_recursive
-from .taylor import betti_via_taylor
+from .taylor import betti_via_lyubeznik, betti_via_taylor
 
 
 def _load(path: str) -> Hypergraph:
@@ -69,6 +69,8 @@ def cmd_betti(args) -> int:
         table = betti_table(h, field)
     elif args.method == "taylor":
         table = betti_via_taylor(h, field)
+    elif args.method == "lyubeznik":
+        table = betti_via_lyubeznik(h, field)
     else:
         table = betti_recursive(h, field)
     print(table)
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="exact graded Betti table")
     p.add_argument("file")
-    p.add_argument("--method", choices=("hochster", "taylor", "recursive"),
+    p.add_argument("--method", choices=("hochster", "taylor", "lyubeznik", "recursive"),
                    default="hochster")
     p.add_argument("--field", default="q", help="q, gf2, or gf:P")
     p.set_defaults(func=cmd_betti)

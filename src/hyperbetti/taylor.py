@@ -14,6 +14,14 @@ basis symbols of the slice that are also outside the image from above;
 under the two subset hypotheses that ``FamilySurvey`` records it bounds
 or equals beta_{i,j}. Absorption is tested by the family kernel of
 ``families``.
+
+Lyubeznik's resolution is the subcomplex spanned by the L-admissible
+symbols under the index order. Its reduced boundary also keeps the
+union W of a symbol, so slicing it by (size i, union W) gives the
+multigraded numbers beta_{i,W} from far fewer and smaller blocks:
+``lyubeznik_restrictions`` returns them in the restriction-map format
+of ``homology``, and ``betti_via_lyubeznik`` sums them into a table.
+The admissible symbols are capped at ``LYUBEZNIK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -32,11 +40,14 @@ from .families import (
     is_self_ordered,
     survey,
 )
-from .homology import BettiTable, betti_table
+from .homology import BettiTable, betti_table, table_from_homology
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .linalg import QQ, Field, RowSpace
 
 TAYLOR_BUDGET = 12
+# A 16-edge matching has 2^16 admissible symbols, counting the empty
+# one; its table took 0.3-0.6 s on a 2-core x86-64 host (Python 3.11).
+LYUBEZNIK_BUDGET = 1 << 16
 
 
 def chain_union(h: Hypergraph, chain) -> int:
@@ -135,6 +146,82 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -
 
 def betti_via_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -> BettiTable:
     return analyze_taylor(h, field, cap).table()
+
+
+# ---------------------------------------------------------------------------
+# Lyubeznik's subcomplex, sliced by union
+
+
+def admissible_symbols(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
+    """Every L-admissible symbol under the index order, with its union.
+
+    A symbol grows by prepending a smaller edge index p to an admissible
+    suffix of union U. The result is admissible exactly when no edge
+    q < p lies inside U | S_p: the positions after p keep their test.
+    A failed prepend also fails for every longer symbol that contains
+    it, so that branch is not explored. Raises ``BudgetExceeded`` as
+    soon as the count passes ``LYUBEZNIK_BUDGET``.
+    """
+    edges = h.edges
+    out: list[tuple[tuple[int, ...], int]] = [((), 0)]
+
+    def grow(chain: tuple[int, ...], union: int) -> None:
+        for p in range(chain[0] if chain else len(edges)):
+            u = union | edges[p]
+            if any(is_subset(edges[q], u) for q in range(p)):
+                continue
+            symbol = (p,) + chain
+            out.append((symbol, u))
+            if len(out) > LYUBEZNIK_BUDGET:
+                raise BudgetExceeded(
+                    f"admissible symbols exceed the Lyubeznik symbol budget {LYUBEZNIK_BUDGET}")
+            grow(symbol, u)
+
+    grow((), 0)
+    return out
+
+
+def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[int]]:
+    """The nonzero part of ``homology_of_restrictions``, from Lyubeznik's
+    resolution.
+
+    The admissible symbols span a subcomplex of the Taylor resolution
+    that is itself a free resolution (Lyubeznik, JPAA 51, 1988).
+    Tensored with the field, the boundary of a symbol keeps only the
+    members absorbed by the others, so it preserves the union W, and the
+    size-i symbols of union W give beta_{i,W}. By Hochster's formula
+    that is the reduced homology of the independence complex on W in
+    degree |W| - i - 1, stored in slot |W| - i of the dims list.
+    """
+    kernel = _Kernel(h.edges)
+    slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for symbol, w in admissible_symbols(h):
+        slices.setdefault((len(symbol), w), []).append(symbol)
+    ranks: dict[tuple[int, int], int] = {}
+    for (i, w), basis in slices.items():
+        below = slices.get((i - 1, w))
+        if not below:
+            continue
+        index = {face: pos for pos, face in enumerate(below)}
+        space = RowSpace(field)
+        for symbol in basis:
+            row = {index[face]: sign
+                   for sign, face in _faces(symbol, kernel.absorbed(mask_of(symbol)))}
+            if row:
+                space.add(row)
+        ranks[i, w] = space.rank
+    slots: dict[int, dict[int, int]] = {}
+    for (i, w), basis in slices.items():
+        beta = len(basis) - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0)
+        if beta:
+            slots.setdefault(w, {})[w.bit_count() - i] = beta
+    return {w: [dims.get(slot, 0) for slot in range(max(dims) + 1)]
+            for w, dims in slots.items()}
+
+
+def betti_via_lyubeznik(h: Hypergraph, field: Field = QQ) -> BettiTable:
+    """Exact graded Betti table over ``field`` from Lyubeznik's resolution."""
+    return table_from_homology(lyubeznik_restrictions(h, field), field, h.n)
 
 
 def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,

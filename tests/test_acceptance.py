@@ -29,7 +29,12 @@ from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build, from_edge_labels, uniformity_profile
 from hyperbetti.linalg import GF2, QQ
 from hyperbetti.splitting import betti_recursive, verify_disjointness_characterization
-from hyperbetti.taylor import Certificate, betti_via_taylor, certify_nonvanishing
+from hyperbetti.taylor import (
+    Certificate,
+    betti_via_lyubeznik,
+    betti_via_taylor,
+    certify_nonvanishing,
+)
 
 from oracle import oracle_betti
 
@@ -125,11 +130,13 @@ def test_00_oracle_gate_fixes_reference_tables():
         edges = [h.edge_vertices(s) for s in range(h.m)]
         assert oracle_betti(h.n, edges) == frozen, name
         assert betti_table(h, QQ).entries == frozen, name
+        assert betti_via_lyubeznik(h, QQ).entries == frozen, name
     for name, expected in DERIVED.items():
         h = instances[name]
         edges = [h.edge_vertices(s) for s in range(h.m)]
         assert oracle_betti(h.n, edges) == expected, name
         assert betti_table(h, QQ).entries == expected, name
+        assert betti_via_lyubeznik(h, QQ).entries == expected, name
 
 
 def test_01_worked_invariant_examples():
@@ -185,9 +192,14 @@ def test_05_engines_agree_across_fields(corpus_general, qq_tables,
                                         corpus_special_mixed):
     for h, table in zip(corpus_general, qq_tables):
         assert betti_via_taylor(h, QQ).entries == table.entries
-        assert betti_table(h, GF2).entries == betti_via_taylor(h, GF2).entries
+        assert betti_via_lyubeznik(h, QQ).entries == table.entries
+        gf2 = betti_table(h, GF2).entries
+        assert gf2 == betti_via_taylor(h, GF2).entries
+        assert gf2 == betti_via_lyubeznik(h, GF2).entries
     for h in corpus_special_mixed:
-        assert betti_table(h, QQ).entries == betti_recursive(h, QQ).entries
+        table = betti_table(h, QQ).entries
+        assert table == betti_recursive(h, QQ).entries
+        assert table == betti_via_lyubeznik(h, QQ).entries
 
 
 def test_06_top_degree_slices_count_induced_matchings(corpus_general,

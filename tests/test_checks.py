@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -263,3 +264,25 @@ def test_check_still_fails_stops_at_the_named_check(monkeypatch):
         traced(lambda ctx: CheckResult(passing, "pass", 1))))
     assert check_still_fails(h, _FAKE, QQ, 0)
     assert not check_still_fails(h, passing, QQ, 0)
+
+
+def test_campaign_builds_no_hochster_map(monkeypatch):
+    import hyperbetti.homology as homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign called homology_of_restrictions")
+
+    # in its own module, and wherever a module imported it by name
+    original = homology.homology_of_restrictions
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperbetti") and getattr(
+                module, "homology_of_restrictions", None) is original:
+            monkeypatch.setattr(module, "homology_of_restrictions", refuse)
+    special = next(h for h in make_batch("special:3", 8, 8, 10, 41) if h.m >= 3)
+    general = make_batch("general", 8, 8, 1, 41)[0]
+    for h, exercised in ((special, ("engine-agreement", "splitting-recursion")),
+                         (general, ("engine-agreement", "restriction-monotonicity"))):
+        report = run_checks(h, QQ)
+        assert report.ok, report.failures
+        statuses = {r.name: r.status for r in report.checks}
+        assert all(statuses[name] == "pass" for name in exercised), statuses

@@ -9,6 +9,7 @@ import pytest
 
 from hyperbetti.cli import main
 from hyperbetti.linalg import PRIME_LIMIT, Field, parse_field
+from hyperbetti.taylor import LYUBEZNIK_BUDGET
 
 
 @pytest.fixture
@@ -37,10 +38,10 @@ def p6_file(tmp_path):
 
 def test_betti_methods_agree(p3_file, capsys):
     outputs = []
-    for method in ("hochster", "taylor", "recursive"):
+    for method in ("hochster", "taylor", "lyubeznik", "recursive"):
         assert main(["betti", p3_file, "--method", method]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert "pd=2" in outputs[0] and "reg=1" in outputs[0]
 
 
@@ -49,6 +50,17 @@ def test_betti_field_flag(p3_file, capsys):
     assert "GF(2)" in capsys.readouterr().out
     assert main(["betti", p3_file, "--field", "gf:5"]) == 0
     assert "GF(5)" in capsys.readouterr().out
+
+
+def test_lyubeznik_over_its_symbol_budget_exits_two(tmp_path, capsys):
+    # a 20-edge matching on 40 vertices has 2^20 admissible symbols
+    f = tmp_path / "matching.txt"
+    f.write_text("\n".join(f"a{k} b{k}" for k in range(20)) + "\n")
+    start = time.perf_counter()
+    assert main(["betti", str(f), "--method", "lyubeznik"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "error" in err and f"budget {LYUBEZNIK_BUDGET}" in err
 
 
 def test_recursive_needs_elimination_order(c4_file, capsys):

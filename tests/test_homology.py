@@ -22,7 +22,7 @@ from hyperbetti.homology import (
 )
 from hyperbetti.hypergraph import build
 from hyperbetti.linalg import GF2, QQ, Field
-from hyperbetti.taylor import betti_via_taylor
+from hyperbetti.taylor import betti_via_lyubeznik, betti_via_taylor
 
 from conftest import cycle_graph, path_graph
 from oracle import oracle_betti
@@ -174,6 +174,7 @@ def test_rp2_table_depends_on_the_field():
     for field, table in tables.items():
         assert table.entries == oracle_betti(6, RP2_NON_FACES, field.p)
         assert betti_via_taylor(h, field).entries == table.entries
+        assert betti_via_lyubeznik(h, field).entries == table.entries
         assert run_checks(h, field).ok
     qq, gf2 = tables[QQ], tables[GF2]
     assert (qq.projective_dimension(), qq.regularity()) == (3, 2)
@@ -188,3 +189,4 @@ def test_prime_field_tables_match_the_oracle(field):
         expected = oracle_betti(h.n, edges, field.p)
         assert betti_table(h, field).entries == expected
         assert betti_via_taylor(h, field).entries == expected
+        assert betti_via_lyubeznik(h, field).entries == expected

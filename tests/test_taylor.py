@@ -4,29 +4,38 @@ certificates."""
 from __future__ import annotations
 
 import itertools
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperbetti.taylor as taylor
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
 from hyperbetti.families import classify, survey
+from hyperbetti.generators import make_batch
 from hyperbetti.hypergraph import build, from_edge_labels
-from hyperbetti.homology import betti_table
+from hyperbetti.homology import betti_table, homology_of_restrictions
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.taylor import (
     Certificate,
+    admissible_symbols,
     analyze_taylor,
     basis_bounds,
+    betti_via_lyubeznik,
     betti_via_taylor,
     certify_nonvanishing,
+    chain_union,
     is_l_admissible,
     is_maximal_l_admissible,
+    lyubeznik_restrictions,
     reduced_boundary,
 )
 
 from conftest import path_graph
 from test_families import sized_hypergraphs
+from test_homology import RP2_NON_FACES
 
 
 def test_boundary_signs_on_triangle(c3):
@@ -66,6 +75,69 @@ def test_budget_enforced():
         analyze_taylor(h)
     # the explicit cap overrides, and a star resolves like a simplex
     assert betti_via_taylor(h, cap=13).get(13, 14) == 1
+
+
+# ---------------------------------------------------------------------------
+# Lyubeznik engine
+
+
+def matching(m):
+    return build([f"v{i}" for i in range(2 * m)], [(2 * s, 2 * s + 1) for s in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_hypergraphs())
+def test_admissible_symbols_are_the_admissible_chains(h):
+    identity = tuple(range(h.m))
+    expected = {
+        chain
+        for size in range(h.m + 1)
+        for chain in itertools.combinations(range(h.m), size)
+        if is_l_admissible(h, identity, chain)
+    }
+    found = admissible_symbols(h)
+    assert len(found) == len(expected)
+    assert {chain for chain, _ in found} == expected
+    for chain, union in found:
+        assert union == chain_union(h, chain)
+
+
+def _lyubeznik_corpus():
+    return ([("rp2", build([f"p{i}" for i in range(6)], RP2_NON_FACES))]
+            + [(spec, h)
+               for spec, n, m in (("general", 8, 8), ("general", 9, 10),
+                                  ("uniform:2", 8, 10), ("uniform:3", 9, 10),
+                                  ("special:3", 9, 8), ("chordal", 8, 9))
+               for h in make_batch(spec, n, m, 4, 77)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, Field(3)], ids=str)
+def test_lyubeznik_map_is_the_nonzero_restriction_homology(field):
+    for name, h in _lyubeznik_corpus():
+        hochster = {w: dims for w, dims in homology_of_restrictions(h, field).items()
+                    if any(dims)}
+        assert lyubeznik_restrictions(h, field) == hochster, (name, h)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_perfect_matching_is_a_koszul_complex(m):
+    # beta_{i,2i} = C(m, i) and nothing else
+    expected = {(i, 2 * i): comb(m, i) for i in range(m + 1)}
+    for field in (QQ, GF2):
+        assert betti_via_lyubeznik(matching(m), field).entries == expected
+
+
+def test_symbol_budget_fails_fast(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=str(taylor.LYUBEZNIK_BUDGET)):
+        betti_via_lyubeznik(matching(20))
+    assert time.perf_counter() - start < 5.0
+    # the 16 symbols of a 4-edge matching fit a budget of 16, not of 15
+    monkeypatch.setattr(taylor, "LYUBEZNIK_BUDGET", 16)
+    assert len(admissible_symbols(matching(4))) == 16
+    monkeypatch.setattr(taylor, "LYUBEZNIK_BUDGET", 15)
+    with pytest.raises(BudgetExceeded):
+        admissible_symbols(matching(4))
 
 
 # ---------------------------------------------------------------------------
