@@ -16,11 +16,10 @@ Lyubeznik's resolution (``taylor.lyubeznik_restrictions``), which by
 Hochster's formula gives the same numbers. ``engine-agreement``
 compares that table with the Taylor and recursive engines.
 
-Exact-table checks are gated by default at 10 vertices and 10 edges;
-the BETTI_CAP_N environment variable overrides the vertex cap. Family
-sweeps stop at 16 edges. Reports follow ``SCHEMA_VERSION`` 2 and are
-deterministic for fixed inputs and seed: everything that varies between
-runs lives under the ``meta`` key.
+Exact-table checks and family sweeps are gated by the size limits in
+``limits``; an unmet gate is a skip. Reports follow ``SCHEMA_VERSION``
+2 and are deterministic for fixed inputs and seed: everything that
+varies between runs lives under the ``meta`` key.
 """
 
 from __future__ import annotations
@@ -35,20 +34,16 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from math import comb
 
+from . import limits
 from .bitsets import bits_of, mask_of
 from .errors import CertificateError, ValidationError
-from .families import (
-    FAMILY_BUDGET,
-    classify,
-    compute_invariants,
-    survey,
-)
+from .families import classify, compute_invariants, survey
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
-from .homology import BettiTable, table_from_homology, vertex_cap
+from .homology import BettiTable, table_from_homology
 from .hypergraph import (
-    TRIANGULATED_CAP,
     Hypergraph,
+    build,
     delete_edge,
     induced_subhypergraph,
     is_triangulated,
@@ -65,19 +60,17 @@ from .splitting import (
     verify_split_extension,
 )
 from .taylor import (
-    TAYLOR_BUDGET,
     Certificate,
     analyze_taylor,
     betti_via_lyubeznik,
     certify_nonvanishing,
+    chain_union,
     is_l_admissible,
     is_maximal_l_admissible,
     lyubeznik_restrictions,
 )
 
 SCHEMA_VERSION = 2
-EXACT_N_CAP = 10
-EXACT_M_CAP = 10
 SAMPLED_ORDERINGS = 6
 
 
@@ -155,8 +148,9 @@ class _Ctx:
         self.field = field
         self.seed = seed
         self.profile = uniformity_profile(h)
-        exact_ok = h.n <= vertex_cap(EXACT_N_CAP) and h.m <= EXACT_M_CAP
-        survey_ok = h.m <= FAMILY_BUDGET
+        exact_ok = (h.n <= limits.vertex_cap(limits.EXACT_N_CAP)
+                    and h.m <= limits.EXACT_M_CAP)
+        survey_ok = h.m <= limits.FAMILY_BUDGET
         self.hom = None
         self.table = None
         if exact_ok:
@@ -167,12 +161,12 @@ class _Ctx:
         self.inv = report.as_dict() if report is not None else None
         self.witnesses = report.witnesses if report is not None else None
         self.taylor = (
-            analyze_taylor(h, field) if exact_ok and h.m <= TAYLOR_BUDGET else None
+            analyze_taylor(h, field) if exact_ok and h.m <= limits.TAYLOR_BUDGET else None
         )
         self.special = (
             self.profile.is_special_class
             and self.profile.d is not None
-            and h.n <= TRIANGULATED_CAP
+            and h.n <= limits.TRIANGULATED_CAP
             and is_triangulated(h)
         )
 
@@ -192,7 +186,8 @@ def _skip(name: str, why: str) -> CheckResult:
 
 
 # What a check may declare it needs: a predicate on _Ctx, and the skip
-# reason reported when the predicate does not hold.
+# reason reported when the predicate does not hold, formatted with
+# ``limits`` when the skip happens.
 _NEEDS = {
     "table": (lambda ctx: ctx.table is not None, "instance above exact-table caps"),
     "survey": (lambda ctx: ctx.sv is not None, "family enumeration too large"),
@@ -203,7 +198,8 @@ _NEEDS = {
     "graph": (lambda ctx: ctx.profile.d == 2 or ctx.h.m == 0, "not a graph"),
     "uniform": (lambda ctx: ctx.profile.is_uniform and ctx.profile.d is not None,
                 "not uniform"),
-    "edge-cap": (lambda ctx: ctx.h.m <= EXACT_M_CAP, f"more than {EXACT_M_CAP} edges"),
+    "edge-cap": (lambda ctx: ctx.h.m <= limits.EXACT_M_CAP,
+                 "more than {limits.EXACT_M_CAP} edges"),
 }
 
 
@@ -223,7 +219,7 @@ def _declare(name: str, *needs: str):
         def entry(ctx: _Ctx) -> CheckResult:
             for holds, why in gates:
                 if not holds(ctx):
-                    return _skip(name, why)
+                    return _skip(name, why.format(limits=limits))
             try:
                 return body(ctx, name)
             except Exception as exc:
@@ -405,10 +401,7 @@ def _check_lower_bound_certificates(ctx: _Ctx, name: str) -> CheckResult:
         fam = ctx.witnesses[key]
         if not fam:
             continue
-        union = 0
-        for s in fam:
-            union |= ctx.h.edge_mask(s)
-        cert = Certificate(kind, tuple(fam), len(fam), union.bit_count())
+        cert = Certificate(kind, tuple(fam), len(fam), chain_union(ctx.h, fam).bit_count())
         try:
             verdict = certify_nonvanishing(ctx.h, cert, ctx.field, table=ctx.table)
         except CertificateError as exc:
@@ -720,8 +713,6 @@ def _merge_results(per_instance: list[CampaignReport]) -> list[CheckResult]:
 
 def _fuzz_one(args) -> CampaignReport:
     payload, field, child_seed = args
-    from .hypergraph import build
-
     h = build(payload["vertices"], [tuple(e) for e in payload["edges"]])
     return run_checks(h, field, seed=child_seed)
 

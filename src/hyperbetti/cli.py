@@ -24,6 +24,9 @@ from .linalg import parse_field
 from .splitting import betti_recursive
 from .taylor import betti_via_lyubeznik, betti_via_taylor
 
+ENGINES = {"hochster": betti_table, "taylor": betti_via_taylor,
+           "lyubeznik": betti_via_lyubeznik, "recursive": betti_recursive}
+
 
 def _load(path: str) -> Hypergraph:
     try:
@@ -65,15 +68,7 @@ def cmd_invariants(args) -> int:
 def cmd_betti(args) -> int:
     h = _load(args.file)
     field = parse_field(args.field)
-    if args.method == "hochster":
-        table = betti_table(h, field)
-    elif args.method == "taylor":
-        table = betti_via_taylor(h, field)
-    elif args.method == "lyubeznik":
-        table = betti_via_lyubeznik(h, field)
-    else:
-        table = betti_recursive(h, field)
-    print(table)
+    print(ENGINES[args.method](h, field))
     return 0
 
 
@@ -140,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="exact graded Betti table")
     p.add_argument("file")
-    p.add_argument("--method", choices=("hochster", "taylor", "lyubeznik", "recursive"),
-                   default="hochster")
+    p.add_argument("--method", choices=ENGINES, default="hochster")
     p.add_argument("--field", default="q", help="q, gf2, or gf:P")
     p.set_defaults(func=cmd_betti)
 

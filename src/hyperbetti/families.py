@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+from . import limits
 from .bitsets import bits_of, mask_of, tuple_of
 from .errors import (
     BudgetExceeded,
@@ -49,8 +50,6 @@ from .errors import (
     ViolationFound,
 )
 from .hypergraph import Hypergraph, uniformity_profile
-
-FAMILY_BUDGET = 16
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ class FamilySurvey:
         return (i, j) not in self.hyp2_violations
 
 
-def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
+def survey(h: Hypergraph) -> FamilySurvey:
     """Classify every family of edges in one sweep.
 
     Families come in lexicographic order, and each predicate runs only
@@ -447,12 +446,14 @@ def survey(h: Hypergraph, budget: int = FAMILY_BUDGET) -> FamilySurvey:
       Every self disjoint family is self semi-disjoint, so the same
       skip leaves the semi-disjoint class unchanged too.
 
-    Raises BudgetExceeded when the hypergraph has more than ``budget``
-    edges; the sweep is exponential in the edge count by design.
+    Raises BudgetExceeded when the hypergraph has more than
+    ``limits.FAMILY_BUDGET`` edges; the sweep is exponential in the edge
+    count by design.
     """
     m = h.m
-    if m > budget:
-        raise BudgetExceeded(f"{m} edges exceeds family enumeration budget {budget}")
+    if m > limits.FAMILY_BUDGET:
+        raise BudgetExceeded(
+            f"{m} edges exceeds family enumeration budget {limits.FAMILY_BUDGET}")
     kernel = _Kernel(h.edges, _union_table(h.edges))
     sizes = kernel.sizes
 
@@ -636,10 +637,9 @@ class InvariantReport:
         return out
 
 
-def compute_invariants(h: Hypergraph, budget: int = FAMILY_BUDGET,
-                       precomputed: FamilySurvey | None = None) -> InvariantReport:
+def compute_invariants(h: Hypergraph, *, precomputed: FamilySurvey | None = None) -> InvariantReport:
     """All matching-type invariants of ``h`` by exhaustive enumeration."""
-    sv = precomputed if precomputed is not None else survey(h, budget)
+    sv = precomputed if precomputed is not None else survey(h)
     mx = sv.maxima
     witnesses = {name: mx[name].witness for name in mx}
     a_t = {t: tracker.value for t, tracker in sv.maxima_a_t.items()}

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from . import limits
 from .bitsets import mask_of, tuple_of
 from .errors import ValidationError
-from .hypergraph import TRIANGULATED_CAP, Hypergraph, build, is_triangulated
+from .hypergraph import Hypergraph, build, is_triangulated
 
 
 def path_graph(n: int) -> Hypergraph:
@@ -129,16 +130,16 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
     ``m`` is an upper bound on the edge count, seldom reached: every new
     edge takes a fresh vertex and every new component takes d, and
     growth stops when fresh vertices run out, so ``n`` usually decides
-    the size. ``n`` may be at most ``TRIANGULATED_CAP``, where the
+    the size. ``n`` may be at most ``limits.TRIANGULATED_CAP``, where the
     triangulation test that vets each candidate stops.
     """
     if d < 2:
         raise ValidationError("edge size must be at least 2")
     if n < d:
         raise ValidationError(f"{n} vertices cannot carry edges of size {d}")
-    if n > TRIANGULATED_CAP:
+    if n > limits.TRIANGULATED_CAP:
         raise ValidationError(
-            f"special:D instances allow at most {TRIANGULATED_CAP} vertices, got {n}")
+            f"special:D instances allow at most {limits.TRIANGULATED_CAP} vertices, got {n}")
     rng = random.Random(seed)
     labels = _vertex_labels(n)
     masks = [mask_of(range(d))]

@@ -28,25 +28,12 @@ the span already found, so those rows are never built or reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-import os
 
+from . import limits
 from .bitsets import bits_of, is_subset, tuple_of
-from .errors import SizeCapExceeded, ValidationError
+from .errors import SizeCapExceeded
 from .hypergraph import Hypergraph
 from .linalg import QQ, Field, rank_of
-
-BETTI_CAP_N = 14
-
-
-def vertex_cap(default: int = BETTI_CAP_N) -> int:
-    """Vertex cap for the exact engines: ``default`` unless env BETTI_CAP_N
-    is set, which must then be a positive integer."""
-    raw = os.environ.get("BETTI_CAP_N")
-    if not raw:
-        return default
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValidationError(f"BETTI_CAP_N must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -156,14 +143,14 @@ def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[in
     return dims
 
 
-def homology_of_restrictions(h: Hypergraph, field: Field = QQ, cap: int | None = None) -> dict[int, list[int]]:
+def homology_of_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[int]]:
     """Reduced homology dimensions of every vertex restriction.
 
     Maps each W bitmask to the dims list of :func:`reduced_homology_dims`.
     This is the whole content of the Betti table; the table itself and
     all its restriction tables are sums over this dictionary.
     """
-    limit = vertex_cap() if cap is None else cap
+    limit = limits.vertex_cap(limits.BETTI_CAP_N)
     if h.n > limit:
         raise SizeCapExceeded(f"{h.n} vertices exceeds Betti cap {limit}")
     out = {}
@@ -191,7 +178,7 @@ def table_from_homology(hom: dict[int, list[int]], field: Field, n: int, within:
     return BettiTable(entries, field, n if within is None else within.bit_count())
 
 
-def betti_table(h: Hypergraph, field: Field = QQ, cap: int | None = None) -> BettiTable:
+def betti_table(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Exact graded Betti table over ``field`` by restriction homology."""
-    hom = homology_of_restrictions(h, field, cap)
+    hom = homology_of_restrictions(h, field)
     return table_from_homology(hom, field, h.n)

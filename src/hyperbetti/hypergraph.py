@@ -11,7 +11,9 @@ orderings, witness selection) depend on that order being stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
+from . import limits
 from .bitsets import bits_of, is_subset, mask_of, tuple_of
 from .errors import (
     ComparableEdges,
@@ -23,8 +25,6 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-
-TRIANGULATED_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,6 @@ def _simplicial_in(h: Hypergraph, x: int, wmask: int, d: int) -> bool:
     if len(nb) < d:
         return True
     edge_set = set(edges_w)
-    from itertools import combinations
-
     for combo in combinations(nb, d):
         if mask_of(combo) not in edge_set:
             return False
@@ -246,7 +244,7 @@ def is_simplicial_vertex(h: Hypergraph, x: int) -> bool:
     return _simplicial_in(h, x, h.vertex_mask, d)
 
 
-def is_triangulated(h: Hypergraph, cap: int = TRIANGULATED_CAP) -> bool:
+def is_triangulated(h: Hypergraph) -> bool:
     """Whether every nonempty induced subhypergraph has a simplicial vertex.
 
     Decided by greedy elimination: repeatedly delete any simplicial
@@ -256,8 +254,9 @@ def is_triangulated(h: Hypergraph, cap: int = TRIANGULATED_CAP) -> bool:
     state it succeeds from every state reachable by deleting simplicial
     vertices; greedy choice is therefore complete, not just sound.
     """
-    if h.n > cap:
-        raise SizeCapExceeded(f"{h.n} vertices exceeds triangulation cap {cap}")
+    if h.n > limits.TRIANGULATED_CAP:
+        raise SizeCapExceeded(
+            f"{h.n} vertices exceeds triangulation cap {limits.TRIANGULATED_CAP}")
     if h.m == 0:
         return True
     d = require_uniform(h)

@@ -24,15 +24,13 @@ from .errors import (
     NotSimplicial,
     NotSpecialClass,
     NotTriangulated,
-    SizeCapExceeded,
     ValidationError,
     ViolationFound,
 )
 from .families import FamilySurvey, classify, survey
 from .homology import BettiTable
-from .taylor import betti_via_taylor
+from .taylor import betti_via_taylor, chain_union
 from .hypergraph import (
-    TRIANGULATED_CAP,
     Hypergraph,
     delete_edge,
     edge_neighborhood,
@@ -55,10 +53,7 @@ def require_special_class(h: Hypergraph) -> int | None:
 
 def find_simplicial_vertex(h: Hypergraph) -> int | None:
     """Least non-isolated simplicial vertex, or None."""
-    covered = 0
-    for mask in h.edges:
-        covered |= mask
-    for x in bits_of(covered):
+    for x in bits_of(chain_union(h, range(h.m))):
         if is_simplicial_vertex(h, x):
             return x
     return None
@@ -153,10 +148,7 @@ def canonical_key(h: Hypergraph) -> tuple:
     never collide; isomorphic ones may still get different keys, which
     only costs a memo miss.
     """
-    covered = 0
-    for mask in h.edges:
-        covered |= mask
-    verts = tuple(bits_of(covered))
+    verts = tuple(bits_of(chain_union(h, range(h.m))))
     incident = {v: [m for m in h.edges if m >> v & 1] for v in verts}
     sig = {v: str(len(incident[v])) for v in verts}
     for _ in range(2):
@@ -170,8 +162,7 @@ def canonical_key(h: Hypergraph) -> tuple:
     return tuple(sorted(tuple(sorted(rank[u] for u in bits_of(m))) for m in h.edges))
 
 
-def betti_recursive(h: Hypergraph, field: Field = QQ,
-                    cap: int = TRIANGULATED_CAP) -> BettiTable:
+def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Full graded Betti table by the splitting recursion.
 
     Deleting an edge can drop a hypergraph of this class out of it:
@@ -181,10 +172,8 @@ def betti_recursive(h: Hypergraph, field: Field = QQ,
     triangulated; a stuck branch is finished with the reduced
     edge-subset complex instead, which is where ``field`` enters.
     """
-    if h.n > cap:
-        raise SizeCapExceeded(f"{h.n} vertices exceeds recursion cap {cap}")
     require_special_class(h)
-    if not is_triangulated(h, cap=cap):
+    if not is_triangulated(h):
         raise NotTriangulated("the hypergraph admits no simplicial elimination order")
     memo: dict[tuple, dict[tuple[int, int], int]] = {}
 
@@ -197,7 +186,7 @@ def betti_recursive(h: Hypergraph, field: Field = QQ,
             return got
         if g.m == 1:
             out = {(0, 0): 1, (1, g.edges[0].bit_count()): 1}
-        elif is_triangulated(g, cap=cap):
+        elif is_triangulated(g):
             dec = split(g)
             out = dict(worker(dec.h1))
             below = worker(dec.h2)
@@ -281,18 +270,17 @@ def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
     return checked
 
 
-def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ,
-                                         cap: int = TRIANGULATED_CAP,
+def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
                                          table: BettiTable | None = None,
                                          precomputed: FamilySurvey | None = None) -> dict:
     """Nonzero table positions equal the self disjoint types, and the
     homological invariants equal the disjointness invariants.
 
     ``table`` and ``precomputed`` stand in for ``betti_recursive(h,
-    field, cap)`` and ``survey(h)`` when the caller already has them.
+    field)`` and ``survey(h)`` when the caller already has them.
     """
     if table is None:
-        table = betti_recursive(h, field, cap)
+        table = betti_recursive(h, field)
     sv = precomputed if precomputed is not None else survey(h)
     sd_types = sv.types["self_disjoint"]
     if set(table.entries) != sd_types:

@@ -21,7 +21,7 @@ union W of a symbol, so slicing it by (size i, union W) gives the
 multigraded numbers beta_{i,W} from far fewer and smaller blocks:
 ``lyubeznik_restrictions`` returns them in the restriction-map format
 of ``homology``, and ``betti_via_lyubeznik`` sums them into a table.
-The admissible symbols are capped at ``LYUBEZNIK_BUDGET``.
+Both complexes are bounded by the budgets in ``limits``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import limits
 from .bitsets import bits_of, is_subset, mask_of
 from .errors import BettiVanishes, BudgetExceeded, PremiseFails, ValidationError
 from .families import (
@@ -44,11 +45,6 @@ from .homology import BettiTable, betti_table, table_from_homology
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .linalg import QQ, Field, RowSpace
 
-TAYLOR_BUDGET = 12
-# A 16-edge matching has 2^16 admissible symbols, counting the empty
-# one; its table took 0.3-0.6 s on a 2-core x86-64 host (Python 3.11).
-LYUBEZNIK_BUDGET = 1 << 16
-
 
 def chain_union(h: Hypergraph, chain) -> int:
     u = 0
@@ -60,6 +56,31 @@ def chain_union(h: Hypergraph, chain) -> int:
 def _faces(chain: tuple[int, ...], absorbed: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(-1 if k % 2 == 0 else 1, chain[:k] + chain[k + 1:])
             for k, s in enumerate(chain) if absorbed >> s & 1]
+
+
+def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
+    """Echelonize the reduced boundary out of every slice (i, x) into
+    slice (i - 1, x), keyed by the source; x is the degree |W| for the
+    Taylor complex and the union W for Lyubeznik's."""
+    spaces = {}
+    for (i, x), basis in slices.items():
+        below = slices.get((i - 1, x))
+        if not below:
+            continue
+        index = {face: pos for pos, face in enumerate(below)}
+        space = RowSpace(field)
+        for c in basis:
+            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(mask_of(c)))}
+            if row:
+                space.add(row)
+        spaces[i, x] = space
+    return spaces
+
+
+def _homology(slices: dict, spaces: dict, i: int, x) -> int:
+    """Homology of slice (i, x): its size less the ranks in and out."""
+    ranks = [spaces[key].rank for key in ((i, x), (i + 1, x)) if key in spaces]
+    return len(slices.get((i, x), ())) - sum(ranks)
 
 
 def reduced_boundary(h: Hypergraph, chain) -> list[tuple[int, tuple[int, ...]]]:
@@ -83,13 +104,11 @@ class TaylorAnalysis:
     h: Hypergraph
     field: Field
     slices: dict[tuple[int, int], list[tuple[int, ...]]]
-    boundary_rank: dict[tuple[int, int], int]
-    image_into: dict[tuple[int, int], RowSpace]
+    boundaries: dict[tuple[int, int], RowSpace]
     kernel: _Kernel
 
     def betti(self, i: int, j: int) -> int:
-        basis = self.slices.get((i, j), [])
-        return len(basis) - self.boundary_rank.get((i, j), 0) - self.boundary_rank.get((i + 1, j), 0)
+        return _homology(self.slices, self.boundaries, i, j)
 
     def table(self) -> BettiTable:
         entries = {}
@@ -102,7 +121,7 @@ class TaylorAnalysis:
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
         """Reduced basis symbols of the slice not hit from above."""
         basis = self.slices.get((i, j), [])
-        image = self.image_into.get((i, j))
+        image = self.boundaries.get((i + 1, j))
         out = []
         for pos, c in enumerate(basis):
             if self.kernel.absorbed(mask_of(c)):
@@ -113,39 +132,23 @@ class TaylorAnalysis:
         return out
 
 
-def analyze_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -> TaylorAnalysis:
+def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
     """Slice the reduced complex and echelonize every boundary once."""
     m = h.m
-    if m > cap:
-        raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {cap}")
+    if m > limits.TAYLOR_BUDGET:
+        raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
     kernel = _Kernel(h.edges, _union_table(h.edges))
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # combinations come in lexicographic order, so every slice is sorted
     for size in range(m + 1):
         for chain in itertools.combinations(range(m), size):
             key = (size, kernel.union[mask_of(chain)].bit_count())
             slices.setdefault(key, []).append(chain)
-    index: dict[tuple[int, ...], int] = {}
-    for basis in slices.values():
-        basis.sort()
-        for pos, c in enumerate(basis):
-            index[c] = pos
-    boundary_rank: dict[tuple[int, int], int] = {}
-    image_into: dict[tuple[int, int], RowSpace] = {}
-    for (i, j), basis in sorted(slices.items()):
-        if i == 0:
-            continue
-        space = RowSpace(field)
-        for c in basis:
-            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(mask_of(c)))}
-            if row:
-                space.add(row)
-        boundary_rank[i, j] = space.rank
-        image_into[i - 1, j] = space
-    return TaylorAnalysis(h, field, slices, boundary_rank, image_into, kernel)
+    return TaylorAnalysis(h, field, slices, _boundaries(slices, kernel, field), kernel)
 
 
-def betti_via_taylor(h: Hypergraph, field: Field = QQ, cap: int = TAYLOR_BUDGET) -> BettiTable:
-    return analyze_taylor(h, field, cap).table()
+def betti_via_taylor(h: Hypergraph, field: Field = QQ) -> BettiTable:
+    return analyze_taylor(h, field).table()
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +163,10 @@ def admissible_symbols(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
     q < p lies inside U | S_p: the positions after p keep their test.
     A failed prepend also fails for every longer symbol that contains
     it, so that branch is not explored. Raises ``BudgetExceeded`` as
-    soon as the count passes ``LYUBEZNIK_BUDGET``.
+    soon as the count passes ``limits.LYUBEZNIK_BUDGET``.
     """
     edges = h.edges
+    budget = limits.LYUBEZNIK_BUDGET
     out: list[tuple[tuple[int, ...], int]] = [((), 0)]
 
     def grow(chain: tuple[int, ...], union: int) -> None:
@@ -172,9 +176,9 @@ def admissible_symbols(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
                 continue
             symbol = (p,) + chain
             out.append((symbol, u))
-            if len(out) > LYUBEZNIK_BUDGET:
+            if len(out) > budget:
                 raise BudgetExceeded(
-                    f"admissible symbols exceed the Lyubeznik symbol budget {LYUBEZNIK_BUDGET}")
+                    f"admissible symbols exceed the Lyubeznik symbol budget {budget}")
             grow(symbol, u)
 
     grow((), 0)
@@ -197,22 +201,10 @@ def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[i
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for symbol, w in admissible_symbols(h):
         slices.setdefault((len(symbol), w), []).append(symbol)
-    ranks: dict[tuple[int, int], int] = {}
-    for (i, w), basis in slices.items():
-        below = slices.get((i - 1, w))
-        if not below:
-            continue
-        index = {face: pos for pos, face in enumerate(below)}
-        space = RowSpace(field)
-        for symbol in basis:
-            row = {index[face]: sign
-                   for sign, face in _faces(symbol, kernel.absorbed(mask_of(symbol)))}
-            if row:
-                space.add(row)
-        ranks[i, w] = space.rank
+    spaces = _boundaries(slices, kernel, field)
     slots: dict[int, dict[int, int]] = {}
-    for (i, w), basis in slices.items():
-        beta = len(basis) - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0)
+    for i, w in slices:
+        beta = _homology(slices, spaces, i, w)
         if beta:
             slots.setdefault(w, {})[w.bit_count() - i] = beta
     return {w: [dims.get(slot, 0) for slot in range(max(dims) + 1)]
@@ -234,7 +226,7 @@ def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,
     sv = survey(h)
     hyp_upper = sv.families_all_reduced(i, j)
     hyp_lower = sv.absorbing_families_stay_reduced(i, j)
-    out = {
+    return {
         "i": i,
         "j": j,
         "beta": an.betti(i, j),
@@ -245,7 +237,6 @@ def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,
         "lower": size if hyp_lower else None,
         "exact": size if hyp_upper and hyp_lower else None,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------

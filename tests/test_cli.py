@@ -8,8 +8,8 @@ import time
 import pytest
 
 from hyperbetti.cli import main
+from hyperbetti.limits import LYUBEZNIK_BUDGET
 from hyperbetti.linalg import PRIME_LIMIT, Field, parse_field
-from hyperbetti.taylor import LYUBEZNIK_BUDGET
 
 
 @pytest.fixture
@@ -86,7 +86,8 @@ def test_usage_errors_exit_two(argv, p3_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", ["-3", "abc"])
+# "²" is a digit to str.isdigit, but not a decimal that int() accepts
+@pytest.mark.parametrize("value", ["-3", "abc", "²"])
 def test_bad_cap_env_exits_two(value, p3_file, capsys, monkeypatch):
     monkeypatch.setenv("BETTI_CAP_N", value)
     assert main(["check", p3_file]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hyperbetti import limits
 from hyperbetti.errors import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -234,13 +235,15 @@ def test_witnesses_have_the_reported_class(p6, triple_overlap, c4):
         assert len(w["d2"]) == inv.self_semi_disjoint_max
 
 
-def test_survey_budget(p4):
+def test_survey_budget(p4, monkeypatch):
     star = build([f"v{i}" for i in range(18)], [(0, i) for i in range(1, 18)])
     with pytest.raises(BudgetExceeded):
         survey(star)
+    monkeypatch.setattr(limits, "FAMILY_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        survey(p4, budget=2)
-    assert survey(p4, budget=3).maxima["m"].value == 2
+        survey(p4)
+    monkeypatch.setattr(limits, "FAMILY_BUDGET", 3)
+    assert survey(p4).maxima["m"].value == 2
 
 
 def test_survey_hypothesis_flags(c3, p4):

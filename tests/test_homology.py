@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 import hyperbetti.homology as homology
+from hyperbetti import limits
 from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.generators import make_batch
@@ -111,12 +112,14 @@ def test_vertex_cap_enforced():
         betti_table(h)
 
 
-def test_explicit_cap_parameter(monkeypatch):
-    monkeypatch.setenv("BETTI_CAP_N", "3")
+def test_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.delenv("BETTI_CAP_N", raising=False)
+    monkeypatch.setattr(limits, "BETTI_CAP_N", 3)
     h = build(["a", "b", "c", "d"], [(0, 1), (2, 3)])
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="Betti cap 3"):
         betti_table(h)
-    assert betti_table(h, cap=4).get(2, 4) == 1
+    monkeypatch.setattr(limits, "BETTI_CAP_N", 4)
+    assert betti_table(h).get(2, 4) == 1
 
 
 def test_cap_env_override(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperbetti.taylor as taylor
+from hyperbetti import limits
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
 from hyperbetti.families import classify, survey
 from hyperbetti.generators import make_batch
@@ -69,12 +69,13 @@ def test_taylor_matches_hochster_random(h):
         assert betti_via_taylor(h, field).entries == betti_table(h, field).entries
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
     h = build([f"v{i}" for i in range(14)], [(0, i) for i in range(1, 14)])
     with pytest.raises(BudgetExceeded):
         analyze_taylor(h)
-    # the explicit cap overrides, and a star resolves like a simplex
-    assert betti_via_taylor(h, cap=13).get(13, 14) == 1
+    # a raised budget is read at call time, and a star resolves like a simplex
+    monkeypatch.setattr(limits, "TAYLOR_BUDGET", 13)
+    assert betti_via_taylor(h).get(13, 14) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +130,13 @@ def test_perfect_matching_is_a_koszul_complex(m):
 
 def test_symbol_budget_fails_fast(monkeypatch):
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=str(taylor.LYUBEZNIK_BUDGET)):
+    with pytest.raises(BudgetExceeded, match=str(limits.LYUBEZNIK_BUDGET)):
         betti_via_lyubeznik(matching(20))
     assert time.perf_counter() - start < 5.0
     # the 16 symbols of a 4-edge matching fit a budget of 16, not of 15
-    monkeypatch.setattr(taylor, "LYUBEZNIK_BUDGET", 16)
+    monkeypatch.setattr(limits, "LYUBEZNIK_BUDGET", 16)
     assert len(admissible_symbols(matching(4))) == 16
-    monkeypatch.setattr(taylor, "LYUBEZNIK_BUDGET", 15)
+    monkeypatch.setattr(limits, "LYUBEZNIK_BUDGET", 15)
     with pytest.raises(BudgetExceeded):
         admissible_symbols(matching(4))
 
