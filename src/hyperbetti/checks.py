@@ -9,6 +9,11 @@ campaign and shrinks the first failure.
 Each check names with ``_declare`` what it needs (see ``_NEEDS``); an
 unmet need makes it a ``skip`` with that need's reason, and an exception
 inside a check becomes its ``fail`` result while the others still run.
+The per-instance artifacts (restriction map, table, survey, invariants,
+Taylor analysis, triangulation test, recursive table) are built on first
+use, inside the check that first reads them, and kept. An artifact that
+raises is therefore a ``fail`` of each check that reads it, and shrinking
+a failure builds only what the failing check reads.
 
 The exact table is read off one restriction map: each vertex subset W
 with nonzero reduced homology of its independence complex, taken from
@@ -37,13 +42,12 @@ from math import comb
 from . import limits
 from .bitsets import bits_of, mask_of
 from .errors import CertificateError, ValidationError
-from .families import classify, compute_invariants, survey
+from .families import FamilySurvey, InvariantReport, classify, compute_invariants, survey
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
 from .homology import BettiTable, table_from_homology
 from .hypergraph import (
     Hypergraph,
-    build,
     delete_edge,
     induced_subhypergraph,
     is_triangulated,
@@ -61,6 +65,7 @@ from .splitting import (
 )
 from .taylor import (
     Certificate,
+    TaylorAnalysis,
     analyze_taylor,
     betti_via_lyubeznik,
     certify_nonvanishing,
@@ -132,53 +137,62 @@ def _fail(name: str, h: Hypergraph, message: str, checked: int = 0,
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items)
-        return [_jsonable(v) for v in items]
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
 class _Ctx:
-    """Shared per-instance artifacts, each computed at most once."""
+    """Shared per-instance artifacts, each built on first use and kept.
+
+    Each artifact is a cached property, None (``special``: False) above
+    its limit. Checks first read one inside their ``_declare`` entry, so
+    an artifact that raises (a raise is not cached) is a ``fail`` of each
+    check that reads it, and the other checks still run.
+    """
 
     def __init__(self, h: Hypergraph, field: Field, seed: int):
         self.h = h
         self.field = field
         self.seed = seed
         self.profile = uniformity_profile(h)
-        exact_ok = (h.n <= limits.vertex_cap(limits.EXACT_N_CAP)
-                    and h.m <= limits.EXACT_M_CAP)
-        survey_ok = h.m <= limits.FAMILY_BUDGET
-        self.hom = None
-        self.table = None
-        if exact_ok:
-            self.hom = lyubeznik_restrictions(h, field)
-            self.table = table_from_homology(self.hom, field, h.n)
-        self.sv = survey(h) if survey_ok else None
-        report = compute_invariants(h, precomputed=self.sv) if survey_ok else None
-        self.inv = report.as_dict() if report is not None else None
-        self.witnesses = report.witnesses if report is not None else None
-        self.taylor = (
-            analyze_taylor(h, field) if exact_ok and h.m <= limits.TAYLOR_BUDGET else None
-        )
-        self.special = (
-            self.profile.is_special_class
-            and self.profile.d is not None
-            and h.n <= limits.TRIANGULATED_CAP
-            and is_triangulated(h)
-        )
+        # Read here, so that a malformed BETTI_CAP_N is a usage error.
+        self.exact = (h.n <= limits.vertex_cap(limits.EXACT_N_CAP)
+                      and h.m <= limits.EXACT_M_CAP)
 
     @functools.cached_property
-    def recursive(self) -> BettiTable:
-        """Table by the splitting recursion; only for ``special`` instances.
+    def hom(self) -> dict[int, list[int]] | None:
+        return lyubeznik_restrictions(self.h, self.field) if self.exact else None
 
-        Built on first use, inside the check that asks, so a violation it
-        raises becomes that check's ``fail`` rather than escaping
-        ``run_checks``.
-        """
-        return betti_recursive(self.h, self.field)
+    @functools.cached_property
+    def table(self) -> BettiTable | None:
+        return None if self.hom is None else table_from_homology(self.hom, self.field, self.h.n)
+
+    @functools.cached_property
+    def sv(self) -> FamilySurvey | None:
+        return survey(self.h) if self.h.m <= limits.FAMILY_BUDGET else None
+
+    @functools.cached_property
+    def invariants(self) -> InvariantReport | None:
+        return None if self.sv is None else compute_invariants(self.h, precomputed=self.sv)
+
+    @functools.cached_property
+    def taylor(self) -> TaylorAnalysis | None:
+        within = self.exact and self.h.m <= limits.TAYLOR_BUDGET
+        return analyze_taylor(self.h, self.field) if within else None
+
+    @functools.cached_property
+    def special(self) -> bool:
+        """Whether the instance is a triangulated one of the restricted class."""
+        return (self.profile.is_special_class and self.profile.d is not None
+                and self.h.n <= limits.TRIANGULATED_CAP and is_triangulated(self.h))
+
+    @functools.cached_property
+    def recursive(self) -> BettiTable | None:
+        """Table by the splitting recursion, on ``special`` instances."""
+        return betti_recursive(self.h, self.field) if self.special else None
 
 
 def _skip(name: str, why: str) -> CheckResult:
@@ -208,19 +222,20 @@ def _declare(name: str, *needs: str):
 
     The body takes ``(ctx, name)``; the entry it becomes takes ``ctx``,
     skips with the first unmet need's reason, and turns any exception
-    from the body into a ``fail`` with a replayable instance. Both stay
-    inside the entry: wrappers around ``_CHECKS`` entries, such as a
-    tracer's, keep no function attributes.
+    from the gates or the body, such as an artifact that fails to build,
+    into a ``fail`` with a replayable instance. Both stay inside the
+    entry: wrappers around ``_CHECKS`` entries, such as a tracer's, keep
+    no function attributes.
     """
     gates = [_NEEDS[need] for need in needs]
 
     def wrap(body):
         @functools.wraps(body)
         def entry(ctx: _Ctx) -> CheckResult:
-            for holds, why in gates:
-                if not holds(ctx):
-                    return _skip(name, why.format(limits=limits))
             try:
+                for holds, why in gates:
+                    if not holds(ctx):
+                        return _skip(name, why.format(limits=limits))
                 return body(ctx, name)
             except Exception as exc:
                 return _fail(name, ctx.h, f"{type(exc).__name__}: {exc}")
@@ -257,7 +272,7 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("invariant-inequalities", "survey")
 def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.inv
+    v = ctx.invariants.as_dict()
     relations = (
         ("a<=m", v["a"] <= v["m"]),
         ("a<=b", v["a"] <= v["b"]),
@@ -277,7 +292,7 @@ def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("graph-identities", "survey", "graph")
 def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.inv
+    v = ctx.invariants.as_dict()
     if not (v["d_g"] == v["d1"] == v["d2"]):
         return _fail(name, ctx.h, f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
     if not (v["d_g_prime"] == v["d1_prime"] == v["d2_prime"]):
@@ -291,7 +306,7 @@ def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("uniform-spread-identity", "survey", "uniform")
 def _check_uniform_spread_identity(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.inv
+    v = ctx.invariants.as_dict()
     d = ctx.profile.d
     if v["d1_prime"] != (d - 1) * v["a"]:
         return _fail(name, ctx.h, f"d1' {v['d1_prime']} != (d-1)*a = {(d - 1) * v['a']}")
@@ -342,7 +357,7 @@ def _check_engine_agreement(ctx: _Ctx, name: str) -> CheckResult:
         if ctx.taylor.table().entries != ctx.table.entries:
             return _fail(name, ctx.h, "Taylor table differs from restriction-homology table")
         checked += 1
-    if ctx.special:
+    if ctx.recursive is not None:
         if ctx.recursive.entries != ctx.table.entries:
             return _fail(name, ctx.h, "recursive table differs from restriction-homology table",
                          checked)
@@ -370,7 +385,7 @@ def _check_induced_matching_slices(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("pd-reg-lower-bounds", "table", "survey")
 def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.inv
+    v = ctx.invariants.as_dict()
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
     bounds = [
         ("pd>=b", pd >= v["b"]),
@@ -398,7 +413,7 @@ def _check_lower_bound_certificates(ctx: _Ctx, name: str) -> CheckResult:
     )
     issued = []
     for key, kind in plans:
-        fam = ctx.witnesses[key]
+        fam = ctx.invariants.witnesses[key]
         if not fam:
             continue
         cert = Certificate(kind, tuple(fam), len(fam), chain_union(ctx.h, fam).bit_count())
@@ -469,7 +484,7 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("conditional-pd-cap", "table", "survey")
 def _check_conditional_pd_cap(ctx: _Ctx, name: str) -> CheckResult:
-    e = ctx.inv["e"]
+    e = ctx.invariants.self_contained_max
     if any(i >= e for (i, j) in ctx.sv.hyp1_violations):
         return _skip(name, "all-reduced hypothesis fails at or above e")
     pd = ctx.table.projective_dimension()
@@ -490,7 +505,7 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
     families = []
     seen = set()
     for key in ("a", "b", "c", "d2", "e"):
-        fam = tuple(sorted(ctx.witnesses[key]))
+        fam = tuple(sorted(ctx.invariants.witnesses[key]))
         if fam and fam not in seen:
             seen.add(fam)
             families.append(fam)
@@ -514,7 +529,7 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
                 f"family {fam}: reduced={cls.reduced} but family-first admissibility={front_ok}",
                 checked)
         checked += 1
-    ordered = ctx.witnesses.get("c", ())
+    ordered = ctx.invariants.witnesses.get("c", ())
     # Maximality under the family-first ordering needs a prefix member to
     # absorb, so it starts at two edges; a lone edge can sit inside an
     # admissible pair with any disjoint edge.
@@ -591,7 +606,7 @@ def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
                                                precomputed=ctx.sv)
     checked = 3
     if ctx.profile.d == 2 or ctx.h.m == 0:
-        v = ctx.inv
+        v = ctx.invariants.as_dict()
         if rep["pd"] != v["d_g"] or rep["reg"] != v["d_g_prime"]:
             return _fail(
                 name, ctx.h,
@@ -629,33 +644,35 @@ _CHECKS = (
 CHECK_NAMES = tuple(check.check_name for check in _CHECKS)
 
 
+def _meta(start: float, field: Field, extra: dict | None = None) -> dict:
+    """The part of a report that varies between runs."""
+    return {"runtime_ms": round((time.perf_counter() - start) * 1000, 3),
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "field": str(field), **(extra or {})}
+
+
 def run_checks(h: Hypergraph, field: Field = QQ, seed: int = 0) -> CampaignReport:
     """Run every applicable check on one instance."""
     start = time.perf_counter()
     ctx = _Ctx(h, field, seed)
     results = [check(ctx) for check in _CHECKS]
     failures = [r.counterexample for r in results if r.counterexample is not None]
-    meta = {
-        "runtime_ms": round((time.perf_counter() - start) * 1000, 3),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "field": str(field),
-    }
-    return CampaignReport(results, seed=seed, instances=1, failures=failures, meta=meta)
+    return CampaignReport(results, seed=seed, instances=1, failures=failures,
+                          meta=_meta(start, field))
 
 
 def check_still_fails(h: Hypergraph, name: str, field: Field, seed: int) -> bool:
     """Whether check ``name`` still fails on ``h``.
 
-    Runs the campaign's entries in order and stops at the first result
-    named ``name``. Entries are matched by their results, because
-    ``_CHECKS`` may be replaced or wrapped after import.
+    Runs only the entry at ``name``'s place in ``CHECK_NAMES``, on a
+    fresh context, so it builds only the artifacts that check reads. The
+    result's name must match too, because ``_CHECKS`` may be replaced or
+    wrapped after import.
     """
-    ctx = _Ctx(h, field, seed)
-    for check in _CHECKS:
-        result = check(ctx)
-        if result.name == name:
-            return result.status == "fail"
-    return False
+    if name not in CHECK_NAMES[:len(_CHECKS)]:
+        return False
+    result = _CHECKS[CHECK_NAMES.index(name)](_Ctx(h, field, seed))
+    return result.name == name and result.status == "fail"
 
 
 def shrink_failure(h: Hypergraph, name: str, field: Field = QQ, seed: int = 0) -> Hypergraph:
@@ -666,25 +683,14 @@ def shrink_failure(h: Hypergraph, name: str, field: Field = QQ, seed: int = 0) -
     deletion.
     """
     current = h
-    improved = True
-    while improved:
-        improved = False
-        for s in range(current.m):
-            candidate = delete_edge(current, s)
-            if check_still_fails(candidate, name, field, seed):
-                current = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for x in range(current.n):
-            candidate, _ = induced_subhypergraph(
-                current, [v for v in range(current.n) if v != x])
-            if check_still_fails(candidate, name, field, seed):
-                current = candidate
-                improved = True
-                break
-    return current
+    while True:
+        candidates = [delete_edge(current, s) for s in range(current.m)] + [
+            induced_subhypergraph(current, [v for v in range(current.n) if v != x])[0]
+            for x in range(current.n)]
+        step = next((c for c in candidates if check_still_fails(c, name, field, seed)), None)
+        if step is None:
+            return current
+        current = step
 
 
 def _merge_results(per_instance: list[CampaignReport]) -> list[CheckResult]:
@@ -711,10 +717,8 @@ def _merge_results(per_instance: list[CampaignReport]) -> list[CheckResult]:
     return [merged[name] for name in CHECK_NAMES]
 
 
-def _fuzz_one(args) -> CampaignReport:
-    payload, field, child_seed = args
-    h = build(payload["vertices"], [tuple(e) for e in payload["edges"]])
-    return run_checks(h, field, seed=child_seed)
+def _fuzz_one(task: tuple[Hypergraph, Field, int]) -> CampaignReport:
+    return run_checks(*task)
 
 
 def run_fuzz(class_spec: str, n: int, m: int, count: int, seed: int,
@@ -733,37 +737,27 @@ def run_fuzz(class_spec: str, n: int, m: int, count: int, seed: int,
     jobs = min(jobs, os.cpu_count() or 1, count)
     start = time.perf_counter()
     instances = make_batch(class_spec, n, m, count, seed)
-    tasks = [
-        (instance_payload(h), field, derive_seed(seed, k))
-        for k, h in enumerate(instances)
-    ]
+    tasks = [(h, field, derive_seed(seed, k)) for k, h in enumerate(instances)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Workers take the caller's limits, whether forked or spawned.
+        with ProcessPoolExecutor(max_workers=jobs, initializer=limits.assign,
+                                 initargs=(limits.current(),)) as pool:
             reports = list(pool.map(_fuzz_one, tasks))
     else:
         reports = [_fuzz_one(task) for task in tasks]
-    checks = _merge_results(reports)
     failures = []
-    for k, report in enumerate(reports):
-        for result in report.checks:
-            if result.status == "fail" and not failures:
-                shrunk = shrink_failure(instances[k], result.name, field,
-                                        seed=derive_seed(seed, k))
-                failures.append({
-                    "check": result.name,
-                    "index": k,
-                    "seed": derive_seed(seed, k),
-                    "instance": instance_payload(instances[k]),
-                    "shrunk": instance_payload(shrunk),
-                    "message": result.detail,
-                })
-    meta = {
-        "runtime_ms": round((time.perf_counter() - start) * 1000, 3),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "field": str(field),
-        "class": class_spec,
-        "vertices": n,
-        "edges": m,
-    }
-    return CampaignReport(checks, seed=seed, instances=count, failures=failures,
-                          meta=meta)
+    for k, (h, _, child_seed) in enumerate(tasks):
+        result = next((r for r in reports[k].checks if r.status == "fail"), None)
+        if result is not None:
+            failures.append({
+                "check": result.name,
+                "index": k,
+                "seed": child_seed,
+                "instance": instance_payload(h),
+                "shrunk": instance_payload(shrink_failure(h, result.name, field, child_seed)),
+                "message": result.detail,
+            })
+            break
+    meta = _meta(start, field, {"class": class_spec, "vertices": n, "edges": m})
+    return CampaignReport(_merge_results(reports), seed=seed, instances=count,
+                          failures=failures, meta=meta)

@@ -885,9 +885,4 @@ def bouquets_to_family(h: Hypergraph, bouquets) -> tuple[int, ...]:
         seen |= vm
     if _stem_selection(h, bouquets) is None:
         raise NotStronglyDisjoint("no stem choice forms an induced matching")
-    edge_index = {mask: s for s, mask in enumerate(h.edges)}
-    fam = []
-    for b in bouquets:
-        for a, c in b.stems():
-            fam.append(edge_index[(1 << a) | (1 << c)])
-    return tuple(sorted(fam))
+    return _stem_family(h, bouquets)

@@ -12,7 +12,8 @@ TRIANGULATED_CAP  vertices for triangulation tests, over neighborhood subsets
 
 A vertex cap raises ``SizeCapExceeded`` and a budget ``BudgetExceeded``;
 the CLI exits 2 on either. Modules read ``limits.NAME`` when called, so
-assigning one here changes it for the whole package. The only user
+assigning one here changes it for the whole package; ``current`` and
+``assign`` carry the assigned values into another process. The only user
 setting is the ``BETTI_CAP_N`` environment variable, which
 ``vertex_cap`` puts in place of both vertex caps of the exact tables.
 """
@@ -43,3 +44,13 @@ def vertex_cap(default: int) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValidationError(f"BETTI_CAP_N must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def current() -> dict[str, int]:
+    """Every limit's value now, by name."""
+    return {name: value for name, value in globals().items() if name.isupper()}
+
+
+def assign(values: dict[str, int]) -> None:
+    """Set limits by name, as ``current`` gave them."""
+    globals().update(values)

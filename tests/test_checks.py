@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
 import hyperbetti.checks as checks
+from hyperbetti import limits
 from hyperbetti.checks import (
     CHECK_NAMES,
     CampaignReport,
@@ -255,7 +260,7 @@ def test_check_still_fails_stops_at_the_named_check(monkeypatch):
     h = path_graph(4)
     target = "engine-agreement"
     assert not check_still_fails(h, target, QQ, 0)
-    assert ran == list(CHECK_NAMES[: CHECK_NAMES.index(target) + 1])
+    assert ran == [target]
     assert not check_still_fails(h, "no-such-check", QQ, 0)
     # a failure of another check does not count
     passing = CHECK_NAMES[1]
@@ -286,3 +291,91 @@ def test_campaign_builds_no_hochster_map(monkeypatch):
         assert report.ok, report.failures
         statuses = {r.name: r.status for r in report.checks}
         assert all(statuses[name] == "pass" for name in exercised), statuses
+
+
+def _raise_injected(*args, **kwargs):
+    raise ZeroDivisionError("injected")
+
+
+# Checks of path_graph(4) that read each artifact, directly or through
+# another artifact built from it.
+_READERS = {
+    "survey": {
+        "implication-chain", "invariant-inequalities", "graph-identities",
+        "uniform-spread-identity", "induced-matching-slices", "pd-reg-lower-bounds",
+        "lower-bound-certificates", "basis-sandwich", "conditional-slice-bounds",
+        "conditional-pd-cap", "admissibility-orderings", "matching-persistence",
+        "split-extension", "disjointness-characterization"},
+    "lyubeznik_restrictions": {
+        "degree-window", "restriction-monotonicity", "engine-agreement",
+        "induced-matching-slices", "pd-reg-lower-bounds", "lower-bound-certificates",
+        "conditional-slice-bounds", "conditional-pd-cap", "splitting-recursion"},
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(_READERS))
+def test_a_raising_artifact_fails_only_its_readers(artifact, monkeypatch):
+    monkeypatch.setattr(checks, artifact, _raise_injected)
+    h = path_graph(4)
+    report = run_checks(h)
+    assert [r.name for r in report.checks] == list(CHECK_NAMES)
+    failed = {r.name: r for r in report.checks if r.status == "fail"}
+    assert set(failed) == _READERS[artifact]
+    for result in failed.values():
+        assert result.detail == "ZeroDivisionError: injected"
+        again = parse_json(json.dumps(result.counterexample["instance"]))
+        assert again.labels == h.labels and again.edges == h.edges
+    assert len(report.failures) == len(failed)
+    assert sum(r.status == "pass" for r in report.checks) > 0
+    fuzzed = run_fuzz("general", 5, 4, count=3, seed=1)
+    first = next(name for name in CHECK_NAMES if name in _READERS[artifact])
+    failure = fuzzed.failures[0]
+    assert failure["check"] == first
+    assert failure["message"] == "ZeroDivisionError: injected"
+    # the artifact raises on every instance, so shrinking reaches the empty hypergraph
+    assert parse_json(json.dumps(failure["shrunk"])).n == 0
+
+
+def test_check_still_fails_builds_only_what_the_check_reads(monkeypatch):
+    called = []
+
+    def refuse(name):
+        def engine(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"degree-window built {name}")
+        return engine
+
+    for name in ("survey", "compute_invariants", "analyze_taylor",
+                 "is_triangulated", "betti_recursive"):
+        monkeypatch.setattr(checks, name, refuse(name))
+    for h in (path_graph(4), cycle_graph(5), make_batch("general", 8, 8, 1, 41)[0]):
+        assert not check_still_fails(h, "degree-window", QQ, 0)
+    assert called == []
+
+
+def test_context_builds_no_artifact(monkeypatch):
+    # every engine the campaign imports, except the profile __init__ keeps
+    engines = [name for name, value in vars(checks).items()
+               if inspect.isfunction(value) and value.__module__ != checks.__name__
+               and value.__module__.startswith("hyperbetti.")
+               and name != "uniformity_profile"]
+    assert {"lyubeznik_restrictions", "survey", "analyze_taylor",
+            "is_triangulated", "betti_recursive"} <= set(engines)
+    for name in engines:
+        monkeypatch.setattr(checks, name, _raise_injected)
+    for field in FIELDS:
+        ctx = _Ctx(path_graph(4), field, 0)
+        with pytest.raises(ZeroDivisionError):
+            ctx.sv
+
+
+def test_spawned_workers_take_the_callers_limits(monkeypatch):
+    monkeypatch.setattr(checks, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn")))
+    monkeypatch.setattr(limits, "FAMILY_BUDGET", 0)
+    serial = run_fuzz("general", 5, 4, 2, 3, jobs=1).as_dict()
+    parallel = run_fuzz("general", 5, 4, 2, 3, jobs=2).as_dict()
+    serial.pop("meta"), parallel.pop("meta")
+    assert serial == parallel
+    statuses = {r["name"]: r["status"] for r in serial["checks"]}
+    assert statuses["invariant-inequalities"] == "skip"
