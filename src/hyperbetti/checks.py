@@ -42,7 +42,16 @@ from math import comb
 from . import limits
 from .bitsets import bits_of, mask_of
 from .errors import CertificateError, ValidationError
-from .families import FamilySurvey, InvariantReport, classify, compute_invariants, survey
+from .families import (
+    FamilySurvey,
+    InvariantReport,
+    _classification,
+    _Kernel,
+    _union_table,
+    classify,
+    compute_invariants,
+    survey,
+)
 from .formats import instance_payload
 from .generators import derive_seed, make_batch
 from .homology import BettiTable, table_from_homology
@@ -144,16 +153,37 @@ def _jsonable(value):
     return value
 
 
+def _artifact(build):
+    """A property of ``_Ctx`` built on first read and kept, and so is a
+    raise: every later read raises the same exception again."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def read(ctx):
+        if name not in ctx.built:
+            try:
+                ctx.built[name] = (build(ctx), None)
+            except Exception as exc:
+                ctx.built[name] = (None, exc)
+        value, exc = ctx.built[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(read)
+
+
 class _Ctx:
     """Shared per-instance artifacts, each built on first use and kept.
 
-    Each artifact is a cached property, None (``special``: False) above
+    Each artifact is an ``_artifact``, None (``special``: False) above
     its limit. Checks first read one inside their ``_declare`` entry, so
-    an artifact that raises (a raise is not cached) is a ``fail`` of each
+    an artifact that raises is built once and is a ``fail`` of each
     check that reads it, and the other checks still run.
     """
 
     def __init__(self, h: Hypergraph, field: Field, seed: int):
+        self.built: dict[str, tuple] = {}
         self.h = h
         self.field = field
         self.seed = seed
@@ -162,34 +192,34 @@ class _Ctx:
         self.exact = (h.n <= limits.vertex_cap(limits.EXACT_N_CAP)
                       and h.m <= limits.EXACT_M_CAP)
 
-    @functools.cached_property
+    @_artifact
     def hom(self) -> dict[int, list[int]] | None:
         return lyubeznik_restrictions(self.h, self.field) if self.exact else None
 
-    @functools.cached_property
+    @_artifact
     def table(self) -> BettiTable | None:
         return None if self.hom is None else table_from_homology(self.hom, self.field, self.h.n)
 
-    @functools.cached_property
+    @_artifact
     def sv(self) -> FamilySurvey | None:
         return survey(self.h) if self.h.m <= limits.FAMILY_BUDGET else None
 
-    @functools.cached_property
+    @_artifact
     def invariants(self) -> InvariantReport | None:
         return None if self.sv is None else compute_invariants(self.h, precomputed=self.sv)
 
-    @functools.cached_property
+    @_artifact
     def taylor(self) -> TaylorAnalysis | None:
         within = self.exact and self.h.m <= limits.TAYLOR_BUDGET
         return analyze_taylor(self.h, self.field) if within else None
 
-    @functools.cached_property
+    @_artifact
     def special(self) -> bool:
         """Whether the instance is a triangulated one of the restricted class."""
         return (self.profile.is_special_class and self.profile.d is not None
                 and self.h.n <= limits.TRIANGULATED_CAP and is_triangulated(self.h))
 
-    @functools.cached_property
+    @_artifact
     def recursive(self) -> BettiTable | None:
         """Table by the splitting recursion, on ``special`` instances."""
         return betti_recursive(self.h, self.field) if self.special else None
@@ -249,10 +279,11 @@ def _declare(name: str, *needs: str):
 @_declare("implication-chain", "survey", "edge-cap")
 def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
     h = ctx.h
+    kernel = _Kernel(h.edges, _union_table(h.edges))
     checked = 0
     for bits in range(1, 1 << h.m):
         fam = tuple(bits_of(bits))
-        cls = classify(h, fam)
+        cls = _classification(kernel, fam)
         rules = (
             ("induced->matching", not cls.induced or cls.matching),
             ("induced->self_semi_induced", not cls.induced or cls.self_semi_induced),
@@ -272,7 +303,7 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("invariant-inequalities", "survey")
 def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.invariants.as_dict()
+    v = ctx.invariants.values
     relations = (
         ("a<=m", v["a"] <= v["m"]),
         ("a<=b", v["a"] <= v["b"]),
@@ -292,7 +323,7 @@ def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("graph-identities", "survey", "graph")
 def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.invariants.as_dict()
+    v = ctx.invariants.values
     if not (v["d_g"] == v["d1"] == v["d2"]):
         return _fail(name, ctx.h, f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
     if not (v["d_g_prime"] == v["d1_prime"] == v["d2_prime"]):
@@ -306,7 +337,7 @@ def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("uniform-spread-identity", "survey", "uniform")
 def _check_uniform_spread_identity(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.invariants.as_dict()
+    v = ctx.invariants.values
     d = ctx.profile.d
     if v["d1_prime"] != (d - 1) * v["a"]:
         return _fail(name, ctx.h, f"d1' {v['d1_prime']} != (d-1)*a = {(d - 1) * v['a']}")
@@ -385,7 +416,7 @@ def _check_induced_matching_slices(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("pd-reg-lower-bounds", "table", "survey")
 def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
-    v = ctx.invariants.as_dict()
+    v = ctx.invariants.values
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
     bounds = [
         ("pd>=b", pd >= v["b"]),
@@ -484,7 +515,7 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("conditional-pd-cap", "table", "survey")
 def _check_conditional_pd_cap(ctx: _Ctx, name: str) -> CheckResult:
-    e = ctx.invariants.self_contained_max
+    e = ctx.invariants.values["e"]
     if any(i >= e for (i, j) in ctx.sv.hyp1_violations):
         return _skip(name, "all-reduced hypothesis fails at or above e")
     pd = ctx.table.projective_dimension()
@@ -606,7 +637,7 @@ def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
                                                precomputed=ctx.sv)
     checked = 3
     if ctx.profile.d == 2 or ctx.h.m == 0:
-        v = ctx.invariants.as_dict()
+        v = ctx.invariants.values
         if rep["pd"] != v["d_g"] or rep["reg"] != v["d_g_prime"]:
             return _fail(
                 name, ctx.h,

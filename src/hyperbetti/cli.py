@@ -49,9 +49,8 @@ def _family(text: str, h: Hypergraph) -> tuple[int, ...]:
 def cmd_invariants(args) -> int:
     h = _load(args.file)
     rep = compute_invariants(h)
-    values = rep.as_dict()
-    witnesses = {k: list(v) for k, v in rep.witnesses.items() if not isinstance(v, dict)}
-    for key, value in values.items():
+    witnesses = {k: list(v) for k, v in rep.witnesses.items()}
+    for key, value in rep.values.items():
         if key == "a_t":
             for t, count in sorted(value.items()):
                 print(f"a_{t:<8} = {count}")
@@ -59,8 +58,7 @@ def cmd_invariants(args) -> int:
         wit = witnesses.get(key)
         suffix = f"   (witness edges: {' '.join(map(str, wit))})" if wit else ""
         print(f"{key:<10} = {value}{suffix}")
-    payload = {"invariants": {k: v for k, v in values.items()},
-               "witnesses": witnesses}
+    payload = {"invariants": rep.values, "witnesses": witnesses}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

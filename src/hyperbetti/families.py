@@ -340,7 +340,11 @@ def classify(h: Hypergraph, fam) -> FamilyClassification:
     """Evaluate every family class on ``fam`` (order matters only for the
     ordered class, which is tested in the given order)."""
     fam = _validate_family(h, fam)
-    kernel = _family_kernel(h, fam)
+    return _classification(_family_kernel(h, fam), fam)
+
+
+def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassification:
+    """``classify`` on a valid family, with any kernel of its hypergraph."""
     bits = mask_of(fam)
     reduced = not kernel.absorbed(bits)
     matching = kernel.matching(bits)
@@ -397,7 +401,6 @@ class _Max:
 class FamilySurvey:
     """Aggregated facts about every edge family of a hypergraph."""
 
-    h: Hypergraph
     types: dict[str, set[tuple[int, int]]]
     counts_ssi: dict[tuple[int, int], int]
     counts_scsi: dict[tuple[int, int], int]
@@ -537,7 +540,6 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["c_prime"].offer(j - i, fam)
 
     return FamilySurvey(
-        h=h,
         types=types,
         counts_ssi=counts_ssi,
         counts_scsi=counts_scsi,
@@ -592,98 +594,52 @@ def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """The thirteen matching-type invariants with witnesses.
+    """The matching-type invariants of a hypergraph, with witnesses.
 
-    Bouquet values ``d_g`` and ``d_g_prime`` are filled for graphs only.
-    Every value is 0 with an empty witness when no nonempty family of
-    the class exists.
+    ``values`` maps each invariant's short name to its value, in the
+    order m, a, a_t, b, b_prime, c, c_prime, d1, d2, d1_prime, d2_prime,
+    e, then d_g and d_g_prime for graphs (and the edgeless hypergraph).
+    ``a_t`` is itself a dict: for each edge size t, the induced matching
+    number among the edges of size t.
+
+    ``witnesses`` maps the same names, except ``a_t``, to a family that
+    attains the value: its sorted edge indices, ``c`` and ``c_prime`` in
+    their least self-ordered order, and ``d_g`` and ``d_g_prime`` the
+    stems of an extremal bouquet set. Each t of ``a_t`` has its own key
+    ``a_<t>``. A value is 0 with an empty witness when no nonempty family
+    of its class exists.
     """
 
-    matching_number: int
-    induced_matching_number: int
-    induced_matching_by_size: dict[int, int]
-    self_semi_induced_max: int
-    self_semi_induced_spread: int
-    self_ordered_max: int
-    self_ordered_spread: int
-    self_disjoint_max: int
-    self_semi_disjoint_max: int
-    self_disjoint_spread: int
-    self_semi_disjoint_spread: int
-    self_contained_max: int
+    values: dict[str, int | dict[int, int]]
     witnesses: dict[str, tuple[int, ...]]
-    d_g: int | None = None
-    d_g_prime: int | None = None
-    bouquet_witness: tuple | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "m": self.matching_number,
-            "a": self.induced_matching_number,
-            "a_t": dict(self.induced_matching_by_size),
-            "b": self.self_semi_induced_max,
-            "b_prime": self.self_semi_induced_spread,
-            "c": self.self_ordered_max,
-            "c_prime": self.self_ordered_spread,
-            "d1": self.self_disjoint_max,
-            "d2": self.self_semi_disjoint_max,
-            "d1_prime": self.self_disjoint_spread,
-            "d2_prime": self.self_semi_disjoint_spread,
-            "e": self.self_contained_max,
-        }
-        if self.d_g is not None:
-            out["d_g"] = self.d_g
-            out["d_g_prime"] = self.d_g_prime
-        return out
+        return dict(self.values)
 
 
 def compute_invariants(h: Hypergraph, *, precomputed: FamilySurvey | None = None) -> InvariantReport:
     """All matching-type invariants of ``h`` by exhaustive enumeration."""
     sv = precomputed if precomputed is not None else survey(h)
-    mx = sv.maxima
-    witnesses = {name: mx[name].witness for name in mx}
-    a_t = {t: tracker.value for t, tracker in sv.maxima_a_t.items()}
-    for t, tracker in sv.maxima_a_t.items():
-        witnesses[f"a_{t}"] = tracker.witness
+    values: dict[str, int | dict[int, int]] = {}
+    witnesses: dict[str, tuple[int, ...]] = {}
+    for name, best in sv.maxima.items():
+        values[name], witnesses[name] = best.value, best.witness
+        if name == "a":
+            values["a_t"] = {t: by_size.value for t, by_size in sv.maxima_a_t.items()}
+    for t, by_size in sv.maxima_a_t.items():
+        witnesses[f"a_{t}"] = by_size.witness
 
-    c_val = mx["c"].value
-    if c_val > 1:
-        order = self_ordered_witness(h, mx["c"].witness)
-        if order is not None:
-            witnesses["c"] = order
-    if mx["c_prime"].value > 1 and len(mx["c_prime"].witness) > 1:
-        order = self_ordered_witness(h, mx["c_prime"].witness)
-        if order is not None:
-            witnesses["c_prime"] = order
+    # survey witnesses are sorted; list the ordered class's in an order it holds in
+    for name in ("c", "c_prime"):
+        if len(witnesses[name]) > 1:
+            witnesses[name] = self_ordered_witness(h, witnesses[name]) or witnesses[name]
 
-    d_g = d_g_prime = None
-    bouquet_witness = None
-    prof = uniformity_profile(h)
-    if prof.d == 2 or h.m == 0:
+    if uniformity_profile(h).d == 2 or h.m == 0:
         rep = bouquet_invariants(h)
-        d_g, d_g_prime = rep.total_flowers, rep.bouquet_count
-        bouquet_witness = rep.witness_flowers
+        values["d_g"], values["d_g_prime"] = rep.total_flowers, rep.bouquet_count
         witnesses["d_g"] = _stem_family(h, rep.witness_flowers)
         witnesses["d_g_prime"] = _stem_family(h, rep.witness_count)
-
-    return InvariantReport(
-        matching_number=mx["m"].value,
-        induced_matching_number=mx["a"].value,
-        induced_matching_by_size=a_t,
-        self_semi_induced_max=mx["b"].value,
-        self_semi_induced_spread=mx["b_prime"].value,
-        self_ordered_max=mx["c"].value,
-        self_ordered_spread=mx["c_prime"].value,
-        self_disjoint_max=mx["d1"].value,
-        self_semi_disjoint_max=mx["d2"].value,
-        self_disjoint_spread=mx["d1_prime"].value,
-        self_semi_disjoint_spread=mx["d2_prime"].value,
-        self_contained_max=mx["e"].value,
-        witnesses=witnesses,
-        d_g=d_g,
-        d_g_prime=d_g_prime,
-        bouquet_witness=bouquet_witness,
-    )
+    return InvariantReport(values, witnesses)
 
 
 def _stem_family(h: Hypergraph, bouquets) -> tuple[int, ...]:

@@ -58,9 +58,6 @@ class BettiTable:
     def regularity(self) -> int:
         return max((j - i for i, j in self.entries), default=0)
 
-    def rows(self) -> list[tuple[int, int, int]]:
-        return sorted((i, j, v) for (i, j), v in self.entries.items())
-
     def __str__(self) -> str:
         if not self.entries:
             return "(zero table)"

@@ -336,6 +336,22 @@ def test_a_raising_artifact_fails_only_its_readers(artifact, monkeypatch):
     assert parse_json(json.dumps(failure["shrunk"])).n == 0
 
 
+def test_a_raising_artifact_is_built_once(monkeypatch):
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(args)
+        _raise_injected()
+
+    monkeypatch.setattr(checks, "survey", raising)
+    report = run_checks(path_graph(4))
+    assert len(calls) == 1
+    failed = [r for r in report.checks if r.status == "fail"]
+    assert len(failed) == 14
+    assert {r.name for r in failed} == _READERS["survey"]
+    assert all(r.detail == "ZeroDivisionError: injected" for r in failed)
+
+
 def test_check_still_fails_builds_only_what_the_check_reads(monkeypatch):
     called = []
 

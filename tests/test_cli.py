@@ -126,6 +126,27 @@ def test_invariants_output(p6_file, capsys):
     assert payload["witnesses"]["b"]
 
 
+def test_invariants_text_lines(p6_file, capsys):
+    assert main(["invariants", p6_file]) == 0
+    out = capsys.readouterr().out
+    assert out[:out.index("{")].splitlines() == [
+        "m          = 3   (witness edges: 0 2 4)",
+        "a          = 2   (witness edges: 0 3)",
+        "a_2        = 2",
+        "b          = 3   (witness edges: 0 1 4)",
+        "b_prime    = 2   (witness edges: 0 1 4)",
+        "c          = 4   (witness edges: 0 1 3 4)",
+        "c_prime    = 2   (witness edges: 0 1 3 4)",
+        "d1         = 4   (witness edges: 0 1 3 4)",
+        "d2         = 4   (witness edges: 0 1 3 4)",
+        "d1_prime   = 2   (witness edges: 0 1 3)",
+        "d2_prime   = 2   (witness edges: 0 1 3)",
+        "e          = 4   (witness edges: 0 1 3 4)",
+        "d_g        = 4   (witness edges: 0 1 3 4)",
+        "d_g_prime  = 2   (witness edges: 0 3)",
+    ]
+
+
 def test_classify_flags(c4_file, capsys):
     assert main(["classify", c4_file, "--family", "0 2"]) == 0
     out = json.loads(capsys.readouterr().out)

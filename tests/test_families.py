@@ -231,8 +231,8 @@ def test_witnesses_have_the_reported_class(p6, triple_overlap, c4):
         assert classify(h, w["d2"]).self_semi_disjoint
         assert classify(h, w["e"]).self_contained
         assert is_self_ordered(h, w["c"])
-        assert len(w["a"]) == inv.induced_matching_number
-        assert len(w["d2"]) == inv.self_semi_disjoint_max
+        assert len(w["a"]) == inv.values["a"]
+        assert len(w["d2"]) == inv.values["d2"]
 
 
 def test_survey_budget(p4, monkeypatch):
@@ -470,6 +470,6 @@ def test_self_disjoint_families_translate_to_bouquets(h):
 def test_longer_path_stem_families_match_invariants():
     h = path_graph(8)
     inv = compute_invariants(h)
-    assert inv.d_g == len(inv.witnesses["d_g"])
+    assert inv.values["d_g"] == len(inv.witnesses["d_g"])
     cls = classify(h, inv.witnesses["d_g"])
     assert cls.self_disjoint
