@@ -10,10 +10,10 @@ Each check names with ``_declare`` what it needs (see ``_NEEDS``); an
 unmet need makes it a ``skip`` with that need's reason, and an exception
 inside a check becomes its ``fail`` result while the others still run.
 The per-instance artifacts (restriction map, table, survey, invariants,
-Taylor analysis, triangulation test, recursive table) are built on first
-use, inside the check that first reads them, and kept. An artifact that
-raises is therefore a ``fail`` of each check that reads it, and shrinking
-a failure builds only what the failing check reads.
+Taylor analysis, triangulation test, split, recursive table) are built
+on first use, inside the check that first reads them, and kept. An
+artifact that raises is therefore a ``fail`` of each check that reads
+it, and shrinking a failure builds only what the failing check reads.
 
 The exact table is read off one restriction map: each vertex subset W
 with nonzero reduced homology of its independence complex, taken from
@@ -37,7 +37,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
-from math import comb
 
 from . import limits
 from .bitsets import bits_of, mask_of
@@ -46,8 +45,7 @@ from .families import (
     FamilySurvey,
     InvariantReport,
     _classification,
-    _Kernel,
-    _union_table,
+    _sweep_kernel,
     classify,
     compute_invariants,
     survey,
@@ -66,8 +64,8 @@ from .linalg import QQ, Field
 from .splitting import (
     SplittingDecomposition,
     betti_recursive,
-    find_simplicial_vertex,
     split,
+    split_sum,
     verify_disjointness_characterization,
     verify_matching_persistence,
     verify_split_extension,
@@ -220,6 +218,11 @@ class _Ctx:
                 and self.h.n <= limits.TRIANGULATED_CAP and is_triangulated(self.h))
 
     @_artifact
+    def dec(self) -> SplittingDecomposition | None:
+        """The split at the least simplicial vertex, on ``special`` instances."""
+        return split(self.h) if self.special else None
+
+    @_artifact
     def recursive(self) -> BettiTable | None:
         """Table by the splitting recursion, on ``special`` instances."""
         return betti_recursive(self.h, self.field) if self.special else None
@@ -279,7 +282,7 @@ def _declare(name: str, *needs: str):
 @_declare("implication-chain", "survey", "edge-cap")
 def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
     h = ctx.h
-    kernel = _Kernel(h.edges, _union_table(h.edges))
+    kernel = _sweep_kernel(h)
     checked = 0
     for bits in range(1, 1 << h.m):
         fam = tuple(bits_of(bits))
@@ -589,25 +592,23 @@ def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, B
             table_from_homology(ctx.hom, ctx.field, ctx.h.n, within=keep))
 
 
-@_declare("splitting-recursion", "special", "edges", "table")
+@_declare("splitting-recursion", "special", "table")
 def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
-    dec = split(ctx.h)
-    t, d = dec.t, dec.d
+    dec = ctx.dec
     tab1, tab2 = _split_tables(ctx, dec)
+    rhs_entries = split_sum(dec, tab1.entries, tab2.entries)
     checked = 0
     for i in range(ctx.h.m + 2):
         for j in range(ctx.h.n + 1):
             lhs = ctx.table.get(i, j)
-            rhs = tab1.get(i, j)
-            for ell in range(i):
-                rhs += comb(t, ell) * tab2.get(i - 1 - ell, j - d - ell)
+            rhs = rhs_entries.get((i, j), 0)
             if lhs != rhs:
                 return _fail(
                     name, ctx.h,
                     f"recursion mismatch at ({i},{j}): table {lhs}, split sum {rhs}",
                     checked)
             checked += 1
-        collapsed = tab1.get(i, ctx.h.n) + tab2.get(i - 1 - t, ctx.h.n - d - t)
+        collapsed = tab1.get(i, ctx.h.n) + tab2.get(i - 1 - dec.t, ctx.h.n - dec.d - dec.t)
         if ctx.table.get(i, ctx.h.n) != collapsed:
             return _fail(
                 name, ctx.h,
@@ -616,19 +617,16 @@ def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-@_declare("matching-persistence", "special", "edges", "survey")
+@_declare("matching-persistence", "special", "survey")
 def _check_matching_persistence(ctx: _Ctx, name: str) -> CheckResult:
-    x = find_simplicial_vertex(ctx.h)
-    s = next(s for s in range(ctx.h.m) if ctx.h.edge_mask(s) >> x & 1)
-    count = verify_matching_persistence(ctx.h, x, s)
-    return CheckResult(name, "pass", count, witness={"x": x, "s": s})
+    count = verify_matching_persistence(ctx.h, ctx.dec)
+    return CheckResult(name, "pass", count, witness={"x": ctx.dec.x, "s": ctx.dec.s})
 
 
-@_declare("split-extension", "special", "edges", "survey")
+@_declare("split-extension", "special", "survey")
 def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
-    dec = split(ctx.h)
-    count = verify_split_extension(ctx.h, dec)
-    return CheckResult(name, "pass", count, witness={"x": dec.x, "s": dec.s})
+    count = verify_split_extension(ctx.h, ctx.dec)
+    return CheckResult(name, "pass", count, witness={"x": ctx.dec.x, "s": ctx.dec.s})
 
 
 @_declare("disjointness-characterization", "special", "survey")
@@ -636,7 +634,7 @@ def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
     rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
                                                precomputed=ctx.sv)
     checked = 3
-    if ctx.profile.d == 2 or ctx.h.m == 0:
+    if ctx.profile.d == 2:
         v = ctx.invariants.values
         if rep["pd"] != v["d_g"] or rep["reg"] != v["d_g_prime"]:
             return _fail(

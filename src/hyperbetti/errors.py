@@ -58,14 +58,6 @@ class NotTriangulated(ValidationError):
     """Some induced subhypergraph has no simplicial vertex."""
 
 
-class NotStronglyDisjoint(ValidationError):
-    """The given bouquets do not form a strongly disjoint set."""
-
-
-class NotSelfDisjoint(ValidationError):
-    """The given family is not self disjoint, so it has no bouquet form."""
-
-
 class CapExceeded(HyperbettiError):
     """An input is larger than the configured size cap."""
 

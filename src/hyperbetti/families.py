@@ -30,8 +30,8 @@ is the degenerate witness of value 0 for each invariant.
 
 Inside the package a family is also an edge bitmask, bit s standing for
 edge index s, and every class predicate above lives once, in
-``_Kernel``: ``classify``, ``survey``, the Taylor engine and the bouquet
-translation all call it.
+``_Kernel``: ``classify``, ``survey``, the bouquet search, the Taylor
+engine and the campaign's family sweeps all call it.
 """
 
 from __future__ import annotations
@@ -41,14 +41,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import limits
 from .bitsets import bits_of, mask_of, tuple_of
-from .errors import (
-    BudgetExceeded,
-    NotAGraph,
-    NotSelfDisjoint,
-    NotStronglyDisjoint,
-    ValidationError,
-    ViolationFound,
-)
+from .errors import BudgetExceeded, NotAGraph, ValidationError
 from .hypergraph import Hypergraph, uniformity_profile
 
 
@@ -72,26 +65,18 @@ class _Unions(dict):
         return u
 
 
-def _union_table(masks) -> list[int]:
-    """Vertex union of every edge family, indexed by edge bitmask."""
-    union = [0] * (1 << len(masks))
-    for bits in range(1, len(union)):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | masks[low.bit_length() - 1]
-    return union
-
-
 class _Kernel:
     """The family-class predicates of one hypergraph.
 
     ``masks`` are the edges' vertex masks and ``union[bits]`` the vertex
-    union of the family ``bits``: a full ``_union_table`` for a sweep over
-    every family, or by default a ``_Unions`` filled on demand. Each
-    predicate tests one condition of the module docstring on its own; a
-    class that also asks for a reduced family is the conjunction with
-    ``not absorbed(bits)``, taken by the caller. The ordered class has
-    two tests: ``ordered_in`` for one given order, and ``least_ordering``,
-    a memoized and pruned search over orders that returns the first.
+    union of the family ``bits``: a full table for a sweep over every
+    family (``_sweep_kernel``), or by default a ``_Unions`` filled on
+    demand. Each predicate tests one condition of the module docstring on
+    its own; a class that also asks for a reduced family is the
+    conjunction with ``not absorbed(bits)``, taken by the caller. The
+    ordered class has two tests: ``ordered_in`` for one given order, and
+    ``least_ordering``, a memoized and pruned search over orders that
+    returns the first.
     """
 
     def __init__(self, masks, union=None):
@@ -305,6 +290,17 @@ def _family_kernel(h: Hypergraph, fam: tuple[int, ...]) -> _Kernel:
     return _Kernel(masks, union)
 
 
+def _sweep_kernel(h: Hypergraph) -> _Kernel:
+    """Kernel for a sweep over every family, with the vertex union of
+    each one tabulated up front, indexed by edge bitmask."""
+    masks = h.edges
+    union = [0] * (1 << len(masks))
+    for bits in range(1, len(union)):
+        low = bits & -bits
+        union[bits] = union[bits ^ low] | masks[low.bit_length() - 1]
+    return _Kernel(masks, union)
+
+
 # ---------------------------------------------------------------------------
 # single-family classification
 
@@ -457,7 +453,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
     if m > limits.FAMILY_BUDGET:
         raise BudgetExceeded(
             f"{m} edges exceeds family enumeration budget {limits.FAMILY_BUDGET}")
-    kernel = _Kernel(h.edges, _union_table(h.edges))
+    kernel = _sweep_kernel(h)
     sizes = kernel.sizes
 
     kinds = ("matching", "induced", "semi_induced", "self_semi_induced",
@@ -662,12 +658,6 @@ class Bouquet:
     root: int
     flowers: tuple[int, ...]
 
-    def vertex_mask(self) -> int:
-        mask = 1 << self.root
-        for f in self.flowers:
-            mask |= 1 << f
-        return mask
-
     def stems(self) -> list[tuple[int, int]]:
         return [(min(self.root, f), max(self.root, f)) for f in self.flowers]
 
@@ -761,84 +751,3 @@ def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
 
     grow(0, 0)
     return out
-
-
-def family_to_bouquets(h: Hypergraph, fam) -> tuple[Bouquet, ...]:
-    """Decompose a self disjoint family of graph edges into a strongly
-    disjoint set of bouquets whose stems are exactly the family."""
-    _require_graph(h)
-    fam = _validate_family(h, fam)
-    cls = classify(h, fam)
-    if not cls.self_disjoint:
-        raise NotSelfDisjoint(f"family {fam} is not self disjoint")
-    # vertex-connected components of the family; each must be a star
-    comps: list[set[int]] = []
-    for s in sorted(fam):
-        touching = [c for c in comps if any(h.edges[s] & h.edges[t] for t in c)]
-        merged = {s}
-        for c in touching:
-            merged |= c
-            comps.remove(c)
-        comps.append(merged)
-    bouquets = []
-    for comp_set in comps:
-        comp = sorted(comp_set)
-        if len(comp) == 1:
-            a, b = h.edge_vertices(comp[0])
-            bouquets.append(Bouquet(a, (b,)))
-            continue
-        common = h.edges[comp[0]]
-        for s in comp[1:]:
-            common &= h.edges[s]
-        if common.bit_count() != 1:
-            raise NotSelfDisjoint(f"component {comp} of family {fam} is not a star")
-        root = common.bit_length() - 1
-        petals = tuple(sorted((h.edges[s] & ~common).bit_length() - 1 for s in comp))
-        bouquets.append(Bouquet(root, petals))
-    result = tuple(sorted(bouquets, key=lambda b: b.root))
-    if _stem_selection(h, result) is None:
-        raise ViolationFound(
-            "bouquet-decomposition",
-            f"self disjoint family {fam} admits no induced stem selection",
-            instance=h,
-        )
-    return result
-
-
-def _stem_selection(h: Hypergraph, bouquets: tuple[Bouquet, ...]) -> list[int] | None:
-    """One stem index per bouquet forming an induced matching, if any."""
-    edge_index = {mask: s for s, mask in enumerate(h.edges)}
-    options = []
-    for b in bouquets:
-        opts = []
-        for a, c in b.stems():
-            s = edge_index.get((1 << a) | (1 << c))
-            if s is None:
-                raise NotStronglyDisjoint(f"stem {(a, c)} of bouquet {b} is not an edge")
-            opts.append(s)
-        options.append(opts)
-    kernel = _Kernel(h.edges)
-    for combo in itertools.product(*options):
-        bits = mask_of(combo)
-        if kernel.matching(bits) and kernel.semi_induced(bits):
-            return list(combo)
-    return None
-
-
-def bouquets_to_family(h: Hypergraph, bouquets) -> tuple[int, ...]:
-    """Edge-index family of all stems of a strongly disjoint bouquet set."""
-    _require_graph(h)
-    bouquets = tuple(bouquets)
-    seen = 0
-    for b in bouquets:
-        if not b.flowers:
-            raise NotStronglyDisjoint(f"bouquet at {b.root} has no flowers")
-        vm = b.vertex_mask()
-        if vm.bit_count() != len(b.flowers) + 1:
-            raise NotStronglyDisjoint(f"bouquet at {b.root} repeats a vertex")
-        if vm & seen:
-            raise NotStronglyDisjoint("bouquets share a vertex")
-        seen |= vm
-    if _stem_selection(h, bouquets) is None:
-        raise NotStronglyDisjoint("no stem choice forms an induced matching")
-    return _stem_family(h, bouquets)

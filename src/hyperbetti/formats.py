@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .hypergraph import Hypergraph, build
+from .hypergraph import Hypergraph, build, from_edge_labels
 
 FORMATS = ("json", "edgelist")
 
@@ -51,9 +51,7 @@ def serialize_json(h: Hypergraph) -> str:
 
 
 def parse_edgelist(text: str) -> Hypergraph:
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    edges: list[tuple[int, ...]] = []
+    edges: list[list[str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -65,14 +63,8 @@ def parse_edgelist(text: str) -> Hypergraph:
                 raise ParseError(
                     f"edge needs at least two distinct vertices, got {chunk.strip()!r}",
                     line=lineno)
-            ids = []
-            for name in names:
-                if name not in index:
-                    index[name] = len(labels)
-                    labels.append(name)
-                ids.append(index[name])
-            edges.append(tuple(ids))
-    return build(labels, edges)
+            edges.append(names)
+    return from_edge_labels(edges)
 
 
 def serialize_edgelist(h: Hypergraph) -> str:

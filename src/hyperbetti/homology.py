@@ -27,7 +27,7 @@ the span already found, so those rows are never built or reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import limits
 from .bitsets import bits_of, is_subset, tuple_of

@@ -2,12 +2,15 @@
 intersecting edges overlap in all but one vertex.
 
 Deleting an edge at a simplicial vertex splits the ideal, giving the
-recursion implemented by :func:`betti_recursive`: with S the removed
-edge, d its size, t the number of vertices adjacent to S, H1 the
-deletion and H2 the restriction away from S and its neighborhood,
+recursion that :func:`split_sum` evaluates: with S the removed edge, d
+its size, t the number of vertices adjacent to S, H1 the deletion and
+H2 the restriction away from S and its neighborhood,
 
     beta_{i,j}(H) = beta_{i,j}(H1)
                     + sum_l C(t, l) * beta_{i-1-l, j-d-l}(H2).
+
+:func:`betti_recursive` applies it down to single edges, and the
+campaign holds an exact table to it.
 
 Betti numbers of this class do not depend on the coefficient field;
 the ``field`` argument only tags the returned table.
@@ -19,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .bitsets import bits_of, is_subset, mask_of
+from .bitsets import bits_of
 from .errors import (
     NotSimplicial,
     NotSpecialClass,
@@ -27,7 +30,7 @@ from .errors import (
     ValidationError,
     ViolationFound,
 )
-from .families import FamilySurvey, classify, survey
+from .families import FamilySurvey, _classification, _sweep_kernel, survey
 from .homology import BettiTable
 from .taylor import betti_via_taylor, chain_union
 from .hypergraph import (
@@ -139,6 +142,18 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
     )
 
 
+def split_sum(dec: SplittingDecomposition, h1_entries: dict[tuple[int, int], int],
+              h2_entries: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The right side of the recursion for ``dec``, from the table
+    entries of its H1 and H2."""
+    out = dict(h1_entries)
+    for (i2, j2), v in h2_entries.items():
+        for ell in range(dec.t + 1):
+            pos = (i2 + 1 + ell, j2 + dec.d + ell)
+            out[pos] = out.get(pos, 0) + comb(dec.t, ell) * v
+    return out
+
+
 def canonical_key(h: Hypergraph) -> tuple:
     """Deterministic relabelled edge list; equal keys are isomorphic.
 
@@ -188,12 +203,7 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
             out = {(0, 0): 1, (1, g.edges[0].bit_count()): 1}
         elif is_triangulated(g):
             dec = split(g)
-            out = dict(worker(dec.h1))
-            below = worker(dec.h2)
-            for (i2, j2), v in below.items():
-                for ell in range(dec.t + 1):
-                    pos = (i2 + 1 + ell, j2 + dec.d + ell)
-                    out[pos] = out.get(pos, 0) + comb(dec.t, ell) * v
+            out = split_sum(dec, worker(dec.h1), worker(dec.h2))
         else:
             out = dict(betti_via_taylor(g, field).entries)
         memo[key] = out
@@ -206,28 +216,24 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
 # instance-level verification of the supporting facts
 
 
-def verify_matching_persistence(h: Hypergraph, x: int, s: int) -> int:
+def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition) -> int:
     """Families of the deletion keep their class in the full hypergraph.
 
-    With x simplicial and s an edge through it, every induced matching
-    of H minus that edge stays an induced matching of H, and likewise
-    for self disjoint families. Exhaustive over all families of the
-    deletion; returns how many were checked.
+    With x simplicial and s an edge through it, as in the split ``dec``
+    of ``h``, every induced matching of H1 = H minus that edge stays an
+    induced matching of H, and likewise for self disjoint families.
+    Exhaustive over all families of H1; returns how many were checked.
     """
-    if not is_simplicial_vertex(h, x):
-        raise NotSimplicial(f"vertex {h.labels[x]} is not simplicial")
-    if not h.edge_mask(s) >> x & 1:
-        raise ValidationError(f"edge {s} does not contain vertex {h.labels[x]}")
-    h1 = delete_edge(h, s)
-    back = {e - (e > s): e for e in range(h.m) if e != s}
+    back = {new: old for old, new in dec.h1_edge_map.items()}
+    kernel, kernel1 = _sweep_kernel(h), _sweep_kernel(dec.h1)
     checked = 0
-    for r in range(h1.m + 1):
-        for fam1 in itertools.combinations(range(h1.m), r):
-            cls1 = classify(h1, fam1)
+    for r in range(dec.h1.m + 1):
+        for fam1 in itertools.combinations(range(dec.h1.m), r):
+            cls1 = _classification(kernel1, fam1)
             if not (cls1.induced or cls1.self_disjoint):
                 continue
             fam = tuple(sorted(back[e] for e in fam1))
-            cls = classify(h, fam)
+            cls = _classification(kernel, fam)
             if cls1.induced and not cls.induced:
                 raise ViolationFound(
                     "matching-persistence",
@@ -251,14 +257,15 @@ def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
     """
     back2 = {new: old for old, new in dec.h2_edge_map.items()}
     add = (dec.s, *dec.neighbor_edges)
+    kernel, kernel2 = _sweep_kernel(h), _sweep_kernel(dec.h2)
     checked = 0
     for r in range(dec.h2.m + 1):
         for fam2 in itertools.combinations(range(dec.h2.m), r):
-            cls2 = classify(dec.h2, fam2)
+            cls2 = _classification(kernel2, fam2)
             if not cls2.self_disjoint:
                 continue
             fam = tuple(sorted([back2[e] for e in fam2] + list(add)))
-            cls = classify(h, fam)
+            cls = _classification(kernel, fam)
             want = (cls2.i + 1 + dec.t, cls2.j + dec.d + dec.t)
             if not cls.self_disjoint or (cls.i, cls.j) != want:
                 raise ViolationFound(

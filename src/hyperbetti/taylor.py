@@ -32,15 +32,7 @@ from dataclasses import dataclass
 from . import limits
 from .bitsets import bits_of, is_subset, mask_of
 from .errors import BettiVanishes, BudgetExceeded, PremiseFails, ValidationError
-from .families import (
-    _family_kernel,
-    _Kernel,
-    _union_table,
-    _validate_family,
-    classify,
-    is_self_ordered,
-    survey,
-)
+from .families import _Kernel, _sweep_kernel, _validate_family, classify
 from .homology import BettiTable, betti_table, table_from_homology
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .linalg import QQ, Field, RowSpace
@@ -54,6 +46,9 @@ def chain_union(h: Hypergraph, chain) -> int:
 
 
 def _faces(chain: tuple[int, ...], absorbed: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Signed faces of the reduced boundary of a basis symbol: position k
+    (1-based) is dropped with sign (-1)^k, and only when its member is in
+    the edge bitmask ``absorbed``."""
     return [(-1 if k % 2 == 0 else 1, chain[:k] + chain[k + 1:])
             for k, s in enumerate(chain) if absorbed >> s & 1]
 
@@ -81,20 +76,6 @@ def _homology(slices: dict, spaces: dict, i: int, x) -> int:
     """Homology of slice (i, x): its size less the ranks in and out."""
     ranks = [spaces[key].rank for key in ((i, x), (i + 1, x)) if key in spaces]
     return len(slices.get((i, x), ())) - sum(ranks)
-
-
-def reduced_boundary(h: Hypergraph, chain) -> list[tuple[int, tuple[int, ...]]]:
-    """Signed faces of the reduced boundary of a basis symbol.
-
-    Position k (1-based) is dropped with sign (-1)^k, and only when its
-    member is contained in the union of the remaining members, so every
-    face keeps the degree of the symbol.
-    """
-    chain = tuple(chain)
-    if len(set(chain)) != len(chain) or list(chain) != sorted(chain):
-        raise ValidationError(f"symbol {chain} must be strictly increasing")
-    chain = _validate_family(h, chain)
-    return _faces(chain, _family_kernel(h, chain).absorbed(mask_of(chain)))
 
 
 @dataclass
@@ -137,7 +118,7 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
     m = h.m
     if m > limits.TAYLOR_BUDGET:
         raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
-    kernel = _Kernel(h.edges, _union_table(h.edges))
+    kernel = _sweep_kernel(h)
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     # combinations come in lexicographic order, so every slice is sorted
     for size in range(m + 1):
@@ -214,29 +195,6 @@ def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[i
 def betti_via_lyubeznik(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Exact graded Betti table over ``field`` from Lyubeznik's resolution."""
     return table_from_homology(lyubeznik_restrictions(h, field), field, h.n)
-
-
-def basis_bounds(h: Hypergraph, i: int, j: int, field: Field = QQ,
-                 analysis: TaylorAnalysis | None = None) -> dict:
-    """Betti bounds from B_{i,j} where the two basis hypotheses apply
-    (see ``FamilySurvey.families_all_reduced`` and
-    ``FamilySurvey.absorbing_families_stay_reduced``)."""
-    an = analysis if analysis is not None else analyze_taylor(h, field)
-    size = len(an.b_set(i, j))
-    sv = survey(h)
-    hyp_upper = sv.families_all_reduced(i, j)
-    hyp_lower = sv.absorbing_families_stay_reduced(i, j)
-    return {
-        "i": i,
-        "j": j,
-        "beta": an.betti(i, j),
-        "b_size": size,
-        "all_reduced": hyp_upper,
-        "no_double_absorption": hyp_lower,
-        "upper": size if hyp_upper else None,
-        "lower": size if hyp_lower else None,
-        "exact": size if hyp_upper and hyp_lower else None,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +302,7 @@ def certify_nonvanishing(h: Hypergraph, cert: Certificate, field: Field = QQ,
         raise PremiseFails(f"family {fam} is not an induced matching", instance=h)
     if cert.kind == "semi_induced" and not cls.self_semi_induced:
         raise PremiseFails(f"family {fam} is not a self semi-induced matching", instance=h)
-    if cert.kind == "self_ordered" and not is_self_ordered(h, fam):
+    if cert.kind == "self_ordered" and not cls.self_ordered:
         raise PremiseFails(f"family {fam} is not self ordered in the given order", instance=h)
     detail = f"{cert.kind} family of type ({i},{j})"
     if cert.kind == "self_semi_disjoint":

@@ -245,6 +245,22 @@ def test_split_tables_from_the_shared_map_match_fresh_tables(spec, field):
     assert splits >= 8
 
 
+def test_a_special_instance_is_split_once(monkeypatch):
+    calls = []
+
+    def counted(h, *args):
+        calls.append(h)
+        return split(h, *args)
+
+    monkeypatch.setattr(checks, "split", counted)
+    h = next(h for h in make_batch("special:3", 9, 6, 10, 7) if h.m >= 3)
+    report = run_checks(h)
+    statuses = {r.name: r.status for r in report.checks}
+    readers = ("splitting-recursion", "matching-persistence", "split-extension")
+    assert all(statuses[name] == "pass" for name in readers), statuses
+    assert calls == [h]
+
+
 def test_check_still_fails_stops_at_the_named_check(monkeypatch):
     ran = []
 

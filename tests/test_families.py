@@ -1,4 +1,4 @@
-"""Family classification, matching invariants, and bouquet translation."""
+"""Family classification, matching invariants, and bouquet sets."""
 
 from __future__ import annotations
 
@@ -14,17 +14,12 @@ from hyperbetti.errors import (
     BudgetExceeded,
     IndexOutOfRange,
     NotAGraph,
-    NotSelfDisjoint,
-    NotStronglyDisjoint,
     ValidationError,
 )
 from hyperbetti.families import (
-    Bouquet,
     bouquet_invariants,
-    bouquets_to_family,
     classify,
     compute_invariants,
-    family_to_bouquets,
     is_self_ordered,
     self_ordered_witness,
     survey,
@@ -423,48 +418,6 @@ def test_two_disjoint_stars():
 def test_bouquets_require_graph(triple_overlap):
     with pytest.raises(NotAGraph):
         bouquet_invariants(triple_overlap)
-
-
-def test_family_bouquet_round_trip(p6):
-    fam = (0, 1, 3, 4)
-    bqs = family_to_bouquets(p6, fam)
-    assert [b.root for b in bqs] == [1, 4]
-    assert [b.flowers for b in bqs] == [(0, 2), (3, 5)]
-    assert bouquets_to_family(p6, bqs) == fam
-
-
-def test_family_to_bouquets_rejects_non_disjoint(p6):
-    with pytest.raises(NotSelfDisjoint):
-        family_to_bouquets(p6, (0, 2))
-
-
-def test_bouquets_to_family_rejects_adjacent_stems(c4):
-    bqs = (Bouquet(0, (1,)), Bouquet(2, (3,)))
-    with pytest.raises(NotStronglyDisjoint):
-        bouquets_to_family(c4, bqs)
-
-
-def test_bouquets_to_family_rejects_missing_stem(p4):
-    with pytest.raises(NotStronglyDisjoint):
-        bouquets_to_family(p4, (Bouquet(0, (3,)),))
-
-
-def test_bouquets_to_family_rejects_shared_vertex(p4):
-    bqs = (Bouquet(1, (0,)), Bouquet(2, (1,)))
-    with pytest.raises(NotStronglyDisjoint):
-        bouquets_to_family(p4, bqs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(graphs(max_n=6, max_m=6))
-def test_self_disjoint_families_translate_to_bouquets(h):
-    sv = survey(h)
-    fam = sv.maxima["d1"].witness
-    if not fam:
-        return
-    bqs = family_to_bouquets(h, fam)
-    assert bouquets_to_family(h, bqs) == tuple(sorted(fam))
-    assert sum(len(b.flowers) for b in bqs) == len(fam)
 
 
 def test_longer_path_stem_families_match_invariants():

@@ -1,0 +1,42 @@
+"""Every public module-level function and class of the package is either
+exported or used by the package itself: no library code lives only for
+its tests."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import hyperbetti
+
+PACKAGE = Path(hyperbetti.__file__).parent
+
+# Named instances that tests and benchmarks build; the package itself
+# only draws random ones.
+INSTANCE_CONSTRUCTORS = {
+    "path_graph", "cycle_graph", "complete_graph", "fan_graph",
+    "complete_uniform", "star_hypergraph", "random_free_vertex",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names and attribute names that ``node`` mentions."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_exported_or_used():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    statements = [stmt for tree in modules.values() for stmt in tree.body]
+    reads = {id(stmt): _names_read(stmt) for stmt in statements}
+    orphans = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            if stmt.name in hyperbetti.__all__ or stmt.name in INSTANCE_CONSTRUCTORS:
+                continue
+            # a read inside the definition itself, such as recursion, does not count
+            if not any(stmt.name in reads[id(other)] for other in statements if other is not stmt):
+                orphans.append(f"{module}:{stmt.name}")
+    assert orphans == []

@@ -23,6 +23,7 @@ from hyperbetti.splitting import (
     canonical_key,
     find_simplicial_vertex,
     split,
+    split_sum,
     verify_disjointness_characterization,
     verify_matching_persistence,
     verify_split_extension,
@@ -118,6 +119,16 @@ def test_recursive_bases():
     assert betti_recursive(single).entries == {(0, 0): 1, (1, 3): 1}
 
 
+def test_split_sum_rebuilds_the_table(p6):
+    # a tree, a star of triples and the complete 3-uniform hypergraph on four vertices
+    tree = build(list("abcdef"), [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
+    for h in (p6, tree, star_hypergraph(3), k43()):
+        dec = split(h)
+        assert dec.t >= 1
+        rebuilt = split_sum(dec, betti_table(dec.h1).entries, betti_table(dec.h2).entries)
+        assert rebuilt == betti_table(h).entries
+
+
 def test_recursive_rejections(c4, triple_overlap):
     with pytest.raises(NotTriangulated):
         betti_recursive(c4)
@@ -144,21 +155,22 @@ def test_complete_uniform_invariants():
 
 
 def test_persistence_lemma_exhaustive(p6):
-    assert verify_matching_persistence(p6, 0, 0) > 0
+    assert verify_matching_persistence(p6, split(p6, 0, 0)) > 0
     k = build(list("abcd"), list(itertools.combinations(range(4), 2)))
     for x in range(4):
         for s, mask in enumerate(k.edges):
             if mask >> x & 1:
-                verify_matching_persistence(k, x, s)
+                verify_matching_persistence(k, split(k, x, s))
     h = star_hypergraph(3)
-    verify_matching_persistence(h, 2, 0)
+    verify_matching_persistence(h, split(h, 2, 0))
 
 
 def test_persistence_lemma_validation(p4):
+    # the split checks the vertex and the edge before any family is swept
     with pytest.raises(NotSimplicial):
-        verify_matching_persistence(p4, 1, 1)
+        verify_matching_persistence(p4, split(p4, 1, 1))
     with pytest.raises(ValidationError):
-        verify_matching_persistence(p4, 0, 2)
+        verify_matching_persistence(p4, split(p4, 0, 2))
 
 
 def test_extension_lemma(p4, p6):

@@ -12,17 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import limits
+from hyperbetti.bitsets import mask_of
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
-from hyperbetti.families import classify, survey
+from hyperbetti.families import _Kernel, classify, survey
 from hyperbetti.generators import make_batch
-from hyperbetti.hypergraph import build, from_edge_labels
+from hyperbetti.hypergraph import build
 from hyperbetti.homology import betti_table, homology_of_restrictions
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.taylor import (
     Certificate,
+    _faces,
     admissible_symbols,
     analyze_taylor,
-    basis_bounds,
     betti_via_lyubeznik,
     betti_via_taylor,
     certify_nonvanishing,
@@ -30,12 +31,16 @@ from hyperbetti.taylor import (
     is_l_admissible,
     is_maximal_l_admissible,
     lyubeznik_restrictions,
-    reduced_boundary,
 )
 
 from conftest import path_graph
 from test_families import sized_hypergraphs
 from test_homology import RP2_NON_FACES
+
+
+def reduced_boundary(h, chain):
+    """Signed faces of a symbol's boundary, as both engines build it."""
+    return _faces(chain, _Kernel(h.edges).absorbed(mask_of(chain)))
 
 
 def test_boundary_signs_on_triangle(c3):
@@ -49,11 +54,6 @@ def test_boundary_drops_only_absorbed(p3):
     assert classify(p3, (0, 1)).reduced
     assert not classify(c3_full := build(["x", "y", "z"], [(0, 1), (0, 2), (1, 2)]), (0, 1, 2)).reduced
     assert reduced_boundary(c3_full, (0, 1)) == []
-
-
-def test_boundary_rejects_unsorted(p3):
-    with pytest.raises(ValidationError):
-        reduced_boundary(p3, (1, 0))
 
 
 def test_taylor_matches_hochster_on_fixtures(p3, p4, p6, c3, c4, triple_overlap):
@@ -151,20 +151,16 @@ def test_triangle_slice_two_three(c3):
     # all three pairs are reduced kernel symbols outside the image,
     # so the basis overshoots the Betti number here
     assert an.b_set(2, 3) == [(0, 1), (0, 2), (1, 2)]
-    bounds = basis_bounds(c3, 2, 3, analysis=an)
-    assert bounds["all_reduced"] is True
-    assert bounds["no_double_absorption"] is False
-    assert bounds == {
-        "i": 2, "j": 3, "beta": 2, "b_size": 3,
-        "all_reduced": True, "no_double_absorption": False,
-        "upper": 3, "lower": None, "exact": None,
-    }
-    assert bounds["beta"] <= bounds["upper"]
+    # only the upper-bound hypothesis holds, and |B| bounds beta from above
+    sv = survey(c3)
+    assert sv.families_all_reduced(2, 3)
+    assert not sv.absorbing_families_stay_reduced(2, 3)
+    assert an.betti(2, 3) <= len(an.b_set(2, 3))
 
 
 def test_exact_bound_on_path(p3):
-    bounds = basis_bounds(p3, 1, 2)
-    assert bounds["exact"] == 2 == bounds["beta"]
+    an = analyze_taylor(p3)
+    assert len(an.b_set(1, 2)) == 2 == an.betti(1, 2)
     assert survey(p3).families_all_reduced(1, 2)
     assert survey(p3).absorbing_families_stay_reduced(1, 2)
 
@@ -174,7 +170,7 @@ def test_uniform_degree_slice_counts_induced_matchings():
     p5 = path_graph(5)
     assert survey(p5).families_all_reduced(2, 4)
     assert survey(p5).absorbing_families_stay_reduced(2, 4)
-    assert basis_bounds(p5, 2, 4)["exact"] == 1
+    assert len(analyze_taylor(p5).b_set(2, 4)) == 1
     assert betti_table(p5).get(2, 4) == 1
 
 
@@ -182,6 +178,7 @@ def test_uniform_degree_slice_counts_induced_matchings():
 @given(sized_hypergraphs())
 def test_basis_sandwich(h):
     an = analyze_taylor(h)
+    sv = survey(h)
     ssi: dict[tuple[int, int], set] = {}
     contained: dict[tuple[int, int], set] = {}
     for r in range(h.m + 1):
@@ -194,11 +191,10 @@ def test_basis_sandwich(h):
     for key in an.slices:
         members = set(an.b_set(*key))
         assert ssi.get(key, set()) <= members <= contained.get(key, set())
-        bounds = basis_bounds(h, key[0], key[1], analysis=an)
-        if bounds["upper"] is not None:
-            assert bounds["beta"] <= bounds["upper"]
-        if bounds["lower"] is not None:
-            assert bounds["beta"] >= bounds["lower"]
+        if sv.families_all_reduced(*key):
+            assert an.betti(*key) <= len(members)
+        if sv.absorbing_families_stay_reduced(*key):
+            assert an.betti(*key) >= len(members)
 
 
 # ---------------------------------------------------------------------------
