@@ -23,6 +23,14 @@ the augmentation onto the empty face, of rank 1. Equality holds exactly
 when reduced homology vanishes in degree k - 1, the common case. Once
 the rank of d_k reaches the bound, every further boundary row lies in
 the span already found, so those rows are never built or reduced.
+
+Cones skip elimination altogether. If some vertex of W lies in no edge
+inside W, it is an apex of the independence complex of W: every face
+extends by it. A cone is acyclic, so W contributes nothing. These are
+exactly the W that are not a union of edges, the W outside the lcm
+lattice of the ideal (Gasharov, Peeva and Welker, "The lcm-lattice in
+monomial resolutions", Math. Res. Lett. 1999). The apex test reads only
+the faces already enumerated.
 """
 
 from __future__ import annotations
@@ -76,30 +84,38 @@ def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
 
     Returned as lists by dimension: position k holds the k-dimensional
     faces, i.e. the (k+1)-subsets of W containing no edge, as bitmasks
-    in increasing numeric order. The empty face is implicit.
+    in lexicographic order of their sorted vertex tuples. The empty
+    face is implicit.
     """
     verts = tuple_of(wmask)
-    # edges_at[v]: edges whose maximum vertex inside W is v; adding v to a
-    # face can only complete one of these.
-    edges_at: dict[int, list[int]] = {v: [] for v in verts}
-    relevant = [mask for mask in h.edges if is_subset(mask, wmask)]
-    for mask in relevant:
-        edges_at[max(bits_of(mask))].append(mask)
-    by_dim: list[list[int]] = [[] for _ in range(len(verts))]
-
-    def grow(face: int, count: int, start: int) -> None:
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            cand = face | (1 << v)
-            if any(is_subset(e, cand) for e in edges_at[v]):
-                continue
-            by_dim[count].append(cand)
-            grow(cand, count + 1, idx + 1)
-
-    grow(0, 0, 0)
-    while by_dim and not by_dim[-1]:
-        by_dim.pop()
-    return by_dim
+    # rests[v]: e - v for each edge e inside W whose top vertex is v. A
+    # face F below v stays a face with v added unless it contains one.
+    rests: dict[int, list[int]] = {v: [] for v in verts}
+    for mask in h.edges:
+        if mask & ~wmask == 0:
+            top = mask.bit_length() - 1
+            rests[top].append(mask ^ (1 << top))
+    grow = [(1 << v, rests[v]) for v in verts]
+    by_dim: list[list[int]] = []
+    # Each face extends only by vertices above its largest one, so each
+    # level comes out in lexicographic order when the one below it does.
+    faces, starts = [0], [0]
+    while True:
+        next_faces: list[int] = []
+        next_starts: list[int] = []
+        for face, start in zip(faces, starts):
+            for idx in range(start, len(grow)):
+                bit, below = grow[idx]
+                for rest in below:
+                    if rest & face == rest:
+                        break
+                else:
+                    next_faces.append(face | bit)
+                    next_starts.append(idx + 1)
+        if not next_faces:
+            return by_dim
+        by_dim.append(next_faces)
+        faces, starts = next_faces, next_starts
 
 
 def _boundary_rows(faces: list[int], below_index: dict[int, int]):
@@ -114,12 +130,34 @@ def _boundary_rows(faces: list[int], below_index: dict[int, int]):
         yield row
 
 
+def _is_cone(by_dim: list[list[int]]) -> bool:
+    """Whether some vertex is an apex, one that extends every face.
+
+    An apex lies in every top-level face. Removing v maps the faces
+    containing v one-to-one into those without it, so v is an apex
+    exactly when it lies in half of all faces, the empty face counted.
+    """
+    if not by_dim:
+        return False
+    common = -1
+    for face in by_dim[-1]:
+        common &= face
+    total = 1 + sum(len(level) for level in by_dim)
+    for v in bits_of(common):
+        bit = 1 << v
+        if 2 * sum(1 for level in by_dim for face in level if face & bit) == total:
+            return True
+    return False
+
+
 def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[int]:
     """Reduced homology dimensions, indexed from degree -1.
 
     ``by_dim`` is the output of :func:`independent_faces`. Degree -1 is
     the first list entry; degree k is entry k + 1.
     """
+    if _is_cone(by_dim):
+        return [0]
     top = len(by_dim) - 1
     # ranks[k]: rank of the boundary map from level k to level k-1, with
     # level -1 the single empty face; the map out of level -1 is zero.

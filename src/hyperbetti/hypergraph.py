@@ -209,10 +209,10 @@ def uniformity_profile(h: Hypergraph) -> UniformityProfile:
 
 def require_uniform(h: Hypergraph) -> int:
     """Common edge size, or NotUniform. Edgeless hypergraphs have no size."""
-    prof = uniformity_profile(h)
-    if not prof.is_uniform or prof.d is None:
-        raise NotUniform(f"edge sizes {prof.sizes} are not a single common size")
-    return prof.d
+    sizes = tuple(sorted({mask.bit_count() for mask in h.edges}))
+    if len(sizes) != 1:
+        raise NotUniform(f"edge sizes {sizes} are not a single common size")
+    return sizes[0]
 
 
 def _simplicial_in(h: Hypergraph, x: int, wmask: int, d: int) -> bool:

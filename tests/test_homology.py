@@ -7,10 +7,15 @@ with them exactly.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperbetti.homology as homology
 from hyperbetti import limits
+from hyperbetti.bitsets import is_subset, mask_of, tuple_of
 from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.generators import make_batch
@@ -27,6 +32,7 @@ from hyperbetti.taylor import betti_via_lyubeznik, betti_via_taylor
 
 from conftest import cycle_graph, path_graph
 from oracle import oracle_betti
+from test_families import sized_hypergraphs
 
 FROZEN = {
     "P3": {(0, 0): 1, (1, 2): 2, (2, 3): 1},
@@ -141,34 +147,93 @@ RP2_NON_FACES = [(0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
 GF3 = Field(3)
 
 
-def test_elimination_stops_at_the_kernel_dimension(monkeypatch):
-    # With no edges every restriction is a full simplex, which is
-    # acyclic, so each boundary rank meets its kernel bound and at least
-    # one row of the top two levels is never read.
+def _count_rows_read(monkeypatch) -> list[int]:
+    """Patch the homology module's ``rank_of`` to record, per call, how
+    many boundary rows it reads."""
     rank_of = homology.rank_of
-    faces_read = []
+    rows_read: list[int] = []
 
     def counting_rank_of(rows, field, limit=None):
         drawn = []
 
-        def rows_read():
+        def rows_drawn():
             for row in rows:
                 drawn.append(row)
                 yield row
 
-        rank = rank_of(rows_read(), field, limit=limit)
-        faces_read.append(len(drawn))
+        rank = rank_of(rows_drawn(), field, limit=limit)
+        rows_read.append(len(drawn))
         return rank
 
     monkeypatch.setattr(homology, "rank_of", counting_rank_of)
+    return rows_read
+
+
+def test_elimination_stops_at_the_kernel_dimension(monkeypatch):
+    # One 6-vertex edge on 6 vertices: the independence complex is the
+    # boundary of the 5-simplex, a 4-sphere with no apex. Each boundary
+    # rank below the top meets its kernel bound, so the rows past it are
+    # never read.
+    rows_read = _count_rows_read(monkeypatch)
+    sphere = build([f"v{i}" for i in range(6)], [tuple(range(6))])
     for field in (QQ, GF2, GF3):
-        faces_read.clear()
-        by_dim = independent_faces(build([f"v{i}" for i in range(6)], []), 0b111111)
-        assert reduced_homology_dims(by_dim, field) == [0]
-        assert len(faces_read) == len(by_dim) - 1
-        # d_5 has rank 1 and d_4 rank 5: the sixth 4-face is never read
-        assert faces_read[-2:] == [5, 1]
-        assert sum(faces_read) < sum(len(level) for level in by_dim[1:])
+        rows_read.clear()
+        by_dim = independent_faces(sphere, 0b111111)
+        assert [len(level) for level in by_dim] == [6, 15, 20, 15, 6]
+        assert reduced_homology_dims(by_dim, field) == [0, 0, 0, 0, 0, 1]
+        assert rows_read == [5, 10, 10, 5]
+    # With no edges the restriction is the full 5-simplex, a cone, so
+    # no boundary row is read at all.
+    rows_read.clear()
+    simplex = build([f"v{i}" for i in range(6)], [])
+    for field in (QQ, GF2, GF3):
+        assert reduced_homology_dims(independent_faces(simplex, 0b111111), field) == [0]
+    assert rows_read == []
+
+
+def test_faces_come_in_lexicographic_order():
+    # two disjoint edges: numeric order would put 6 before 9
+    h = build(["a", "b", "c", "d"], [(0, 1), (2, 3)])
+    assert independent_faces(h, 0b1111) == [[1, 2, 4, 8], [5, 9, 6, 10]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(sized_hypergraphs(), st.randoms(use_true_random=False))
+def test_faces_are_the_edge_free_subsets(h, rng):
+    for wmask in [0, h.vertex_mask] + [rng.randrange(1 << h.n) for _ in range(6)]:
+        expected = []
+        for size in range(1, wmask.bit_count() + 1):
+            level = [mask_of(c) for c in itertools.combinations(tuple_of(wmask), size)]
+            level = [f for f in level if not any(is_subset(e, f) for e in h.edges)]
+            if not level:
+                break
+            expected.append(level)
+        assert independent_faces(h, wmask) == expected
+
+
+def test_cones_are_exactly_the_restrictions_outside_the_lcm_lattice(monkeypatch):
+    # Elimination calls rank_of once per level above the vertices; the
+    # cone shortcut is the only way to call it less.
+    rows_read = _count_rows_read(monkeypatch)
+    rp2 = build([f"p{i}" for i in range(6)], RP2_NON_FACES)
+    instances = (make_batch("general", 8, 8, 2, 12) + make_batch("uniform:2", 9, 14, 2, 12)
+                 + [rp2])
+    skipped = 0
+    for h in instances:
+        for wmask in range(1 << h.n):
+            union = 0
+            for mask in h.edges:
+                if is_subset(mask, wmask):
+                    union |= mask
+            by_dim = independent_faces(h, wmask)
+            rows_read.clear()
+            dims = reduced_homology_dims(by_dim, QQ)
+            if union != wmask:
+                assert (rows_read, dims) == ([], [0])
+                skipped += len(by_dim) > 1
+            else:
+                assert len(rows_read) == max(len(by_dim) - 1, 0)
+    assert skipped > 100
 
 
 def test_rp2_table_depends_on_the_field():
