@@ -108,6 +108,8 @@ def random_uniform(d: int, n: int, m: int, seed: int) -> Hypergraph:
         raise ValidationError("edge size must be at least 2")
     if n < d:
         raise ValidationError(f"{n} vertices cannot carry edges of size {d}")
+    if m < 0:
+        raise ValidationError("need a nonnegative edge budget")
     rng = random.Random(seed)
     masks: list[int] = []
     tries = 0
@@ -137,6 +139,8 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
         raise ValidationError("edge size must be at least 2")
     if n < d:
         raise ValidationError(f"{n} vertices cannot carry edges of size {d}")
+    if m < 0:
+        raise ValidationError("need a nonnegative edge budget")
     if n > limits.TRIANGULATED_CAP:
         raise ValidationError(
             f"special:D instances allow at most {limits.TRIANGULATED_CAP} vertices, got {n}")

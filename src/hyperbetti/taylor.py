@@ -2,26 +2,27 @@
 admissibility and nonvanishing certificates.
 
 For a hypergraph with edges S_1, ..., S_m, take a basis symbol for each
-subset of edges; its degree is the size of the union. The reduced
+subset of edges; its union W is the union of its members. The reduced
 boundary of a symbol drops, with alternating sign, exactly those
-members contained in the union of the other members. Degree is
-preserved, so the complex splits by degree and each graded Betti number
-beta_{i,j} is the homology dimension of the (size i, degree j) slice.
+members contained in the union of the other members. The union is
+preserved, so the complex splits by union W, and the homology of the
+(size i, union W) block is the multigraded number beta_{i,W}. Summed
+over |W| = j these give beta_{i,j}.
 
 A basis symbol lies in the kernel precisely when no member is absorbed
 by the others ("reduced" below). The set B_{i,j} collects the reduced
-basis symbols of the slice that are also outside the image from above;
-under the two subset hypotheses that ``FamilySurvey`` records it bounds
-or equals beta_{i,j}. Absorption is tested by the family kernel of
-``families``.
+basis symbols of size i and degree |W| = j that are also outside the
+image from above; under the two subset hypotheses that ``FamilySurvey``
+records it bounds or equals beta_{i,j}. Absorption is tested by the
+family kernel of ``families``.
 
 Lyubeznik's resolution is the subcomplex spanned by the L-admissible
-symbols under the index order. Its reduced boundary also keeps the
-union W of a symbol, so slicing it by (size i, union W) gives the
-multigraded numbers beta_{i,W} from far fewer and smaller blocks:
-``lyubeznik_restrictions`` returns them in the restriction-map format
-of ``homology``, and ``betti_via_lyubeznik`` sums them into a table.
-Both complexes are bounded by the budgets in ``limits``.
+symbols under the index order, sliced the same way from far fewer and
+smaller blocks. Both complexes give their beta_{i,W} in the
+restriction-map format of ``homology``: ``TaylorAnalysis.restrictions``
+and ``lyubeznik_restrictions``, which ``betti_via_taylor`` and
+``betti_via_lyubeznik`` sum into a table. Both complexes are bounded by
+the budgets in ``limits``.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ def _faces(chain: tuple[int, ...], absorbed: int) -> list[tuple[int, tuple[int, 
 
 
 def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
-    """Echelonize the reduced boundary out of every slice (i, x) into
-    slice (i - 1, x), keyed by the source; x is the degree |W| for the
-    Taylor complex and the union W for Lyubeznik's."""
+    """Echelonize the reduced boundary out of every slice (i, W) into
+    slice (i - 1, W), keyed by the source."""
     spaces = {}
-    for (i, x), basis in slices.items():
-        below = slices.get((i - 1, x))
+    for (i, w), basis in slices.items():
+        below = slices.get((i - 1, w))
         if not below:
             continue
         index = {face: pos for pos, face in enumerate(below)}
@@ -68,14 +68,24 @@ def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
             row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(mask_of(c)))}
             if row:
                 space.add(row)
-        spaces[i, x] = space
+        spaces[i, w] = space
     return spaces
 
 
-def _homology(slices: dict, spaces: dict, i: int, x) -> int:
-    """Homology of slice (i, x): its size less the ranks in and out."""
-    ranks = [spaces[key].rank for key in ((i, x), (i + 1, x)) if key in spaces]
-    return len(slices.get((i, x), ())) - sum(ranks)
+def _restriction_map(slices: dict, spaces: dict) -> dict[int, list[int]]:
+    """The nonzero part of ``homology_of_restrictions`` from a complex
+    sliced by (size i, union W). Slice (i, W) has homology beta_{i,W},
+    its size less the ranks in and out; by Hochster's formula that is the
+    reduced homology of the independence complex on W in degree
+    |W| - i - 1, slot |W| - i of the dims list."""
+    slots: dict[int, dict[int, int]] = {}
+    for i, w in slices:
+        ranks = [spaces[key].rank for key in ((i, w), (i + 1, w)) if key in spaces]
+        beta = len(slices[i, w]) - sum(ranks)
+        if beta:
+            slots.setdefault(w, {})[w.bit_count() - i] = beta
+    return {w: [dims.get(slot, 0) for slot in range(max(dims) + 1)]
+            for w, dims in slots.items()}
 
 
 @dataclass
@@ -88,29 +98,31 @@ class TaylorAnalysis:
     boundaries: dict[tuple[int, int], RowSpace]
     kernel: _Kernel
 
-    def betti(self, i: int, j: int) -> int:
-        return _homology(self.slices, self.boundaries, i, j)
+    def restrictions(self) -> dict[int, list[int]]:
+        return _restriction_map(self.slices, self.boundaries)
 
     def table(self) -> BettiTable:
-        entries = {}
-        for (i, j) in self.slices:
-            v = self.betti(i, j)
-            if v:
-                entries[i, j] = v
-        return BettiTable(entries, self.field, self.h.n)
+        return table_from_homology(self.restrictions(), self.field, self.h.n)
+
+    def types(self) -> list[tuple[int, int]]:
+        """The types (size i, degree |W|) of the slices, sorted."""
+        return sorted({(i, w.bit_count()) for i, w in self.slices})
 
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
-        """Reduced basis symbols of the slice not hit from above."""
-        basis = self.slices.get((i, j), [])
-        image = self.boundaries.get((i + 1, j))
+        """Reduced basis symbols of type (i, j) not hit from above, which
+        the boundary, keeping W, can only do from their own (i + 1, W)."""
         out = []
-        for pos, c in enumerate(basis):
-            if self.kernel.absorbed(mask_of(c)):
+        for (size, w), basis in self.slices.items():
+            if size != i or w.bit_count() != j:
                 continue
-            if image is not None and image.contains({pos: 1}):
-                continue
-            out.append(c)
-        return out
+            image = self.boundaries.get((i + 1, w))
+            for pos, c in enumerate(basis):
+                if self.kernel.absorbed(mask_of(c)):
+                    continue
+                if image is not None and image.contains({pos: 1}):
+                    continue
+                out.append(c)
+        return sorted(out)
 
 
 def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
@@ -120,11 +132,9 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
         raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
     kernel = _sweep_kernel(h)
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    # combinations come in lexicographic order, so every slice is sorted
     for size in range(m + 1):
         for chain in itertools.combinations(range(m), size):
-            key = (size, kernel.union[mask_of(chain)].bit_count())
-            slices.setdefault(key, []).append(chain)
+            slices.setdefault((size, kernel.union[mask_of(chain)]), []).append(chain)
     return TaylorAnalysis(h, field, slices, _boundaries(slices, kernel, field), kernel)
 
 
@@ -174,22 +184,12 @@ def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[i
     that is itself a free resolution (Lyubeznik, JPAA 51, 1988).
     Tensored with the field, the boundary of a symbol keeps only the
     members absorbed by the others, so it preserves the union W, and the
-    size-i symbols of union W give beta_{i,W}. By Hochster's formula
-    that is the reduced homology of the independence complex on W in
-    degree |W| - i - 1, stored in slot |W| - i of the dims list.
+    size-i symbols of union W give beta_{i,W}.
     """
-    kernel = _Kernel(h.edges)
     slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for symbol, w in admissible_symbols(h):
         slices.setdefault((len(symbol), w), []).append(symbol)
-    spaces = _boundaries(slices, kernel, field)
-    slots: dict[int, dict[int, int]] = {}
-    for i, w in slices:
-        beta = _homology(slices, spaces, i, w)
-        if beta:
-            slots.setdefault(w, {})[w.bit_count() - i] = beta
-    return {w: [dims.get(slot, 0) for slot in range(max(dims) + 1)]
-            for w, dims in slots.items()}
+    return _restriction_map(slices, _boundaries(slices, _Kernel(h.edges), field))
 
 
 def betti_via_lyubeznik(h: Hypergraph, field: Field = QQ) -> BettiTable:

@@ -62,7 +62,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 2
+    assert a["schema_version"] == 3
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
                       "failures", "meta"}
     # everything that may vary between runs lives under meta
@@ -309,6 +309,22 @@ def test_campaign_builds_no_hochster_map(monkeypatch):
         assert all(statuses[name] == "pass" for name in exercised), statuses
 
 
+def test_restriction_monotonicity_catches_a_corrupted_map(monkeypatch):
+    real = checks.lyubeznik_restrictions
+
+    def corrupted(h, field=QQ):
+        # 1-3 more in one slot of every W, and one W the map lacks
+        hom = {w: [d + (1 + w % 3) * (slot == w % len(dims)) for slot, d in enumerate(dims)]
+               for w, dims in real(h, field).items()}
+        hom[min(set(range(1 << h.n)) - hom.keys())] = [0, 1]
+        return hom
+
+    monkeypatch.setattr(checks, "lyubeznik_restrictions", corrupted)
+    for h in make_batch("general", 8, 8, 10, 5):
+        statuses = {r.name: r.status for r in run_checks(h).checks}
+        assert statuses["restriction-monotonicity"] == "fail", h
+
+
 def _raise_injected(*args, **kwargs):
     raise ZeroDivisionError("injected")
 
@@ -326,6 +342,9 @@ _READERS = {
         "degree-window", "restriction-monotonicity", "engine-agreement",
         "induced-matching-slices", "pd-reg-lower-bounds", "lower-bound-certificates",
         "conditional-slice-bounds", "conditional-pd-cap", "splitting-recursion"},
+    "analyze_taylor": {
+        "restriction-monotonicity", "engine-agreement", "basis-sandwich",
+        "conditional-slice-bounds"},
 }
 
 

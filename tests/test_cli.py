@@ -78,6 +78,10 @@ def test_recursive_needs_elimination_order(c4_file, capsys):
         ["betti", "FILE", "--field", "gf:3215031751"],
         ["classify", "FILE", "--family", "zero one"],
         ["classify", "FILE", "--family", "0 99"],
+        ["fuzz", "--class", "general", "--vertices", "6", "--edges", "-4", "--count", "1"],
+        ["fuzz", "--class", "chordal", "--vertices", "6", "--edges", "-4", "--count", "1"],
+        ["fuzz", "--class", "uniform:3", "--vertices", "6", "--edges", "-4", "--count", "1"],
+        ["fuzz", "--class", "special:3", "--vertices", "6", "--edges", "-4", "--count", "1"],
     ],
 )
 def test_usage_errors_exit_two(argv, p3_file, capsys):

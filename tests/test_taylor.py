@@ -118,6 +118,7 @@ def test_lyubeznik_map_is_the_nonzero_restriction_homology(field):
         hochster = {w: dims for w, dims in homology_of_restrictions(h, field).items()
                     if any(dims)}
         assert lyubeznik_restrictions(h, field) == hochster, (name, h)
+        assert analyze_taylor(h, field).restrictions() == hochster, (name, h)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -147,7 +148,7 @@ def test_symbol_budget_fails_fast(monkeypatch):
 
 def test_triangle_slice_two_three(c3):
     an = analyze_taylor(c3)
-    assert an.betti(2, 3) == 2
+    assert an.table().get(2, 3) == 2
     # all three pairs are reduced kernel symbols outside the image,
     # so the basis overshoots the Betti number here
     assert an.b_set(2, 3) == [(0, 1), (0, 2), (1, 2)]
@@ -155,12 +156,12 @@ def test_triangle_slice_two_three(c3):
     sv = survey(c3)
     assert sv.families_all_reduced(2, 3)
     assert not sv.absorbing_families_stay_reduced(2, 3)
-    assert an.betti(2, 3) <= len(an.b_set(2, 3))
+    assert an.table().get(2, 3) <= len(an.b_set(2, 3))
 
 
 def test_exact_bound_on_path(p3):
     an = analyze_taylor(p3)
-    assert len(an.b_set(1, 2)) == 2 == an.betti(1, 2)
+    assert len(an.b_set(1, 2)) == 2 == an.table().get(1, 2)
     assert survey(p3).families_all_reduced(1, 2)
     assert survey(p3).absorbing_families_stay_reduced(1, 2)
 
@@ -178,23 +179,27 @@ def test_uniform_degree_slice_counts_induced_matchings():
 @given(sized_hypergraphs())
 def test_basis_sandwich(h):
     an = analyze_taylor(h)
+    table = an.table()
     sv = survey(h)
     ssi: dict[tuple[int, int], set] = {}
     contained: dict[tuple[int, int], set] = {}
+    types = set()
     for r in range(h.m + 1):
         for fam in itertools.combinations(range(h.m), r):
             cls = classify(h, fam)
+            types.add((cls.i, cls.j))
             if cls.self_semi_induced:
                 ssi.setdefault((cls.i, cls.j), set()).add(fam)
             if cls.self_contained:
                 contained.setdefault((cls.i, cls.j), set()).add(fam)
-    for key in an.slices:
+    assert an.types() == sorted(types)
+    for key in an.types():
         members = set(an.b_set(*key))
         assert ssi.get(key, set()) <= members <= contained.get(key, set())
         if sv.families_all_reduced(*key):
-            assert an.betti(*key) <= len(members)
+            assert table.get(*key) <= len(members)
         if sv.absorbing_families_stay_reduced(*key):
-            assert an.betti(*key) >= len(members)
+            assert table.get(*key) >= len(members)
 
 
 # ---------------------------------------------------------------------------
