@@ -18,7 +18,7 @@ from hyperbetti.families import _Kernel, classify, survey
 from hyperbetti.generators import make_batch
 from hyperbetti.hypergraph import build
 from hyperbetti.homology import betti_table, homology_of_restrictions
-from hyperbetti.linalg import GF2, QQ, Field
+from hyperbetti.linalg import GF2, QQ, Field, RowSpace
 from hyperbetti.taylor import (
     Certificate,
     _faces,
@@ -119,6 +119,50 @@ def test_lyubeznik_map_is_the_nonzero_restriction_homology(field):
                     if any(dims)}
         assert lyubeznik_restrictions(h, field) == hochster, (name, h)
         assert analyze_taylor(h, field).restrictions() == hochster, (name, h)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, Field(3)], ids=str)
+def test_clearing_wastes_at_most_one_row_per_betti_number(monkeypatch, field):
+    # slice (i, W) reads |S_i| - r_{i+1} rows at most and gains r_i, so
+    # beta_{i,W} bounds the rows it reads for nothing
+    gained = []
+    add = RowSpace.add
+
+    def counting(self, vec):
+        gained.append(add(self, vec))
+        return gained[-1]
+
+    monkeypatch.setattr(RowSpace, "add", counting)
+    for name, h in _lyubeznik_corpus():
+        gained.clear()
+        an = analyze_taylor(h, field)
+        assert gained.count(False) <= sum(an.table().entries.values()), (name, h)
+        gained.clear()
+        restrictions = lyubeznik_restrictions(h, field)
+        assert gained.count(False) <= sum(map(sum, restrictions.values())), (name, h)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, Field(3)], ids=str)
+def test_b_set_is_the_reduced_symbols_outside_the_full_image(field):
+    # every boundary row from (i + 1, W), none cleared, in a fresh space
+    for name, h in _lyubeznik_corpus():
+        slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for size in range(h.m + 1):
+            for chain in itertools.combinations(range(h.m), size):
+                slices.setdefault((size, chain_union(h, chain)), []).append(chain)
+        expected: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for (i, w), basis in slices.items():
+            index = {c: pos for pos, c in enumerate(basis)}
+            image = RowSpace(field)
+            for c in slices.get((i + 1, w), ()):
+                image.add({index[face]: sign for sign, face in reduced_boundary(h, c)})
+            expected.setdefault((i, w.bit_count()), []).extend(
+                c for c in basis
+                if not reduced_boundary(h, c) and not image.contains({index[c]: 1}))
+        an = analyze_taylor(h, field)
+        assert an.types() == sorted(expected), (name, h)
+        for key, members in expected.items():
+            assert an.b_set(*key) == sorted(members), (name, h, key)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
