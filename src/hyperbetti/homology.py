@@ -31,6 +31,21 @@ exactly the W that are not a union of edges, the W outside the lcm
 lattice of the ideal (Gasharov, Peeva and Welker, "The lcm-lattice in
 monomial resolutions", Math. Res. Lett. 1999). The apex test reads only
 the faces already enumerated.
+
+Folds skip elimination on most of the other W. Write Delta for the
+complex of W and, for a vertex v, del(v) for its faces without v (the
+complex of W - v), star(v) for the faces with v and their subsets, and
+lk(v) for the faces F without v such that F + v is a face. Then Delta is
+star(v) and del(v) glued along lk(v). The star is a cone on v, so it is
+acyclic. If lk(v) is a cone too, it is acyclic as well, and
+Mayer-Vietoris gives Delta the reduced homology of del(v) over every
+field. Such a v is a fold vertex, and W takes the dims of W - v, which
+the map already holds, with no elimination. This is the hypergraph form
+of Engstrom's fold lemma ("Complexes of directed trees and independence
+complexes", Discrete Math. 309, 2009). For a graph it reads: v folds
+when some u of W, not adjacent to v, has all its neighbours in W among
+those of v. A cone with two or more vertices folds too: its apex is an
+apex of every other vertex's link.
 """
 
 from __future__ import annotations
@@ -150,6 +165,32 @@ def _is_cone(by_dim: list[list[int]]) -> bool:
     return False
 
 
+def _fold_vertex(h: Hypergraph, wmask: int) -> int | None:
+    """The first vertex of W, in bit order, whose link in the
+    independence complex of W is a cone, or None.
+
+    The link of v has the minimal sets among e - v, over the edges e
+    inside W, as its minimal non-faces; a vertex u of W - v in none of
+    them is an apex. The edges form an antichain, so every e - v with v
+    in e is minimal, and an edge without v is minimal unless it contains
+    one of those. No e - v is empty, since edges have two or more
+    vertices.
+    """
+    inside = [mask for mask in h.edges if mask & ~wmask == 0]
+    for v in bits_of(wmask):
+        bit = 1 << v
+        rests = [mask ^ bit for mask in inside if mask & bit]
+        free = wmask ^ bit
+        for rest in rests:
+            free &= ~rest
+        for mask in inside:
+            if mask & free and not mask & bit and not any(rest & ~mask == 0 for rest in rests):
+                free &= ~mask
+        if free:
+            return v
+    return None
+
+
 def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[int]:
     """Reduced homology dimensions, indexed from degree -1.
 
@@ -184,13 +225,22 @@ def homology_of_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list
     Maps each W bitmask to the dims list of :func:`reduced_homology_dims`.
     This is the whole content of the Betti table; the table itself and
     all its restriction tables are sums over this dictionary.
+
+    W are visited in increasing order, so a W with a fold vertex v takes
+    the dims list of W - v, already in the map. Folded W share that list
+    object with W - v, so callers must only read the lists.
     """
     limit = limits.vertex_cap(limits.BETTI_CAP_N)
     if h.n > limit:
         raise SizeCapExceeded(f"{h.n} vertices exceeds Betti cap {limit}")
     out = {}
     for wmask in range(1 << h.n):
-        out[wmask] = reduced_homology_dims(independent_faces(h, wmask), field)
+        # Faces are enumerated for every W, folded or not: the benchmark
+        # counts restrictions by these calls, and its test pins them at
+        # 2^n (perfbench/test_perfbench.py).
+        by_dim = independent_faces(h, wmask)
+        v = _fold_vertex(h, wmask)
+        out[wmask] = reduced_homology_dims(by_dim, field) if v is None else out[wmask ^ (1 << v)]
     return out
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hyperbetti.homology as homology
 from hyperbetti import limits
-from hyperbetti.bitsets import is_subset, mask_of, tuple_of
+from hyperbetti.bitsets import bits_of, is_subset, mask_of, tuple_of
 from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.generators import make_batch
@@ -234,6 +234,85 @@ def test_cones_are_exactly_the_restrictions_outside_the_lcm_lattice(monkeypatch)
             else:
                 assert len(rows_read) == max(len(by_dim) - 1, 0)
     assert skipped > 100
+
+
+def _link_is_a_cone(faces: list[int], wmask: int, v: int) -> bool:
+    """Whether some u in W - v extends every face that contains v: the
+    faces containing v are the link's faces with v added, and u is an
+    apex of the link exactly when it lies in half of them."""
+    star = [face for face in faces if face >> v & 1]
+    return any(len(star) == 2 * sum(1 for face in star if face >> u & 1)
+               for u in bits_of(wmask) if u != v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_hypergraphs(), st.randoms(use_true_random=False))
+def test_fold_vertex_is_the_first_vertex_whose_link_is_a_cone(h, rng):
+    for wmask in [h.vertex_mask] + [rng.randrange(1 << h.n) for _ in range(8)]:
+        faces = [face for level in independent_faces(h, wmask) for face in level]
+        expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)), None)
+        assert homology._fold_vertex(h, wmask) == expected
+
+
+def test_fold_vertex_on_graphs_is_the_neighbourhood_fold():
+    # Engstrom's graph fold: v folds when some u not adjacent to it has
+    # N(u) inside N(v), both taken inside W
+    graphs = make_batch("uniform:2", 9, 14, 3, 15) + make_batch("uniform:2", 8, 20, 2, 15)
+    for h in graphs:
+        nbrs = [0] * h.n
+        for mask in h.edges:
+            a, b = tuple_of(mask)
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        for wmask in range(1 << h.n):
+            def folds(v):
+                return any(not nbrs[v] >> u & 1 and nbrs[u] & wmask & ~nbrs[v] == 0
+                           for u in bits_of(wmask) if u != v)
+            expected = next((v for v in bits_of(wmask) if folds(v)), None)
+            assert homology._fold_vertex(h, wmask) == expected, (h, wmask)
+
+
+def _fold_corpus():
+    return ([build([f"p{i}" for i in range(6)], RP2_NON_FACES)]
+            + [h for spec, n, m in (("general", 8, 8), ("general", 9, 10), ("uniform:2", 9, 14),
+                                    ("uniform:3", 9, 10), ("chordal", 9, 9), ("special:3", 9, 8))
+               for h in make_batch(spec, n, m, 2, 21)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_folds_leave_the_restriction_map_unchanged(field):
+    for h in _fold_corpus():
+        unfolded = {wmask: reduced_homology_dims(independent_faces(h, wmask), field)
+                    for wmask in range(1 << h.n)}
+        assert homology_of_restrictions(h, field) == unfolded, h
+
+
+def test_elimination_runs_only_where_no_vertex_folds(monkeypatch):
+    rows_read = _count_rows_read(monkeypatch)
+    faces = homology.independent_faces
+    starts: list[tuple[int, int]] = []  # (W, rank_of calls before W)
+
+    def recording_faces(h, wmask):
+        starts.append((wmask, len(rows_read)))
+        return faces(h, wmask)
+
+    monkeypatch.setattr(homology, "independent_faces", recording_faces)
+    saved = 0
+    for h in _fold_corpus():
+        starts.clear()
+        rows_read.clear()
+        homology_of_restrictions(h, QQ)
+        ends = [calls for _, calls in starts[1:]] + [len(rows_read)]
+        for (wmask, before), after in zip(starts, ends):
+            by_dim = faces(h, wmask)
+            # without the fold test, elimination runs on every W whose
+            # complex has edges and no apex
+            eliminates = len(by_dim) > 1 and not homology._is_cone(by_dim)
+            folded = homology._fold_vertex(h, wmask) is not None
+            assert (after > before) == (eliminates and not folded), (h, wmask)
+            saved += eliminates and folded
+    # measured: 947 of the 1,212 W that eliminate without folds
+    assert saved > 900
 
 
 def test_rp2_table_depends_on_the_field():
