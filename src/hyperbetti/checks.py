@@ -25,7 +25,7 @@ one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 
 Exact-table checks and family sweeps are gated by the size limits in
 ``limits``; an unmet gate is a skip. Reports follow ``SCHEMA_VERSION``
-3 and are deterministic for fixed inputs and seed: everything that
+4 and are deterministic for fixed inputs and seed: everything that
 varies between runs lives under the ``meta`` key.
 """
 
@@ -84,7 +84,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SAMPLED_ORDERINGS = 6
 
 
@@ -495,10 +495,6 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
                 name, ctx.h,
                 f"slice ({i},{j}) under no-double-absorption hypothesis: beta {beta} < |B| {b} or ssi {ssi}",
                 checked)
-        if hyp1 and hyp2 and beta != b:
-            return _fail(name, ctx.h,
-                         f"slice ({i},{j}) under both hypotheses: beta {beta} != |B| {b}",
-                         checked)
         checked += 1
     if checked == 0:
         return _skip(name, "no slice satisfies either hypothesis")
@@ -597,12 +593,6 @@ def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
                     f"recursion mismatch at ({i},{j}): table {lhs}, split sum {rhs}",
                     checked)
             checked += 1
-        collapsed = tab1.get(i, ctx.h.n) + tab2.get(i - 1 - dec.t, ctx.h.n - dec.d - dec.t)
-        if ctx.table.get(i, ctx.h.n) != collapsed:
-            return _fail(
-                name, ctx.h,
-                f"two-term reduction fails at ({i},{ctx.h.n})", checked)
-        checked += 1
     return CheckResult(name, "pass", checked)
 
 

@@ -24,19 +24,11 @@ when reduced homology vanishes in degree k - 1, the common case. Once
 the rank of d_k reaches the bound, every further boundary row lies in
 the span already found, so those rows are never built or reduced.
 
-Cones skip elimination altogether. If some vertex of W lies in no edge
-inside W, it is an apex of the independence complex of W: every face
-extends by it. A cone is acyclic, so W contributes nothing. These are
-exactly the W that are not a union of edges, the W outside the lcm
-lattice of the ideal (Gasharov, Peeva and Welker, "The lcm-lattice in
-monomial resolutions", Math. Res. Lett. 1999). The apex test reads only
-the faces already enumerated.
-
-Folds skip elimination on most of the other W. Write Delta for the
-complex of W and, for a vertex v, del(v) for its faces without v (the
-complex of W - v), star(v) for the faces with v and their subsets, and
-lk(v) for the faces F without v such that F + v is a face. Then Delta is
-star(v) and del(v) glued along lk(v). The star is a cone on v, so it is
+Folds skip elimination on most W. Write Delta for the complex of W
+and, for a vertex v, del(v) for its faces without v (the complex of
+W - v), star(v) for the faces with v and their subsets, and lk(v) for
+the faces F without v such that F + v is a face. Then Delta is star(v)
+and del(v) glued along lk(v). The star is a cone on v, so it is
 acyclic. If lk(v) is a cone too, it is acyclic as well, and
 Mayer-Vietoris gives Delta the reduced homology of del(v) over every
 field. Such a v is a fold vertex, and W takes the dims of W - v, which
@@ -44,8 +36,13 @@ the map already holds, with no elimination. This is the hypergraph form
 of Engstrom's fold lemma ("Complexes of directed trees and independence
 complexes", Discrete Math. 309, 2009). For a graph it reads: v folds
 when some u of W, not adjacent to v, has all its neighbours in W among
-those of v. A cone with two or more vertices folds too: its apex is an
-apex of every other vertex's link.
+those of v. Cones fold as well. A vertex of W in no edge inside W is an
+apex of the independence complex, and so of every other vertex's link;
+these are exactly the W that are not a union of edges, the W outside
+the lcm lattice of the ideal (Gasharov, Peeva and Welker, "The
+lcm-lattice in monomial resolutions", Math. Res. Lett. 1999). So every
+W outside the lattice with two or more vertices folds, and a single
+vertex reads no boundary row.
 """
 
 from __future__ import annotations
@@ -145,26 +142,6 @@ def _boundary_rows(faces: list[int], below_index: dict[int, int]):
         yield row
 
 
-def _is_cone(by_dim: list[list[int]]) -> bool:
-    """Whether some vertex is an apex, one that extends every face.
-
-    An apex lies in every top-level face. Removing v maps the faces
-    containing v one-to-one into those without it, so v is an apex
-    exactly when it lies in half of all faces, the empty face counted.
-    """
-    if not by_dim:
-        return False
-    common = -1
-    for face in by_dim[-1]:
-        common &= face
-    total = 1 + sum(len(level) for level in by_dim)
-    for v in bits_of(common):
-        bit = 1 << v
-        if 2 * sum(1 for level in by_dim for face in level if face & bit) == total:
-            return True
-    return False
-
-
 def _fold_vertex(h: Hypergraph, wmask: int) -> int | None:
     """The first vertex of W, in bit order, whose link in the
     independence complex of W is a cone, or None.
@@ -197,8 +174,6 @@ def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[in
     ``by_dim`` is the output of :func:`independent_faces`. Degree -1 is
     the first list entry; degree k is entry k + 1.
     """
-    if _is_cone(by_dim):
-        return [0]
     top = len(by_dim) - 1
     # ranks[k]: rank of the boundary map from level k to level k-1, with
     # level -1 the single empty face; the map out of level -1 is zero.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -32,6 +33,7 @@ from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.splitting import split
+from hyperbetti.taylor import TaylorAnalysis
 
 from conftest import cycle_graph
 
@@ -62,7 +64,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 3
+    assert a["schema_version"] == 4
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
                       "failures", "meta"}
     # everything that may vary between runs lives under meta
@@ -323,6 +325,74 @@ def test_restriction_monotonicity_catches_a_corrupted_map(monkeypatch):
     for h in make_batch("general", 8, 8, 10, 5):
         statuses = {r.name: r.status for r in run_checks(h).checks}
         assert statuses["restriction-monotonicity"] == "fail", h
+
+
+def _entry(name):
+    return checks._CHECKS[CHECK_NAMES.index(name)]
+
+
+def test_splitting_recursion_catches_every_full_degree_entry():
+    # At j = n only the l = t term of the split sum survives; the loop
+    # holds each such entry to it on its own.
+    entry = _entry("splitting-recursion")
+    splits = 0
+    for h in make_batch("special:3", 9, 6, 5, 7) + make_batch("chordal", 9, 9, 5, 7):
+        ctx = _Ctx(h, QQ, 0)
+        if not (ctx.special and h.m):
+            continue
+        assert entry(ctx).status == "pass"
+        entries = ctx.table.entries
+        for i in range(h.m + 2):
+            entries[i, h.n] = entries.get((i, h.n), 0) + 1
+            result = entry(ctx)
+            assert result.status == "fail"
+            assert result.detail.startswith(f"recursion mismatch at ({i},{h.n}):"), result.detail
+            entries[i, h.n] -= 1
+        splits += 1
+    assert splits >= 8
+
+
+def test_conditional_slice_bounds_catch_an_extra_symbol_under_both_hypotheses(monkeypatch):
+    # Under both hypotheses beta <= |B| and beta >= |B| are tested one by
+    # one, so a B one symbol too large fails the second of them.
+    entry = _entry("conditional-slice-bounds")
+    real = TaylorAnalysis.b_set
+    target = None
+
+    def b_set(self, i, j):
+        return real(self, i, j) + [("extra",)] * ((i, j) == target)
+
+    monkeypatch.setattr(TaylorAnalysis, "b_set", b_set)
+    slices = 0
+    for h in make_batch("general", 8, 8, 5, 5) + make_batch("special:3", 9, 6, 5, 7):
+        ctx = _Ctx(h, QQ, 0)
+        target = None
+        assert entry(ctx).status == "pass"
+        for target in ctx.taylor.types():
+            i, j = target
+            if i and ctx.sv.families_all_reduced(i, j) and ctx.sv.absorbing_families_stay_reduced(i, j):
+                result = entry(ctx)
+                assert result.status == "fail"
+                assert "under no-double-absorption hypothesis" in result.detail
+                slices += 1
+    assert slices >= 60
+
+
+def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):
+    # induced->matching holds by construction, induced = matching and
+    # semi-induced, yet it is the campaign's only rule that catches this
+    real = checks._classification
+
+    def induced_as_semi_induced(kernel, fam):
+        cls = real(kernel, fam)
+        return dataclasses.replace(cls, induced=cls.semi_induced)
+
+    monkeypatch.setattr(checks, "_classification", induced_as_semi_induced)
+    results = [{r.name: r for r in run_checks(h).checks}["implication-chain"]
+               for h in make_batch("special:3", 9, 6, 20, 7)]
+    failed = [r for r in results if r.status == "fail"]
+    assert len(failed) >= 19  # measured: 19 of 20
+    assert all(r.detail.endswith("violates induced->matching") for r in failed)
 
 
 def _raise_injected(*args, **kwargs):
