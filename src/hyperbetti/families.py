@@ -32,6 +32,13 @@ Inside the package a family is also an edge bitmask, bit s standing for
 edge index s, and every class predicate above lives once, in
 ``_Kernel``: ``classify``, ``survey``, the bouquet search, the Taylor
 engine and the campaign's family sweeps all call it.
+
+``classify`` decides the matching, semi-induced, reduced, self
+semi-induced and induced classes up front, each in one pass over the
+members. The self-contained, self (semi-)disjoint and self ordered
+classes, which scan outside edges or search sub-families, are computed
+when first read (see ``FamilyClassification``), so a caller pays only
+for the classes it reads.
 """
 
 from __future__ import annotations
@@ -305,8 +312,23 @@ def _sweep_kernel(h: Hypergraph) -> _Kernel:
 # single-family classification
 
 
-@dataclass(frozen=True)
 class FamilyClassification:
+    """Every class of one family, as attributes named after the classes.
+
+    Set on construction, each in one pass over the members: ``family``,
+    ``i``, ``j``, ``matching``, ``semi_induced``, ``reduced``,
+    ``self_semi_induced`` and ``induced``. The costly classes are
+    computed on first read and then stored on the instance:
+    ``self_contained``; ``self_disjoint``, ``self_semi_disjoint`` and
+    their witnesses (each a sub-tuple of ``family`` or None), all four
+    from one witness search, made only on a reduced family; and
+    ``self_ordered``, tested in the order of ``family``.
+
+    Not a dataclass: instances have no ``==`` and no
+    ``dataclasses.replace``. Built by ``classify``, and inside the
+    package by ``_classification``.
+    """
+
     family: tuple[int, ...]
     i: int
     j: int
@@ -314,13 +336,60 @@ class FamilyClassification:
     semi_induced: bool
     reduced: bool
     self_semi_induced: bool
-    self_contained: bool
     induced: bool
+    # on first read
+    self_contained: bool
     self_disjoint: bool
     self_disjoint_witness: tuple[int, ...] | None
     self_semi_disjoint: bool
     self_semi_disjoint_witness: tuple[int, ...] | None
     self_ordered: bool
+
+    def __init__(self, kernel: _Kernel, fam: tuple[int, ...]):
+        bits = mask_of(fam)
+        self._kernel, self._bits = kernel, bits
+        self.family = fam
+        self.i = len(fam)
+        self.j = kernel.union[bits].bit_count()
+        self.matching = kernel.matching(bits)
+        self.semi_induced = kernel.semi_induced(bits)
+        self.reduced = not kernel.absorbed(bits)
+        self.self_semi_induced = self.reduced and self.semi_induced
+        self.induced = self.matching and self.semi_induced
+
+    def __getattr__(self, name: str):
+        # Reached only for a name not yet in the instance dict; a class
+        # computed here is stored there, so the next read is plain.
+        fill = _ON_FIRST_READ.get(name)
+        if fill is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        fill(self)
+        return self.__dict__[name]
+
+    def _fill_self_contained(self) -> None:
+        self.self_contained = self.reduced and self._kernel.self_contained(self._bits)
+
+    def _fill_witnesses(self) -> None:
+        sd_w, ssd_w = (self._kernel.disjoint_witnesses(self.family) if self.reduced
+                       else (None, None))
+        self.self_disjoint, self.self_disjoint_witness = sd_w is not None, sd_w
+        self.self_semi_disjoint, self.self_semi_disjoint_witness = ssd_w is not None, ssd_w
+
+    def _fill_self_ordered(self) -> None:
+        # two or more members are ordered only when reduced, which is
+        # already known, so an absorbed family skips the outside-edge scan
+        self.self_ordered = ((self.i <= 1 or self.reduced)
+                             and self._kernel.ordered_in(self.family))
+
+
+_ON_FIRST_READ = {
+    "self_contained": FamilyClassification._fill_self_contained,
+    "self_disjoint": FamilyClassification._fill_witnesses,
+    "self_disjoint_witness": FamilyClassification._fill_witnesses,
+    "self_semi_disjoint": FamilyClassification._fill_witnesses,
+    "self_semi_disjoint_witness": FamilyClassification._fill_witnesses,
+    "self_ordered": FamilyClassification._fill_self_ordered,
+}
 
 
 def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
@@ -333,35 +402,16 @@ def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
 
 
 def classify(h: Hypergraph, fam) -> FamilyClassification:
-    """Evaluate every family class on ``fam`` (order matters only for the
-    ordered class, which is tested in the given order)."""
+    """Every family class of ``fam``, the costly ones decided on first
+    read (order matters only for the ordered class, which is tested in
+    the given order)."""
     fam = _validate_family(h, fam)
     return _classification(_family_kernel(h, fam), fam)
 
 
 def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassification:
     """``classify`` on a valid family, with any kernel of its hypergraph."""
-    bits = mask_of(fam)
-    reduced = not kernel.absorbed(bits)
-    matching = kernel.matching(bits)
-    semi = kernel.semi_induced(bits)
-    sd_w, ssd_w = kernel.disjoint_witnesses(fam) if reduced else (None, None)
-    return FamilyClassification(
-        family=fam,
-        i=len(fam),
-        j=kernel.union[bits].bit_count(),
-        matching=matching,
-        semi_induced=semi,
-        reduced=reduced,
-        self_semi_induced=reduced and semi,
-        self_contained=reduced and kernel.self_contained(bits),
-        induced=matching and semi,
-        self_disjoint=sd_w is not None,
-        self_disjoint_witness=sd_w,
-        self_semi_disjoint=ssd_w is not None,
-        self_semi_disjoint_witness=ssd_w,
-        self_ordered=kernel.ordered_in(fam),
-    )
+    return FamilyClassification(kernel, fam)
 
 
 def is_self_ordered(h: Hypergraph, fam) -> bool:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +157,21 @@ def test_run_fuzz_parallel_matches_serial():
     parallel = run_fuzz("uniform:2", 6, 5, 4, seed=5, jobs=2).as_dict()
     serial.pop("meta"), parallel.pop("meta")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("tag, field", [("q", QQ), ("gf2", GF2)])
+@pytest.mark.parametrize("class_spec, n, m", [
+    ("general", 8, 8), ("special:3", 9, 6), ("chordal", 8, 8), ("uniform:3", 9, 10)])
+def test_fuzz_reports_match_golden(class_spec, n, m, tag, field):
+    """``fuzz --count 20 --seed 7`` report bodies, without ``meta``, stay
+    byte for byte those in ``tests/golden``. A deliberate change to the
+    reports, such as a ``SCHEMA_VERSION`` bump, regenerates the files
+    with this same body and says so in CHANGES.md."""
+    report = run_fuzz(class_spec, n, m, 20, 7, field).as_dict()
+    del report["meta"]
+    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "golden" / f"fuzz_{class_spec.replace(':', '')}_{n}_{m}_{tag}.json"
+    assert body == golden.read_text()
 
 
 def test_run_fuzz_shrinks_first_failure(monkeypatch):
@@ -385,7 +400,8 @@ def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):
 
     def induced_as_semi_induced(kernel, fam):
         cls = real(kernel, fam)
-        return dataclasses.replace(cls, induced=cls.semi_induced)
+        cls.induced = cls.semi_induced
+        return cls
 
     monkeypatch.setattr(checks, "_classification", induced_as_semi_induced)
     results = [{r.name: r for r in run_checks(h).checks}["implication-chain"]
@@ -393,6 +409,25 @@ def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):
     failed = [r for r in results if r.status == "fail"]
     assert len(failed) >= 19  # measured: 19 of 20
     assert all(r.detail.endswith("violates induced->matching") for r in failed)
+
+
+def test_implication_chain_catches_self_semi_induced_read_as_reduced(monkeypatch):
+    # ssi->semi_induced holds by construction too, self semi-induced =
+    # reduced and semi-induced, and is likewise the only rule that
+    # catches dropping the semi-induced half
+    real = checks._classification
+
+    def ssi_as_reduced(kernel, fam):
+        cls = real(kernel, fam)
+        cls.self_semi_induced = cls.reduced
+        return cls
+
+    monkeypatch.setattr(checks, "_classification", ssi_as_reduced)
+    results = [checks._check_implication_chain(_Ctx(h, QQ, 0))
+               for h in make_batch("chordal", 9, 9, 20, 7)]
+    failed = [r for r in results if r.status == "fail"]
+    assert len(failed) >= 18  # measured: 18 of 20
+    assert all(r.detail.endswith("violates ssi->semi_induced") for r in failed)
 
 
 def _raise_injected(*args, **kwargs):

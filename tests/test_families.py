@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyperbetti import limits
+import hyperbetti.checks as checks
+from hyperbetti import families, limits
+from hyperbetti.bitsets import bits_of
 from hyperbetti.errors import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -24,7 +26,9 @@ from hyperbetti.families import (
     self_ordered_witness,
     survey,
 )
+from hyperbetti.generators import make_batch
 from hyperbetti.hypergraph import build, from_edge_labels
+from hyperbetti.linalg import QQ
 
 import family_oracle as oracle
 from conftest import path_graph
@@ -277,20 +281,26 @@ def test_survey_types_match_classify(p4, c4, triple_overlap):
 @settings(max_examples=60, deadline=None)
 @given(sized_hypergraphs(), st.randoms(use_true_random=False))
 def test_classify_matches_family_oracle(h, rnd):
+    """Attributes are read in a shuffled order, so each class computed on
+    first read is checked whichever attribute triggers it."""
     edges = oracle.edge_sets(h)
     for r in range(h.m + 1):
         for fam in itertools.combinations(range(h.m), r):
             order = list(fam)
             rnd.shuffle(order)
+            expected = {name: holds(edges, fam) for name, holds in oracle.UNORDERED_CLASSES.items()}
+            expected.update(
+                family=tuple(order), i=len(fam), j=len(oracle.union(edges, fam)),
+                self_ordered=oracle.self_ordered_in(edges, order),
+                self_disjoint_witness=oracle.first_disjoint_witness(edges, order, True),
+                self_semi_disjoint_witness=oracle.first_disjoint_witness(edges, order, False))
+            names = list(expected)
+            rnd.shuffle(names)
             cls = classify(h, order)
-            assert cls.family == tuple(order)
-            assert (cls.i, cls.j) == (len(fam), len(oracle.union(edges, fam)))
-            for name, holds in oracle.UNORDERED_CLASSES.items():
-                assert getattr(cls, name) == holds(edges, fam), (name, order, edges)
-            assert cls.self_ordered == oracle.self_ordered_in(edges, order)
+            for name in names:
+                assert getattr(cls, name) == expected[name], (name, order, edges)
             for witness, matching in ((cls.self_disjoint_witness, True),
                                       (cls.self_semi_disjoint_witness, False)):
-                assert witness == oracle.first_disjoint_witness(edges, order, matching)
                 if witness is not None:
                     assert oracle.is_disjoint_witness(edges, fam, witness, matching)
 
@@ -335,6 +345,66 @@ def test_self_ordered_witness_matches_family_oracle(h, rnd):
             rnd.shuffle(order)
             assert self_ordered_witness(h, fam) == expected, (fam, edges)
             assert self_ordered_witness(h, order) == expected, (order, edges)
+
+
+# Kernel predicates behind the classes computed on first read.
+_COSTLY = ("disjoint_witnesses", "self_contained", "ordered_in")
+
+
+def _count_costly_calls(monkeypatch) -> dict[str, list]:
+    """Record the argument of each call to a ``_COSTLY`` kernel method."""
+    calls = {name: [] for name in _COSTLY}
+    for name in _COSTLY:
+        real = getattr(families._Kernel, name)
+
+        def counted(kernel, arg, real=real, seen=calls[name]):
+            seen.append(arg)
+            return real(kernel, arg)
+
+        monkeypatch.setattr(families._Kernel, name, counted)
+    return calls
+
+
+_EAGER = ("family", "i", "j", "matching", "semi_induced", "reduced", "self_semi_induced",
+          "induced")
+
+
+def test_eager_classes_call_no_costly_predicate(monkeypatch):
+    calls = _count_costly_calls(monkeypatch)
+    classes = [classify(h, fam) for h in make_batch("general", 7, 8, 3, 1)
+               for r in range(h.m + 1) for fam in itertools.combinations(range(h.m), r)]
+    for cls in classes:
+        for name in _EAGER:
+            getattr(cls, name)
+    assert calls == {name: [] for name in _COSTLY}
+    # the four witness attributes share one search, made on reduced families only
+    for cls in classes:
+        for name in ("self_semi_disjoint_witness", "self_disjoint", "self_semi_disjoint",
+                     "self_disjoint_witness"):
+            getattr(cls, name)
+    assert calls["disjoint_witnesses"] == [cls.family for cls in classes if cls.reduced]
+    assert calls["self_contained"] == calls["ordered_in"] == []
+
+
+def test_implication_chain_computes_costly_classes_only_under_a_premise(monkeypatch):
+    calls = _count_costly_calls(monkeypatch)
+    for h in make_batch("general", 8, 8, 2, 3) + make_batch("chordal", 8, 8, 2, 3):
+        ctx = checks._Ctx(h, QQ, 0)
+        assert ctx.sv is not None  # the survey, built first, calls the same predicates
+        for seen in calls.values():
+            seen.clear()
+        assert checks._check_implication_chain(ctx).status == "pass"
+        edges = oracle.edge_sets(h)
+        searched = calls["disjoint_witnesses"]
+        assert len(searched) == len(set(searched))
+        assert all(oracle.reduced(edges, fam) for fam in searched)
+        assert all(len(order) <= 1 or oracle.reduced(edges, order)
+                   for order in calls["ordered_in"])
+        for bits in calls["self_contained"]:
+            fam = tuple(bits_of(bits))
+            assert oracle.self_semi_induced(edges, fam) or oracle.self_ordered_in(edges, fam)
+        # most reduced families are neither, and skip the scan
+        assert len(calls["self_contained"]) < len(searched)
 
 
 # ---------------------------------------------------------------------------
