@@ -12,8 +12,9 @@ inside a check becomes its ``fail`` result while the others still run.
 The per-instance artifacts (restriction map, table, survey, invariants,
 Taylor analysis, triangulation test, split, recursive table) are built
 on first use, inside the check that first reads them, and kept. An
-artifact that raises is therefore a ``fail`` of each check that reads
-it, and shrinking a failure builds only what the failing check reads.
+artifact whose engine is over its size limit is None, and an artifact
+that raises anything else is a ``fail`` of each check that reads it.
+Shrinking a failure builds only what the failing check reads.
 
 The exact table is read off one restriction map: each vertex subset W
 with nonzero reduced homology of its independence complex, taken from
@@ -23,10 +24,13 @@ compares that table with the Taylor and recursive engines, and
 ``restriction-monotonicity`` compares the map itself, W by W, with the
 one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 
-Exact-table checks and family sweeps are gated by the size limits in
-``limits``; an unmet gate is a skip. Reports follow ``SCHEMA_VERSION``
-4 and are deterministic for fixed inputs and seed: everything that
-varies between runs lives under the ``meta`` key.
+The campaign compares no size limit of its own: each engine enforces
+its limit in ``limits``, and an artifact whose engine raises
+``CapExceeded`` is None, a skip of each check that needs it. Only
+``implication-chain`` is gated here, on ``limits.EXACT_M_CAP`` edges.
+Reports follow ``SCHEMA_VERSION`` 4 and are deterministic for fixed
+inputs and seed: everything that varies between runs lives under the
+``meta`` key.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from datetime import datetime, timezone
 
 from . import limits
 from .bitsets import bits_of, mask_of
-from .errors import CertificateError, ValidationError
+from .errors import CapExceeded, CertificateError, ValidationError
 from .families import (
     FamilySurvey,
     InvariantReport,
@@ -145,7 +149,9 @@ def _fail(name: str, h: Hypergraph, message: str, checked: int = 0,
 
 def _artifact(build):
     """A property of ``_Ctx`` built on first read and kept, and so is a
-    raise: every later read raises the same exception again."""
+    raise: every later read raises the same exception again. A build
+    whose engine is over its size limit (``CapExceeded``) is kept as
+    None instead, which the checks that need it read as a skip."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -153,6 +159,8 @@ def _artifact(build):
         if name not in ctx.built:
             try:
                 ctx.built[name] = (build(ctx), None)
+            except CapExceeded:
+                ctx.built[name] = (None, None)
             except Exception as exc:
                 ctx.built[name] = (None, exc)
         value, exc = ctx.built[name]
@@ -166,10 +174,12 @@ def _artifact(build):
 class _Ctx:
     """Shared per-instance artifacts, each built on first use and kept.
 
-    Each artifact is an ``_artifact``, None (``special``: False) above
-    its limit. Checks first read one inside their ``_declare`` entry, so
-    an artifact that raises is built once and is a ``fail`` of each
-    check that reads it, and the other checks still run.
+    Each artifact is an ``_artifact``: None where its engine is over its
+    size limit, or where an artifact it reads is None, and None or False
+    (``special``) where it does not apply. Checks first read one inside
+    their ``_declare`` entry, so an artifact that raises anything else is
+    built once and is a ``fail`` of each check that reads it, and the
+    other checks still run.
     """
 
     def __init__(self, h: Hypergraph, field: Field, seed: int):
@@ -178,13 +188,10 @@ class _Ctx:
         self.field = field
         self.seed = seed
         self.profile = uniformity_profile(h)
-        # Read here, so that a malformed BETTI_CAP_N is a usage error.
-        self.exact = (h.n <= limits.vertex_cap(limits.EXACT_N_CAP)
-                      and h.m <= limits.EXACT_M_CAP)
 
     @_artifact
     def hom(self) -> dict[int, list[int]] | None:
-        return lyubeznik_restrictions(self.h, self.field) if self.exact else None
+        return lyubeznik_restrictions(self.h, self.field)
 
     @_artifact
     def table(self) -> BettiTable | None:
@@ -192,7 +199,7 @@ class _Ctx:
 
     @_artifact
     def sv(self) -> FamilySurvey | None:
-        return survey(self.h) if self.h.m <= limits.FAMILY_BUDGET else None
+        return survey(self.h)
 
     @_artifact
     def invariants(self) -> InvariantReport | None:
@@ -200,14 +207,13 @@ class _Ctx:
 
     @_artifact
     def taylor(self) -> TaylorAnalysis | None:
-        within = self.exact and self.h.m <= limits.TAYLOR_BUDGET
-        return analyze_taylor(self.h, self.field) if within else None
+        return analyze_taylor(self.h, self.field)
 
     @_artifact
     def special(self) -> bool:
         """Whether the instance is a triangulated one of the restricted class."""
         return (self.profile.is_special_class and self.profile.d is not None
-                and self.h.n <= limits.TRIANGULATED_CAP and is_triangulated(self.h))
+                and is_triangulated(self.h))
 
     @_artifact
     def dec(self) -> SplittingDecomposition | None:
@@ -228,7 +234,8 @@ def _skip(name: str, why: str) -> CheckResult:
 # reason reported when the predicate does not hold, formatted with
 # ``limits`` when the skip happens.
 _NEEDS = {
-    "table": (lambda ctx: ctx.table is not None, "instance above exact-table caps"),
+    "table": (lambda ctx: ctx.table is not None,
+              "more than {limits.LYUBEZNIK_BUDGET} admissible symbols"),
     "survey": (lambda ctx: ctx.sv is not None, "family enumeration too large"),
     "taylor": (lambda ctx: ctx.taylor is not None, "instance above Taylor-analysis caps"),
     "special": (lambda ctx: ctx.special,

@@ -205,7 +205,7 @@ def homology_of_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list
     the dims list of W - v, already in the map. Folded W share that list
     object with W - v, so callers must only read the lists.
     """
-    limit = limits.vertex_cap(limits.BETTI_CAP_N)
+    limit = limits.vertex_cap()
     if h.n > limit:
         raise SizeCapExceeded(f"{h.n} vertices exceeds Betti cap {limit}")
     out = {}

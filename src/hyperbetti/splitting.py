@@ -155,26 +155,16 @@ def split_sum(dec: SplittingDecomposition, h1_entries: dict[tuple[int, int], int
 
 
 def canonical_key(h: Hypergraph) -> tuple:
-    """Deterministic relabelled edge list; equal keys are isomorphic.
+    """Sorted edge list after dropping isolated vertices and renumbering
+    the rest in vertex order.
 
-    Vertices are ordered by two rounds of neighborhood refinement with
-    original-id tie breaks, and isolated vertices are dropped. The key
-    contains the full relabelled edge list, so distinct hypergraphs
-    never collide; isomorphic ones may still get different keys, which
-    only costs a memo miss.
+    Equal keys mean the same hypergraph up to isolated vertices and an
+    order-preserving renaming, so equal Betti tables. Isomorphic
+    hypergraphs listed in another vertex order may get different keys,
+    which only costs a memo miss.
     """
-    verts = tuple(bits_of(chain_union(h, range(h.m))))
-    incident = {v: [m for m in h.edges if m >> v & 1] for v in verts}
-    sig = {v: str(len(incident[v])) for v in verts}
-    for _ in range(2):
-        sig = {
-            v: sig[v] + "|" + ",".join(sorted(
-                "+".join(sorted(sig[u] for u in bits_of(m) if u != v))
-                for m in incident[v]))
-            for v in verts
-        }
-    rank = {v: r for r, v in enumerate(sorted(verts, key=lambda v: (sig[v], v)))}
-    return tuple(sorted(tuple(sorted(rank[u] for u in bits_of(m))) for m in h.edges))
+    rank = {v: r for r, v in enumerate(bits_of(chain_union(h, range(h.m))))}
+    return tuple(sorted(tuple(rank[u] for u in bits_of(m)) for m in h.edges))
 
 
 def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:

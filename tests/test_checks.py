@@ -72,27 +72,43 @@ def test_report_shape_and_determinism():
     assert a == b
 
 
+_TABLE_CHECKS = ("degree-window", "restriction-monotonicity", "engine-agreement",
+                 "induced-matching-slices", "pd-reg-lower-bounds", "lower-bound-certificates",
+                 "conditional-slice-bounds", "conditional-pd-cap", "splitting-recursion")
+
+
+def _matching(k):
+    return build([f"v{i}" for i in range(2 * k)], [(2 * i, 2 * i + 1) for i in range(k)])
+
+
 def test_large_instance_skips_exact_checks_without_failing():
-    # an 11-edge matching exceeds both exact caps but no family budget
-    labels = [f"v{i}" for i in range(22)]
-    h = build(labels, [(2 * i, 2 * i + 1) for i in range(11)])
-    report = run_checks(h)
+    # a 17-edge matching has 2^17 admissible symbols and is over every
+    # edge budget: each engine refuses it, and its checks skip
+    report = run_checks(_matching(17))
+    assert [r.name for r in report.checks if r.status != "skip"] == []
+    # an 11-edge matching is within every engine's limit: only the check
+    # gated on the edge count skips
+    report = run_checks(_matching(11))
     assert report.ok
-    statuses = {r.name: r.status for r in report.checks}
-    assert statuses["engine-agreement"] == "skip"
-    assert statuses["restriction-monotonicity"] == "skip"
-    assert statuses["invariant-inequalities"] == "pass"
+    results = {r.name: r for r in report.checks}
+    assert results["engine-agreement"].status == "pass"
+    assert results["restriction-monotonicity"].status == "pass"
+    assert results["invariant-inequalities"].status == "pass"
+    assert results["implication-chain"].status == "skip"
+    assert results["implication-chain"].detail == "more than 10 edges"
 
 
-def test_cap_override_via_env(monkeypatch):
-    monkeypatch.setenv("BETTI_CAP_N", "3")
-    report = run_checks(path_graph(4))
-    statuses = {r.name: r.status for r in report.checks}
-    assert statuses["engine-agreement"] == "skip"
-    monkeypatch.delenv("BETTI_CAP_N")
-    report = run_checks(path_graph(4))
-    statuses = {r.name: r.status for r in report.checks}
-    assert statuses["engine-agreement"] == "pass"
+def test_budget_overrun_is_a_skip(monkeypatch):
+    # P6 has more than 16 admissible symbols, so Lyubeznik's engine refuses it
+    monkeypatch.setattr(limits, "LYUBEZNIK_BUDGET", 16)
+    report = run_checks(path_graph(6))
+    assert report.ok
+    for r in report.checks:
+        if r.name in _TABLE_CHECKS:
+            assert (r.status, r.detail) == ("skip", "more than 16 admissible symbols"), r.name
+        else:
+            # every other check reads the family survey, and passes
+            assert r.status == "pass", r.name
 
 
 def test_merge_results_precedence():
@@ -159,9 +175,17 @@ def test_run_fuzz_parallel_matches_serial():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("tag, field", [("q", QQ), ("gf2", GF2)])
-@pytest.mark.parametrize("class_spec, n, m", [
-    ("general", 8, 8), ("special:3", 9, 6), ("chordal", 8, 8), ("uniform:3", 9, 10)])
+# Ids end in field0 (QQ) or field1 (GF(2)) on every input, so adding an
+# input renames no test.
+_GOLDEN = [pytest.param(spec, n, m, tag, field, id=f"{spec}-{n}-{m}-{tag}-field{k}")
+           for spec, n, m in [("general", 8, 8), ("special:3", 9, 6), ("chordal", 8, 8),
+                              ("uniform:3", 9, 10), ("general", 14, 12)]
+           for k, (tag, field) in enumerate([("q", QQ), ("gf2", GF2)])
+           # general 14/12 runs the table checks above 10 vertices and 10 edges
+           if (n, tag) != (14, "gf2")]
+
+
+@pytest.mark.parametrize("class_spec, n, m, tag, field", _GOLDEN)
 def test_fuzz_reports_match_golden(class_spec, n, m, tag, field):
     """``fuzz --count 20 --seed 7`` report bodies, without ``meta``, stay
     byte for byte those in ``tests/golden``. A deliberate change to the

@@ -94,7 +94,7 @@ def test_usage_errors_exit_two(argv, p3_file, capsys):
 @pytest.mark.parametrize("value", ["-3", "abc", "²"])
 def test_bad_cap_env_exits_two(value, p3_file, capsys, monkeypatch):
     monkeypatch.setenv("BETTI_CAP_N", value)
-    assert main(["check", p3_file]) == 2
+    assert main(["betti", p3_file]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: BETTI_CAP_N") and not captured.out
 
@@ -184,12 +184,22 @@ def test_check_reports_json(p3_file, capsys):
     assert len(report["checks"]) == 18
 
 
-def test_check_honors_cap_env(p3_file, capsys, monkeypatch):
-    monkeypatch.setenv("BETTI_CAP_N", "2")
-    assert main(["check", p3_file]) == 0
-    report = json.loads(capsys.readouterr().out)
-    statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses["engine-agreement"] == "skip"
+def test_cap_env_reaches_only_betti(tmp_path, capsys, monkeypatch):
+    # BETTI_CAP_N replaces the Hochster cap, which the campaign never meets
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("a b / b c / c d\n")
+
+    def check_body():
+        assert main(["check", str(p4)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["meta"]
+        return report
+
+    plain = check_body()
+    monkeypatch.setenv("BETTI_CAP_N", "3")
+    assert check_body() == plain
+    assert main(["betti", str(p4)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fuzz_writes_report(tmp_path, capsys):

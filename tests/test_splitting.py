@@ -207,9 +207,13 @@ def test_canonical_key_stability():
     a = path_graph(6)
     b = build([f"v{i}" for i in range(6)], [(5 - i, 4 - i) for i in range(5)])
     assert canonical_key(a) == canonical_key(b)
+    # vertices are renumbered in order, not up to isomorphism: a star
+    # keeps its key when shifted, and may change it when its root moves
     root_first = build(list("rabc"), [(0, 1), (0, 2), (0, 3)])
+    shifted = build(list("xyrabc"), [(2, 3), (2, 4), (2, 5)])
     root_last = build(list("abcr"), [(0, 3), (1, 3), (2, 3)])
-    assert canonical_key(root_first) == canonical_key(root_last)
+    assert canonical_key(root_first) == canonical_key(shifted) == ((0, 1), (0, 2), (0, 3))
+    assert canonical_key(root_last) == ((0, 3), (1, 3), (2, 3))
     assert canonical_key(path_graph(3)) != canonical_key(cycle_graph(3))
     # isolated vertices do not affect the key
     padded = build([f"v{i}" for i in range(9)], [(i, i + 1) for i in range(5)])
