@@ -111,6 +111,19 @@ def test_budget_overrun_is_a_skip(monkeypatch):
             assert r.status == "pass", r.name
 
 
+def test_cap_override_via_env(monkeypatch):
+    # BETTI_CAP_N is the Hochster cap only; the campaign runs no Hochster
+    # table, so a cap below the vertex count changes no check
+    plain = run_checks(path_graph(4)).as_dict()
+    monkeypatch.setenv("BETTI_CAP_N", "3")
+    report = run_checks(path_graph(4))
+    statuses = {r.name: r.status for r in report.checks}
+    assert statuses["engine-agreement"] == "pass"
+    capped = report.as_dict()
+    plain.pop("meta"), capped.pop("meta")
+    assert capped == plain
+
+
 def test_merge_results_precedence():
     def rep(status, checked, counter=None):
         results = [CheckResult(name, "skip", 0) for name in CHECK_NAMES]

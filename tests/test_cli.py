@@ -184,8 +184,9 @@ def test_check_reports_json(p3_file, capsys):
     assert len(report["checks"]) == 18
 
 
-def test_cap_env_reaches_only_betti(tmp_path, capsys, monkeypatch):
-    # BETTI_CAP_N replaces the Hochster cap, which the campaign never meets
+def test_check_honors_cap_env(tmp_path, capsys, monkeypatch):
+    # BETTI_CAP_N replaces the Hochster cap, which the campaign never meets:
+    # check runs as without it, and betti stops at it
     p4 = tmp_path / "p4.txt"
     p4.write_text("a b / b c / c d\n")
 
