@@ -39,6 +39,13 @@ members. The self-contained, self (semi-)disjoint and self ordered
 classes, which scan outside edges or search sub-families, are computed
 when first read (see ``FamilyClassification``), so a caller pays only
 for the classes it reads.
+
+``survey`` aggregates every family into the invariants' maxima, the
+class types and the two Taylor basis hypotheses. It walks only the
+reduced families, since every class but the semi-induced one is reduced
+and the absorbed families are closed upward, and it reads what the
+absorbed families add (semi-induced types and hypothesis violations)
+off the vertex unions the walk meets.
 """
 
 from __future__ import annotations
@@ -80,7 +87,9 @@ class _Kernel:
     family (``_sweep_kernel``), or by default a ``_Unions`` filled on
     demand. Each predicate tests one condition of the module docstring on
     its own; a class that also asks for a reduced family is the
-    conjunction with ``not absorbed(bits)``, taken by the caller. The
+    conjunction with ``not absorbed(bits)``, taken by the caller.
+    ``absorbed`` and ``self_contained`` read the members' private parts,
+    which a caller that carries them, as the survey does, passes in. The
     ordered class has two tests: ``ordered_in`` for one given order, and
     ``least_ordering``, a memoized and pruned search over orders that
     returns the first.
@@ -94,15 +103,39 @@ class _Kernel:
         self._near: list[int | None] = [None] * len(masks)
         self._incident: list[int] | None = None
 
-    def absorbed(self, bits: int) -> int:
-        """Members of ``bits`` contained in the union of the others."""
+    def private_parts(self, bits: int) -> list[int]:
+        """Per member of ``bits``, in index order, its private part: the
+        vertices of the member that lie in no other member."""
         masks, union = self.masks, self.union
-        out = 0
+        out = []
         rest = bits
         while rest:
             low = rest & -rest
             rest ^= low
-            if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
+            out.append(masks[low.bit_length() - 1] & ~union[bits ^ low])
+        return out
+
+    def absorbed(self, bits: int, private: list[int] | None = None) -> int:
+        """Members of ``bits`` contained in the union of the others: those
+        with an empty private part. ``private`` is ``private_parts(bits)``
+        when the caller already has it. Otherwise each part is computed
+        in the loop as ``private_parts`` computes it, with no list: the
+        Taylor engine and ``classify`` call this once per symbol or
+        family, and the list cost them 2-10%."""
+        out = 0
+        rest = bits
+        if private is None:
+            masks, union = self.masks, self.union
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
+                    out |= low
+            return out
+        for part in private:
+            low = rest & -rest
+            rest ^= low
+            if not part:
                 out |= low
         return out
 
@@ -116,11 +149,9 @@ class _Kernel:
             total += sizes[low.bit_length() - 1]
         return total == self.union[bits].bit_count()
 
-    def semi_induced(self, bits: int) -> bool:
-        """No edge outside ``bits`` inside its union: the edges inside the
-        union, which include the members, are exactly the members. Many
-        families share a union, so the edges inside memoize per union."""
-        u = self.union[bits]
+    def inside(self, u: int) -> int:
+        """The edges inside the vertex set ``u``, as an edge bitmask. Many
+        families share a union, so this memoizes per vertex set."""
         inside = self._inside.get(u)
         if inside is None:
             inside = 0
@@ -128,18 +159,24 @@ class _Kernel:
                 if not mask & ~u:
                     inside |= 1 << s
             self._inside[u] = inside
-        return inside == bits
+        return inside
 
-    def self_contained(self, bits: int) -> bool:
+    def semi_induced(self, bits: int) -> bool:
+        """No edge outside ``bits`` inside its union: the edges inside the
+        union, which include the members, are exactly the members."""
+        return self.inside(self.union[bits]) == bits
+
+    def self_contained(self, bits: int, private: list[int] | None = None) -> bool:
         """Every outside edge S inside the union admits a member S_k inside
-        S together with the other members."""
-        masks, union = self.masks, self.union
-        u = union[bits]
-        members = [(masks[k], union[bits ^ (1 << k)]) for k in bits_of(bits)]
-        for s, mask in enumerate(masks):
-            if mask & ~u or bits >> s & 1:
-                continue
-            if all(mk & ~(mask | others) for mk, others in members):
+        S together with the other members, that is, a member whose private
+        part lies in S. ``private`` is ``private_parts(bits)`` when the
+        caller already has it."""
+        if private is None:
+            private = self.private_parts(bits)
+        masks = self.masks
+        for s in bits_of(self.inside(self.union[bits]) & ~bits):
+            mask = masks[s]
+            if all(part & ~mask for part in private):
                 return False
         return True
 
@@ -427,8 +464,9 @@ def is_self_ordered(h: Hypergraph, fam) -> bool:
 class _Max:
     """Running maximum with the first witness kept on ties.
 
-    Subsets are visited in lexicographic order on their sorted index
-    tuples, so the kept witness is the lexicographically least optimum.
+    ``survey`` offers families in lexicographic order on their sorted
+    index tuples, so the kept witness is the lexicographically least
+    optimum.
     """
 
     __slots__ = ("value", "witness")
@@ -461,6 +499,16 @@ class FamilySurvey:
 
         Under this hypothesis the reduced basis symbols of the Taylor
         slice span its homology, so beta_{i,j} is at most |B_{i,j}|.
+
+        ``survey`` reads the violations off the vertex unions. Let c(U)
+        be the least size of a family with union U and N(U) the number
+        of edges inside U. The absorbed families with union U have
+        exactly the sizes c(U) + 1 to N(U). If a family F with union U
+        is absorbed at member s, then F minus s still covers U, so F has
+        more than c(U) members; and F lies inside U, so it has at most
+        N(U). Conversely, a minimum cover together with any further
+        edges inside U is absorbed, each added edge lying inside the
+        union of the cover.
         """
         return (i, j) not in self.hyp1_violations
 
@@ -470,41 +518,78 @@ class FamilySurvey:
 
         Under this hypothesis the classes of B_{i,j} are independent, so
         beta_{i,j} is at least |B_{i,j}|.
+
+        ``survey`` reads the violations off the vertex unions, with c(U)
+        and N(U) as in ``families_all_reduced``. The families with union
+        U and two or more absorbed members have the sizes i2 to N(U):
+        such a family stays so when an edge inside U joins, since an
+        absorbed member stays absorbed, and the set of all edges inside
+        U is the largest. Such a family has more than c(U) members. At
+        c(U) + 1, removing one absorbed member s leaves a minimum cover
+        C, so i2 is c(U) + 1 iff some minimum cover C and some edge s
+        inside U but outside C give ``absorbed(C | 1 << s)`` two or more
+        members. Otherwise i2 is c(U) + 2 (when N(U) reaches it): two
+        edges added to a minimum cover are both absorbed.
         """
         return (i, j) not in self.hyp2_violations
 
 
 def survey(h: Hypergraph) -> FamilySurvey:
-    """Classify every family of edges in one sweep.
+    """Classify every family of edges, visiting only the reduced ones.
 
-    Families come in lexicographic order, and each predicate runs only
-    where its answer can change the result:
+    A member inside the union of the others stays there when more
+    members join, so a family with an absorbed member has one in every
+    larger family too. The walk is depth first in lexicographic order of
+    the sorted index tuples, and grows a family by an edge above its last
+    index only when the grown family is reduced; the subtree below an
+    absorbed family is skipped whole. The reduced families therefore
+    still come in lexicographic order. Each carries its vertex union,
+    whether it is a matching, and each member's private part (its
+    vertices in no other member). The grown family is reduced iff the
+    new edge has a vertex outside the union and every old private part
+    keeps a vertex outside the new edge.
 
-    * A family with an absorbed member is no matching (that member meets
-      another), so it is in none of the classes but the semi-induced one.
-      It adds its type to the hypothesis sets, and is tested for
-      semi-induced only while its type is not yet in that class.
-    * A member absorbed in a family stays absorbed in every larger one,
-      so once the family less its last index has two absorbed members
-      ``absorbed`` is not asked again.
-    * The self disjoint and the self ordered tests run only on a reduced
-      family whose type is not yet in that class. A family of a type
-      already seen cannot add a type, and its size and spread equal
-      those of a family offered before it, so it cannot raise a maximum
-      or, since ``_Max`` keeps the first witness on ties, change one.
-      Every self disjoint family is self semi-disjoint, so the same
-      skip leaves the semi-disjoint class unchanged too.
+    A family with an absorbed member is no matching (that member meets
+    another), so of the classes only the semi-induced one can hold on it.
+    On the reduced families each predicate runs only where its answer can
+    change the result: the self disjoint and the self ordered tests run
+    only on a family whose type is not yet in that class. A family of a
+    type already seen cannot add a type, and its size and spread equal
+    those of a family offered before it, so it cannot raise a maximum
+    or, since ``_Max`` keeps the first witness on ties, change one. Every
+    self disjoint family is self semi-disjoint, so the same skip leaves
+    the semi-disjoint class unchanged too.
+
+    The absorbed families are read off their vertex unions, in one pass
+    after the walk. For the union U of a nonempty family, let N(U) be the
+    number of edges inside U (from the ``inside`` memo) and c(U) the
+    least size of a family with union U, a minimum cover. A minimum
+    cover is reduced, so the walk meets every U and records c(U) with
+    the minimum covers it met.
+
+    * The only semi-induced family with union U is the set of the edges
+      inside U, of type (N(U), |U|).
+    * ``hyp1_violations`` gets (i, |U|) for c(U) < i <= N(U); see
+      ``FamilySurvey.families_all_reduced`` for why.
+    * ``hyp2_violations`` gets (i - 1, |U|) for i2 <= i <= N(U), where
+      i2 is c(U) + 1 when some minimum cover C and some edge s inside U
+      but outside C give ``absorbed(C | 1 << s)`` two or more members,
+      and c(U) + 2 otherwise; see
+      ``FamilySurvey.absorbing_families_stay_reduced`` for why.
 
     Raises BudgetExceeded when the hypergraph has more than
-    ``limits.FAMILY_BUDGET`` edges; the sweep is exponential in the edge
+    ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
     count by design.
     """
     m = h.m
     if m > limits.FAMILY_BUDGET:
         raise BudgetExceeded(
             f"{m} edges exceeds family enumeration budget {limits.FAMILY_BUDGET}")
+    # the searches on reduced families look up unions of their
+    # sub-families; a full table beat unions filled on demand by 10-20%,
+    # at 16 edges too
     kernel = _sweep_kernel(h)
-    sizes = kernel.sizes
+    masks, sizes = kernel.masks, kernel.sizes
 
     kinds = ("matching", "induced", "semi_induced", "self_semi_induced",
              "self_contained", "self_disjoint", "self_semi_disjoint", "self_ordered")
@@ -520,35 +605,40 @@ def survey(h: Hypergraph) -> FamilySurvey:
               ("m", "a", "b", "b_prime", "c", "c_prime", "d1", "d2",
                "d1_prime", "d2_prime", "e")}
     a_t: dict[int, _Max] = {}
+    # covers[U]: the least size of a family met with union U, then each
+    # family of that size met so far
+    covers: dict[int, list[int]] = {}
 
-    # absorbed_of[bits]: the absorbed members of a visited family, or two
-    # or more of them once the family less its last index has two
-    absorbed_of = [0] * (1 << m)
-    for bits in _subsets_lex(m):
-        i = bits.bit_count()
-        j = kernel.union[bits].bit_count()
-
-        prefix = absorbed_of[bits ^ (1 << (bits.bit_length() - 1))]
-        absorbed = prefix if prefix & (prefix - 1) else kernel.absorbed(bits)
-        absorbed_of[bits] = absorbed
-        if absorbed:
-            # no matching, so of the classes only semi-induced is left
-            hyp1_violations.add((i, j))
-            if absorbed & (absorbed - 1):
-                hyp2_violations.add((i - 1, j))
-            if (i, j) not in types["semi_induced"] and kernel.semi_induced(bits):
-                types["semi_induced"].add((i, j))
+    # (family as bits and as a tuple, its union, whether it is a
+    # matching, its private parts); children are pushed last index
+    # first, so they pop in lexicographic order
+    stack = [(0, (), 0, True, [])]
+    while stack:
+        bits, fam, u, matching, private = stack.pop()
+        for s in range(m - 1, bits.bit_length() - 1, -1):
+            mask = masks[s]
+            child = bits | 1 << s
+            child_private = [part & ~mask for part in private]
+            child_private.append(mask & ~u)
+            if not kernel.absorbed(child, child_private):
+                stack.append((child, fam + (s,), u | mask, matching and not mask & u,
+                              child_private))
+        if not bits:
             continue
 
-        fam = tuple_of(bits)
-        matching = kernel.matching(bits)
+        i = len(fam)
+        j = u.bit_count()
+        cover = covers.get(u)
+        if cover is None or i < cover[0]:
+            covers[u] = [i, bits]
+        elif i == cover[0]:
+            cover.append(bits)
+
         semi = kernel.semi_induced(bits)
 
         if matching:
             types["matching"].add((i, j))
             maxima["m"].offer(i, fam)
-        if semi:
-            types["semi_induced"].add((i, j))
         if matching and semi:
             types["induced"].add((i, j))
             maxima["a"].offer(i, fam)
@@ -563,7 +653,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["b"].offer(i, fam)
             maxima["b_prime"].offer(j - i, fam)
 
-        if kernel.self_contained(bits):
+        if kernel.self_contained(bits, private):
             types["self_contained"].add((i, j))
             counts_scsi[i, j] = counts_scsi.get((i, j), 0) + 1
             maxima["e"].offer(i, fam)
@@ -585,6 +675,18 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["c"].offer(i, fam)
             maxima["c_prime"].offer(j - i, fam)
 
+    for u, (c, *minimum) in covers.items():
+        j = u.bit_count()
+        inside = kernel.inside(u)
+        n_inside = inside.bit_count()
+        types["semi_induced"].add((n_inside, j))
+        hyp1_violations.update((i, j) for i in range(c + 1, n_inside + 1))
+        if n_inside > c:
+            least = c + 1 if (c, j) in hyp2_violations or any(
+                kernel.absorbed(cover | 1 << s).bit_count() > 1
+                for cover in minimum for s in bits_of(inside & ~cover)) else c + 2
+            hyp2_violations.update((i - 1, j) for i in range(least, n_inside + 1))
+
     return FamilySurvey(
         types=types,
         counts_ssi=counts_ssi,
@@ -595,31 +697,6 @@ def survey(h: Hypergraph) -> FamilySurvey:
         maxima=maxima,
         maxima_a_t=a_t,
     )
-
-
-def _subsets_lex(m: int):
-    """Nonzero edge-index bitmasks in lexicographic order of their sorted
-    index tuples: (0), (0,1), (0,1,2), ..., (1), (1,2), ...
-
-    Each family is its predecessor with the next index appended, or, when
-    the predecessor ends at index m - 1, with that index dropped and the
-    new last index raised by one.
-    """
-    if not m:
-        return
-    bits, last = 0, -1
-    while True:
-        if last < m - 1:
-            last += 1
-        else:
-            bits ^= 1 << last
-            if not bits:
-                return
-            last = bits.bit_length() - 1
-            bits ^= 1 << last
-            last += 1
-        bits |= 1 << last
-        yield bits
 
 
 def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
@@ -737,6 +814,13 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
     chosen stems) by orienting each stem and greedily assigning every
     remaining vertex adjacent to a root as an extra flower of one such
     root, so the search below is exhaustive.
+
+    A stem whose endpoints have no neighbour outside the covered vertices
+    gains no flower and houses none whichever endpoint is its root, so it
+    keeps orientation 0 and only the other stems are enumerated. The
+    first maximal orientation stays the same: clearing such a stem's bit
+    keeps the total and gives a smaller number, and that stem's flower is
+    its other endpoint either way.
     """
     _require_graph(h)
     adj = [0] * h.n
@@ -762,13 +846,16 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
                 Bouquet(min(h.edge_vertices(s)), (max(h.edge_vertices(s)),)) for s in matching
             )
         endpoints = [h.edge_vertices(s) for s in matching]
-        for orient in range(1 << size):
+        # orientation bit of each stem with a neighbour outside the cover
+        live = [1 << k for k, (a, b) in enumerate(endpoints) if (adj[a] | adj[b]) & ~covered]
+        for choice in range(1 << len(live)):
+            orient = 0
+            for t, bit in enumerate(live):
+                if choice >> t & 1:
+                    orient |= bit
             roots = [endpoints[k][orient >> k & 1] for k in range(size)]
             flowers = {k: [endpoints[k][1 - (orient >> k & 1)]] for k in range(size)}
             total = size
-            root_union = 0
-            for r in roots:
-                root_union |= 1 << r
             for v in range(h.n):
                 if covered >> v & 1:
                     continue

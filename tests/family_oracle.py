@@ -9,6 +9,7 @@ fast and clever here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -100,21 +101,30 @@ def self_semi_disjoint(edges, fam):
     return first_disjoint_witness(edges, fam, False) is not None
 
 
-def self_ordered_in(edges, order):
-    """The ordered class in exactly the order given."""
-    if len(order) == 1:
-        return True
-    return reduced(edges, order) and all(
+def _outside_edges_ordered(edges, order):
+    """Every outside edge S admits a position k below the last with S_k
+    inside S together with the members after position k."""
+    return all(
         any(edges[order[k]] <= edges[s] | union(edges, order[k + 1:])
             for k in range(len(order) - 1))
         for s in _outside(edges, order))
 
 
+def self_ordered_in(edges, order):
+    """The ordered class in exactly the order given."""
+    if len(order) == 1:
+        return True
+    return reduced(edges, order) and _outside_edges_ordered(edges, order)
+
+
 def first_self_ordering(edges, fam):
     """The first permutation of the sorted family in the ordered class,
-    or None."""
+    or None. Whether a family is reduced does not depend on its order,
+    so it is tested once rather than for every permutation."""
+    if len(fam) > 1 and not reduced(edges, fam):
+        return None
     return next((perm for perm in itertools.permutations(sorted(fam))
-                 if self_ordered_in(edges, perm)), None)
+                 if len(perm) == 1 or _outside_edges_ordered(edges, perm)), None)
 
 
 def self_ordered_some_order(edges, fam):
@@ -133,32 +143,41 @@ UNORDERED_CLASSES = {
 }
 
 
+@functools.lru_cache(maxsize=4)
+def _class_members(edges: tuple[frozenset[int], ...]) -> dict[str, list[tuple[int, ...]]]:
+    """Every family of each class, the empty family included, the ordered
+    class in some order. ``survey_facts`` and ``survey_maxima`` both read
+    it, so the last few hypergraphs' answers are kept."""
+    classes = dict(UNORDERED_CLASSES, self_ordered=self_ordered_some_order)
+    families = list(_sub_families(tuple(range(len(edges)))))
+    return {name: [fam for fam in families if holds(edges, fam)]
+            for name, holds in classes.items()}
+
+
 def survey_facts(edges):
     """What a sweep over every family must report: the (i, j) types of
     each class, the counts of self semi-induced and self-contained
     families per type, and the types that break the two basis
     hypotheses (a non-reduced family of type (i, j); a family of type
     (i + 1, j) with two absorbed members)."""
-    kinds = [k for k in UNORDERED_CLASSES if k != "reduced"]
-    types = {k: set() for k in kinds + ["self_ordered"]}
+    members = _class_members(tuple(edges))
+
+    def key(fam):
+        return (len(fam), len(union(edges, fam)))
+
+    types = {k: {key(fam) for fam in fams} for k, fams in members.items() if k != "reduced"}
     counts_ssi: dict[tuple[int, int], int] = {}
     counts_scsi: dict[tuple[int, int], int] = {}
+    for counts, k in ((counts_ssi, "self_semi_induced"), (counts_scsi, "self_contained")):
+        for fam in members[k]:
+            counts[key(fam)] = counts.get(key(fam), 0) + 1
     hyp1, hyp2 = set(), set()
     for fam in _sub_families(tuple(range(len(edges)))):
-        key = (len(fam), len(union(edges, fam)))
-        for k in kinds:
-            if UNORDERED_CLASSES[k](edges, fam):
-                types[k].add(key)
-        if self_ordered_some_order(edges, fam):
-            types["self_ordered"].add(key)
-        if self_semi_induced(edges, fam):
-            counts_ssi[key] = counts_ssi.get(key, 0) + 1
-        if self_contained(edges, fam):
-            counts_scsi[key] = counts_scsi.get(key, 0) + 1
+        i, j = key(fam)
         if not reduced(edges, fam):
-            hyp1.add(key)
+            hyp1.add((i, j))
         if len(absorbed(edges, fam)) >= 2:
-            hyp2.add((key[0] - 1, key[1]))
+            hyp2.add((i - 1, j))
     return types, counts_ssi, counts_scsi, hyp1, hyp2
 
 
@@ -185,16 +204,14 @@ def survey_maxima(edges):
     ``b``, ``c``, ``d1``, ``d2`` and ``e`` and the spreads ``b_prime``,
     ``c_prime``, ``d1_prime`` and ``d2_prime`` of their classes, and per
     edge size t the size of the largest induced matching of t-edges."""
-    families = [fam for fam in _sub_families(tuple(range(len(edges)))) if fam]
-    classes = dict(UNORDERED_CLASSES, self_ordered=self_ordered_some_order)
     wanted = {"m": ("matching", _size), "a": ("induced", _size),
               "b": ("self_semi_induced", _size), "b_prime": ("self_semi_induced", _spread),
               "c": ("self_ordered", _size), "c_prime": ("self_ordered", _spread),
               "d1": ("self_disjoint", _size), "d2": ("self_semi_disjoint", _size),
               "d1_prime": ("self_disjoint", _spread), "d2_prime": ("self_semi_disjoint", _spread),
               "e": ("self_contained", _size)}
-    members = {name: [fam for fam in families if holds(edges, fam)]
-               for name, holds in classes.items()}
+    members = {name: [fam for fam in fams if fam]
+               for name, fams in _class_members(tuple(edges)).items()}
     maxima = {name: _maximum(edges, members[cls], value)
               for name, (cls, value) in wanted.items()}
     a_t = {}

@@ -313,6 +313,10 @@ def test_classify_matches_family_oracle(h, rnd):
 @example(h=build([f"v{i}" for i in range(7)],
                  [(1, 2, 3, 4, 5, 6), (0, 2, 6), (0, 1, 5), (0, 1, 2, 4)]))
 def test_survey_matches_family_oracle(h):
+    _assert_survey_matches_oracle(h)
+
+
+def _assert_survey_matches_oracle(h):
     types, counts_ssi, counts_scsi, hyp1, hyp2 = oracle.survey_facts(oracle.edge_sets(h))
     sv = survey(h)
     assert sv.types == types
@@ -323,6 +327,44 @@ def test_survey_matches_family_oracle(h):
     maxima, a_t = oracle.survey_maxima(oracle.edge_sets(h))
     assert {name: (mx.value, mx.witness) for name, mx in sv.maxima.items()} == maxima
     assert {t: (mx.value, mx.witness) for t, mx in sv.maxima_a_t.items()} == a_t
+
+
+# (class, vertices, edges): 8 to 10 edges, above the 3 to 6 that
+# sized_hypergraphs draws, where unions have several minimum covers and
+# the hypothesis sets read off them have room to differ. special:3 needs
+# about 1.6 vertices per edge to reach its edge count, and its families
+# are mostly reduced, so the oracle tries every order of each: 1 s per
+# instance at 8 edges, 10 s at 9.
+_LARGER = [("general", 9, 8), ("general", 9, 10), ("uniform:3", 8, 9), ("uniform:3", 9, 10),
+           ("chordal", 9, 9), ("chordal", 10, 10), ("special:3", 14, 8)]
+
+
+@pytest.mark.parametrize("spec,n,m", _LARGER)
+def test_survey_matches_family_oracle_on_larger_instances(spec, n, m):
+    for h in make_batch(spec, n, m, 2, 19):
+        assert h.m == m
+        _assert_survey_matches_oracle(h)
+
+
+def test_survey_visits_each_reduced_family_once(monkeypatch):
+    """``self_contained`` runs once on every family the walk visits, so
+    its calls list the visited families; the searches see reduced
+    families only, each at most once."""
+    calls = _count_costly_calls(monkeypatch, ("self_contained", "disjoint_witnesses",
+                                              "least_ordering"))
+    for h in make_batch("general", 9, 10, 2, 3) + make_batch("chordal", 9, 9, 2, 3):
+        for seen in calls.values():
+            seen.clear()
+        survey(h)
+        edges = oracle.edge_sets(h)
+        reduced = [fam for r in range(1, h.m + 1)
+                   for fam in itertools.combinations(range(h.m), r) if oracle.reduced(edges, fam)]
+        assert [tuple(bits_of(bits)) for bits in calls["self_contained"]] == sorted(reduced)
+        searched = calls["disjoint_witnesses"] + [tuple(bits_of(bits))
+                                                  for bits in calls["least_ordering"]]
+        assert searched and all(oracle.reduced(edges, fam) for fam in searched)
+        assert len(set(calls["disjoint_witnesses"])) == len(calls["disjoint_witnesses"])
+        assert len(set(calls["least_ordering"])) == len(calls["least_ordering"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,15 +393,16 @@ def test_self_ordered_witness_matches_family_oracle(h, rnd):
 _COSTLY = ("disjoint_witnesses", "self_contained", "ordered_in")
 
 
-def _count_costly_calls(monkeypatch) -> dict[str, list]:
-    """Record the argument of each call to a ``_COSTLY`` kernel method."""
-    calls = {name: [] for name in _COSTLY}
-    for name in _COSTLY:
+def _count_costly_calls(monkeypatch, names=_COSTLY) -> dict[str, list]:
+    """Record the family argument of each call to the kernel methods
+    ``names``; the survey also passes ``self_contained`` private parts."""
+    calls = {name: [] for name in names}
+    for name in names:
         real = getattr(families._Kernel, name)
 
-        def counted(kernel, arg, real=real, seen=calls[name]):
+        def counted(kernel, arg, *rest, real=real, seen=calls[name]):
             seen.append(arg)
-            return real(kernel, arg)
+            return real(kernel, arg, *rest)
 
         monkeypatch.setattr(families._Kernel, name, counted)
     return calls
@@ -496,3 +539,63 @@ def test_longer_path_stem_families_match_invariants():
     assert inv.values["d_g"] == len(inv.witnesses["d_g"])
     cls = classify(h, inv.witnesses["d_g"])
     assert cls.self_disjoint
+
+
+def _bouquets_every_orientation(h):
+    """``bouquet_invariants`` as it was before free stems kept orientation
+    0: every orientation of every induced matching, the reference for the
+    whole report, witnesses included."""
+    adj = [0] * h.n
+    for mask in h.edges:
+        a, b = tuple(bits_of(mask))
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    best_total = best_count = 0
+    witness_total = witness_count = ()
+    for matching in families._induced_matchings(h):
+        size = len(matching)
+        covered = 0
+        for s in matching:
+            covered |= h.edges[s]
+        if size > best_count:
+            best_count = size
+            witness_count = tuple(
+                families.Bouquet(min(h.edge_vertices(s)), (max(h.edge_vertices(s)),))
+                for s in matching)
+        endpoints = [h.edge_vertices(s) for s in matching]
+        for orient in range(1 << size):
+            roots = [endpoints[k][orient >> k & 1] for k in range(size)]
+            flowers = {k: [endpoints[k][1 - (orient >> k & 1)]] for k in range(size)}
+            total = size
+            for v in range(h.n):
+                if covered >> v & 1:
+                    continue
+                homes = [k for k, r in enumerate(roots) if adj[r] >> v & 1]
+                if homes:
+                    flowers[homes[0]].append(v)
+                    total += 1
+            if total > best_total:
+                best_total = total
+                witness_total = tuple(families.Bouquet(roots[k], tuple(sorted(flowers[k])))
+                                      for k in range(size))
+    return families.BouquetReport(best_total, best_count, witness_total, witness_count)
+
+
+def _matching_with_pendants(stems: int, pendants: tuple[int, ...]):
+    """``stems`` disjoint edges (2k, 2k+1), and one pendant edge at vertex
+    2k+1 for each k in ``pendants``: only those stems have a neighbour
+    outside a cover that leaves their pendant out."""
+    edges = [(2 * k, 2 * k + 1) for k in range(stems)]
+    edges += [(2 * k + 1, 2 * stems + t) for t, k in enumerate(pendants)]
+    return build([f"v{i}" for i in range(2 * stems + len(pendants))], edges)
+
+
+@pytest.mark.parametrize("h", [
+    *make_batch("uniform:2", 9, 8, 3, 5), *make_batch("uniform:2", 12, 11, 3, 5),
+    *make_batch("uniform:2", 14, 14, 3, 5), *make_batch("chordal", 10, 10, 3, 5),
+    *make_batch("chordal", 14, 14, 3, 5),
+    _matching_with_pendants(6, ()), _matching_with_pendants(6, (0, 3)),
+    _matching_with_pendants(5, (1, 2, 4)), _matching_with_pendants(4, (0, 1, 2, 3)),
+])
+def test_bouquets_match_every_orientation(h):
+    assert bouquet_invariants(h) == _bouquets_every_orientation(h)
