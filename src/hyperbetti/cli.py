@@ -115,7 +115,10 @@ def cmd_fuzz(args) -> int:
                       args.seed, field, jobs=args.jobs)
     text = report.to_json()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise HyperbettiError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text, end="")
     return 0 if report.ok else 1

@@ -37,8 +37,9 @@ engine and the campaign's family sweeps all call it.
 semi-induced and induced classes up front, each in one pass over the
 members. The self-contained, self (semi-)disjoint and self ordered
 classes, which scan outside edges or search sub-families, are computed
-when first read (see ``FamilyClassification``), so a caller pays only
-for the classes it reads.
+on first read and cached (see ``FamilyClassification``), so a caller
+pays only for the classes it reads. The searches over sub-families and
+orders refuse a family of more than ``limits.FAMILY_BUDGET`` members.
 
 ``survey`` aggregates every family into the invariants' maxima, the
 class types and the two Taylor basis hypotheses. It walks only the
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import limits
 from .bitsets import bits_of, mask_of, tuple_of
@@ -90,9 +92,9 @@ class _Kernel:
     conjunction with ``not absorbed(bits)``, taken by the caller.
     ``absorbed`` and ``self_contained`` read the members' private parts,
     which a caller that carries them, as the survey does, passes in. The
-    ordered class has two tests: ``ordered_in`` for one given order, and
-    ``least_ordering``, a memoized and pruned search over orders that
-    returns the first.
+    ordered class has two tests on a reduced family of two or more
+    members: ``ordered_in`` for one given order, and ``least_ordering``,
+    a memoized and pruned search over orders that returns the first.
     """
 
     def __init__(self, masks, union=None):
@@ -206,8 +208,10 @@ class _Kernel:
         A member one vertex away from no other member must lie in S_0, so
         only the other members are chosen; two candidates that share
         those forced members compare as their chosen parts do, so the
-        scan order stays the same.
+        scan order stays the same. Raises BudgetExceeded above
+        ``limits.FAMILY_BUDGET`` members.
         """
+        _within_budget(len(fam), "members")
         bits = mask_of(fam)
         forced, free = 0, []
         for k in fam:
@@ -230,12 +234,10 @@ class _Kernel:
         return None, semi_disjoint
 
     def ordered_in(self, order: tuple[int, ...]) -> bool:
-        """The ordered class, in exactly the order given."""
-        if len(order) <= 1:
-            return bool(order) or not self.masks
+        """The outside-edge condition of the ordered class, in exactly the
+        order given. ``order`` must be a reduced family of two or more
+        members; ``FamilyClassification.self_ordered`` decides the others."""
         bits = mask_of(order)
-        if self.absorbed(bits):
-            return False
         masks = self.masks
         # after[k]: union of the members after position k
         after = [0] * len(order)
@@ -251,6 +253,11 @@ class _Kernel:
 
     def incident(self) -> list[int]:
         """Per vertex, the edges containing it, as an edge bitmask."""
+        # Memoized by hand: a functools.cached_property stores through the
+        # instance __dict__, which on CPython 3.11 slows every later
+        # attribute read on the instance, and the survey reads masks and
+        # union on one kernel throughout (invariants_instances_per_s read
+        # 6% lower with one, 3 of 3 runs on a 2-core x86-64 host).
         if self._incident is None:
             self._incident = [0] * max((mask.bit_length() for mask in self.masks), default=0)
             for s, mask in enumerate(self.masks):
@@ -272,8 +279,10 @@ class _Kernel:
         that could come next: placing a member later only shrinks the union
         after it, so its witnesses only shrink too. The last member
         witnesses nothing. Candidates are tried in increasing index order,
-        so the first ordering found is the least.
+        so the first ordering found is the least. Raises BudgetExceeded
+        above ``limits.FAMILY_BUDGET`` members.
         """
+        _within_budget(bits.bit_count(), "members")
         masks, union, incident = self.masks, self.union, self.incident()
         failed: set[int] = set()
         order: list[int] = []
@@ -317,6 +326,12 @@ class _Kernel:
         return None
 
 
+def _within_budget(count: int, what: str) -> None:
+    if count > limits.FAMILY_BUDGET:
+        raise BudgetExceeded(
+            f"{count} {what} exceeds family enumeration budget {limits.FAMILY_BUDGET}")
+
+
 def _family_kernel(h: Hypergraph, fam: tuple[int, ...]) -> _Kernel:
     """Kernel for one family, its union and the unions of all members
     but one seeded from prefix and suffix ORs."""
@@ -355,32 +370,18 @@ class FamilyClassification:
     Set on construction, each in one pass over the members: ``family``,
     ``i``, ``j``, ``matching``, ``semi_induced``, ``reduced``,
     ``self_semi_induced`` and ``induced``. The costly classes are
-    computed on first read and then stored on the instance:
-    ``self_contained``; ``self_disjoint``, ``self_semi_disjoint`` and
-    their witnesses (each a sub-tuple of ``family`` or None), all four
-    from one witness search, made only on a reduced family; and
-    ``self_ordered``, tested in the order of ``family``.
+    computed on first read and cached: ``self_contained`` and
+    ``self_ordered`` (in the order of ``family``) as cached properties,
+    and ``self_disjoint``, ``self_semi_disjoint`` and their witnesses
+    (each a sub-tuple of ``family`` or None) as properties that read one
+    cached witness pair, from a search made only on a reduced family.
+    The searches raise BudgetExceeded above ``limits.FAMILY_BUDGET``
+    members.
 
     Not a dataclass: instances have no ``==`` and no
     ``dataclasses.replace``. Built by ``classify``, and inside the
     package by ``_classification``.
     """
-
-    family: tuple[int, ...]
-    i: int
-    j: int
-    matching: bool
-    semi_induced: bool
-    reduced: bool
-    self_semi_induced: bool
-    induced: bool
-    # on first read
-    self_contained: bool
-    self_disjoint: bool
-    self_disjoint_witness: tuple[int, ...] | None
-    self_semi_disjoint: bool
-    self_semi_disjoint_witness: tuple[int, ...] | None
-    self_ordered: bool
 
     def __init__(self, kernel: _Kernel, fam: tuple[int, ...]):
         bits = mask_of(fam)
@@ -394,39 +395,38 @@ class FamilyClassification:
         self.self_semi_induced = self.reduced and self.semi_induced
         self.induced = self.matching and self.semi_induced
 
-    def __getattr__(self, name: str):
-        # Reached only for a name not yet in the instance dict; a class
-        # computed here is stored there, so the next read is plain.
-        fill = _ON_FIRST_READ.get(name)
-        if fill is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        fill(self)
-        return self.__dict__[name]
+    @cached_property
+    def self_contained(self) -> bool:
+        return self.reduced and self._kernel.self_contained(self._bits)
 
-    def _fill_self_contained(self) -> None:
-        self.self_contained = self.reduced and self._kernel.self_contained(self._bits)
+    @cached_property
+    def _witnesses(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        return self._kernel.disjoint_witnesses(self.family) if self.reduced else (None, None)
 
-    def _fill_witnesses(self) -> None:
-        sd_w, ssd_w = (self._kernel.disjoint_witnesses(self.family) if self.reduced
-                       else (None, None))
-        self.self_disjoint, self.self_disjoint_witness = sd_w is not None, sd_w
-        self.self_semi_disjoint, self.self_semi_disjoint_witness = ssd_w is not None, ssd_w
+    @property
+    def self_disjoint_witness(self) -> tuple[int, ...] | None:
+        return self._witnesses[0]
 
-    def _fill_self_ordered(self) -> None:
-        # two or more members are ordered only when reduced, which is
-        # already known, so an absorbed family skips the outside-edge scan
-        self.self_ordered = ((self.i <= 1 or self.reduced)
-                             and self._kernel.ordered_in(self.family))
+    @property
+    def self_disjoint(self) -> bool:
+        return self._witnesses[0] is not None
 
+    @property
+    def self_semi_disjoint_witness(self) -> tuple[int, ...] | None:
+        return self._witnesses[1]
 
-_ON_FIRST_READ = {
-    "self_contained": FamilyClassification._fill_self_contained,
-    "self_disjoint": FamilyClassification._fill_witnesses,
-    "self_disjoint_witness": FamilyClassification._fill_witnesses,
-    "self_semi_disjoint": FamilyClassification._fill_witnesses,
-    "self_semi_disjoint_witness": FamilyClassification._fill_witnesses,
-    "self_ordered": FamilyClassification._fill_self_ordered,
-}
+    @property
+    def self_semi_disjoint(self) -> bool:
+        return self._witnesses[1] is not None
+
+    @cached_property
+    def self_ordered(self) -> bool:
+        """A singleton is ordered, and the empty family only when there
+        are no edges; two or more members only when reduced, and then in
+        the order of ``family`` when ``ordered_in`` says so."""
+        if self.i <= 1:
+            return self.i == 1 or not self._kernel.masks
+        return self.reduced and self._kernel.ordered_in(self.family)
 
 
 def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
@@ -454,7 +454,7 @@ def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassificati
 def is_self_ordered(h: Hypergraph, fam) -> bool:
     """Test the ordered class in exactly the order given."""
     fam = _validate_family(h, fam)
-    return _family_kernel(h, fam).ordered_in(fam)
+    return _classification(_family_kernel(h, fam), fam).self_ordered
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +466,16 @@ class _Max:
 
     ``survey`` offers families in lexicographic order on their sorted
     index tuples, so the kept witness is the lexicographically least
-    optimum.
+    optimum. ``bouquet_invariants`` offers tuples of bouquets.
     """
 
     __slots__ = ("value", "witness")
 
     def __init__(self):
         self.value = 0
-        self.witness: tuple[int, ...] = ()
+        self.witness: tuple = ()
 
-    def offer(self, value: int, witness: tuple[int, ...]) -> None:
+    def offer(self, value: int, witness: tuple) -> None:
         if value > self.value:
             self.value = value
             self.witness = witness
@@ -582,9 +582,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
     count by design.
     """
     m = h.m
-    if m > limits.FAMILY_BUDGET:
-        raise BudgetExceeded(
-            f"{m} edges exceeds family enumeration budget {limits.FAMILY_BUDGET}")
+    _within_budget(m, "edges")
     # the searches on reduced families look up unions of their
     # sub-families; a full table beat unions filled on demand by 10-20%,
     # at 16 edges too
@@ -703,12 +701,10 @@ def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
     kernel = _family_kernel(h, fam)
-    if len(fam) <= 1:
-        return fam if kernel.ordered_in(fam) else None
-    bits = mask_of(fam)
-    if kernel.absorbed(bits):
-        return None
-    return kernel.least_ordering(bits)
+    cls = _classification(kernel, fam)
+    if cls.i >= 2 and cls.reduced:
+        return kernel.least_ordering(mask_of(fam))
+    return fam if cls.self_ordered else None
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +827,6 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
 
     best_total = _Max()
     best_count = _Max()
-    witness_total: tuple[Bouquet, ...] = ()
-    witness_count: tuple[Bouquet, ...] = ()
 
     matchings = _induced_matchings(h)
     for matching in matchings:
@@ -841,10 +835,8 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
         for s in matching:
             covered |= h.edges[s]
         if size > best_count.value:
-            best_count.offer(size, matching)
-            witness_count = tuple(
-                Bouquet(min(h.edge_vertices(s)), (max(h.edge_vertices(s)),)) for s in matching
-            )
+            best_count.offer(size, tuple(
+                Bouquet(min(h.edge_vertices(s)), (max(h.edge_vertices(s)),)) for s in matching))
         endpoints = [h.edge_vertices(s) for s in matching]
         # orientation bit of each stem with a neighbour outside the cover
         live = [1 << k for k, (a, b) in enumerate(endpoints) if (adj[a] | adj[b]) & ~covered]
@@ -864,11 +856,10 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
                     flowers[homes[0]].append(v)
                     total += 1
             if total > best_total.value:
-                best_total.offer(total, matching)
-                witness_total = tuple(
-                    Bouquet(roots[k], tuple(sorted(flowers[k]))) for k in range(size)
-                )
-    return BouquetReport(best_total.value, best_count.value, witness_total, witness_count)
+                best_total.offer(total, tuple(
+                    Bouquet(roots[k], tuple(sorted(flowers[k]))) for k in range(size)))
+    return BouquetReport(best_total.value, best_count.value, best_total.witness,
+                         best_count.witness)
 
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:

@@ -6,7 +6,8 @@ BETTI_CAP_N       vertices for Hochster homology, over all 2^n restrictions
 EXACT_M_CAP       edges for the campaign check that classifies all 2^m families
 TAYLOR_BUDGET     edges for the reduced edge-subset complex of 2^m symbols
 LYUBEZNIK_BUDGET  admissible symbols of Lyubeznik's resolution, up to 2^m
-FAMILY_BUDGET     edges for the family survey, which walks up to 2^m families
+FAMILY_BUDGET     edges for the family survey, which walks up to 2^m families,
+                  and members of a family whose witnesses or orders are searched
 TRIANGULATED_CAP  vertices for triangulation tests, over neighborhood subsets
 
 Each engine enforces its own limit: a vertex cap raises

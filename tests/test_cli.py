@@ -8,7 +8,7 @@ import time
 import pytest
 
 from hyperbetti.cli import main
-from hyperbetti.limits import LYUBEZNIK_BUDGET
+from hyperbetti.limits import FAMILY_BUDGET, LYUBEZNIK_BUDGET
 from hyperbetti.linalg import PRIME_LIMIT, Field, parse_field
 
 
@@ -177,6 +177,18 @@ def test_classify_witness_follows_the_given_order(tmp_path, capsys):
     assert out["self_semi_disjoint_witness"] == [2, 1]
 
 
+def test_classify_above_the_family_budget_exits_two(tmp_path, capsys):
+    # the eager classes would do, but the witness search refuses 17 members
+    f = tmp_path / "star.txt"
+    f.write_text("\n".join(f"z x{k}" for k in range(17)) + "\n")
+    start = time.perf_counter()
+    assert main(["classify", str(f), "--family", " ".join(map(str, range(17)))]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(FAMILY_BUDGET) in captured.err
+    assert not captured.out
+
+
 def test_check_reports_json(p3_file, capsys):
     assert main(["check", p3_file]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -217,6 +229,15 @@ def test_fuzz_writes_report(tmp_path, capsys):
     a, b = json.loads(out.read_text()), json.loads(again.read_text())
     a.pop("meta"), b.pop("meta")
     assert a == b
+
+
+def test_fuzz_out_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["fuzz", "--class", "general", "--vertices", "5", "--edges", "4",
+                 "--count", "1", "--seed", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}") and not captured.out
+    assert not out.parent.exists()
 
 
 def test_fuzz_stdout_and_bad_class(capsys):

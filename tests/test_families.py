@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,7 @@ from hyperbetti.families import (
     self_ordered_witness,
     survey,
 )
-from hyperbetti.generators import make_batch
+from hyperbetti.generators import make_batch, star_hypergraph
 from hyperbetti.hypergraph import build, from_edge_labels
 from hyperbetti.linalg import QQ
 
@@ -174,6 +175,49 @@ def test_four_cycle_has_no_ordered_pair(c4):
 
 def test_singleton_always_ordered(c4):
     assert is_self_ordered(c4, (2,))
+
+
+def _assert_ordered_entry_points_agree(h, order):
+    edges = oracle.edge_sets(h)
+    expected = oracle.self_ordered_in(edges, order)
+    assert classify(h, order).self_ordered == expected, (order, edges)
+    assert is_self_ordered(h, order) == expected, (order, edges)
+    witness = self_ordered_witness(h, order)
+    assert witness == oracle.first_self_ordering(edges, order), (order, edges)
+    assert witness is None or oracle.self_ordered_in(edges, witness)
+
+
+def test_ordered_entry_points_agree_on_degenerate_cases(p4, c3):
+    # An antichain has no absorbed pair (one edge would contain the
+    # other), so the absorbed family here is the triangle's three edges.
+    edgeless = build(["a", "b"], [])
+    for h, order in ((edgeless, ()), (p4, ()), (p4, (1,)), (c3, (2,)), (c3, (0, 1, 2)),
+                     (c3, (2, 0, 1)), (p4, (0, 1)), (p4, (1, 0))):
+        _assert_ordered_entry_points_agree(h, order)
+
+
+def test_ordered_entry_points_agree_on_every_family():
+    for spec, n, m in (("general", 6, 6), ("chordal", 7, 6), ("special:3", 9, 6)):
+        for h in make_batch(spec, n, m, 3, 23):
+            for r in range(h.m + 1):
+                for fam in itertools.combinations(range(h.m), r):
+                    _assert_ordered_entry_points_agree(h, fam)
+                    _assert_ordered_entry_points_agree(h, fam[::-1])
+
+
+def test_searches_refuse_families_above_the_budget():
+    star = star_hypergraph(2, limits.FAMILY_BUDGET + 1)
+    fam = tuple(range(star.m))
+    cls = classify(star, fam)
+    assert (cls.i, cls.j, cls.matching, cls.semi_induced, cls.reduced, cls.induced) == (
+        star.m, star.m + 1, False, True, True, False)
+    assert cls.self_contained and cls.self_ordered
+    start = time.perf_counter()
+    for read in (lambda: cls.self_disjoint, lambda: cls.self_semi_disjoint_witness,
+                 lambda: self_ordered_witness(star, fam)):
+        with pytest.raises(BudgetExceeded, match=f"{star.m} members"):
+            read()
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

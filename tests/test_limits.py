@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import hyperbetti
+from hyperbetti import limits
 from hyperbetti.families import survey
 from hyperbetti.homology import homology_of_restrictions
 from hyperbetti.hypergraph import is_triangulated
@@ -53,3 +54,12 @@ def test_no_entry_point_takes_a_size_parameter():
     offenders = [f"{fn.__module__}.{fn.__name__}({param})" for fn in functions
                  for param in inspect.signature(fn).parameters if param in ("cap", "budget")]
     assert offenders == []
+
+
+def test_readme_limits_table_matches_limits():
+    """The rows of the README's limits table name every limit with its
+    current value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", readme, re.MULTILINE)
+    assert {name: int(value.replace(",", "")) for name, value in rows} == limits.current()
+    assert len(rows) == len(limits.current())
