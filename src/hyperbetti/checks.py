@@ -26,11 +26,9 @@ one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 
 The campaign compares no size limit of its own: each engine enforces
 its limit in ``limits``, and an artifact whose engine raises
-``CapExceeded`` is None, a skip of each check that needs it. Only
-``implication-chain`` is gated here, on ``limits.EXACT_M_CAP`` edges.
-Reports follow ``SCHEMA_VERSION`` 4 and are deterministic for fixed
-inputs and seed: everything that varies between runs lives under the
-``meta`` key.
+``CapExceeded`` is None, a skip of each check that needs it. Reports
+follow ``SCHEMA_VERSION`` 5 and are deterministic for fixed inputs and
+seed: everything that varies between runs lives under the ``meta`` key.
 """
 
 from __future__ import annotations
@@ -45,12 +43,13 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
 from . import limits
-from .bitsets import bits_of, mask_of
+from .bitsets import mask_of
 from .errors import CapExceeded, CertificateError, ValidationError
 from .families import (
     FamilySurvey,
     InvariantReport,
     _classification,
+    _reduced_families,
     _sweep_kernel,
     classify,
     compute_invariants,
@@ -88,7 +87,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SAMPLED_ORDERINGS = 6
 
 
@@ -244,8 +243,6 @@ _NEEDS = {
     "graph": (lambda ctx: ctx.profile.d == 2 or ctx.h.m == 0, "not a graph"),
     "uniform": (lambda ctx: ctx.profile.is_uniform and ctx.profile.d is not None,
                 "not uniform"),
-    "edge-cap": (lambda ctx: ctx.h.m <= limits.EXACT_M_CAP,
-                 "more than {limits.EXACT_M_CAP} edges"),
 }
 
 
@@ -292,16 +289,19 @@ _IMPLICATIONS = (
 )
 
 
-@_declare("implication-chain", "survey", "edge-cap")
+@_declare("implication-chain", "survey")
 def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
-    """Each family's classes satisfy ``_IMPLICATIONS``. A conclusion is
-    read only where its premise holds, so a class that is computed on
-    first read is computed only where some rule needs it."""
+    """Each nonempty reduced family's classes satisfy ``_IMPLICATIONS``,
+    a conclusion read only where its premise holds. No rule fires on an
+    absorbed family: every premise implies reduced on a nonempty family,
+    as a matching is reduced and each self class asks for it (a singleton
+    is reduced)."""
     h = ctx.h
     kernel = _sweep_kernel(h)
     checked = 0
-    for bits in range(1, 1 << h.m):
-        fam = tuple(bits_of(bits))
+    for bits, fam, _, _, _ in _reduced_families(kernel):
+        if not bits:
+            continue
         cls = _classification(kernel, fam)
         for premise, rules in _IMPLICATIONS:
             if getattr(cls, premise):

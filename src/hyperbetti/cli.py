@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -111,6 +112,11 @@ def cmd_check(args) -> int:
 
 def cmd_fuzz(args) -> int:
     field = parse_field(args.field)
+    if args.out:  # refused before the campaign runs, without opening the file
+        out = Path(args.out)
+        target = out if out.exists() else out.parent
+        if out.is_dir() or not out.parent.is_dir() or not os.access(target, os.W_OK):
+            raise HyperbettiError(f"cannot write {args.out}")
     report = run_fuzz(args.klass, args.vertices, args.edges, args.count,
                       args.seed, field, jobs=args.jobs)
     text = report.to_json()

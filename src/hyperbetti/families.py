@@ -41,12 +41,12 @@ on first read and cached (see ``FamilyClassification``), so a caller
 pays only for the classes it reads. The searches over sub-families and
 orders refuse a family of more than ``limits.FAMILY_BUDGET`` members.
 
-``survey`` aggregates every family into the invariants' maxima, the
-class types and the two Taylor basis hypotheses. It walks only the
-reduced families, since every class but the semi-induced one is reduced
-and the absorbed families are closed upward, and it reads what the
-absorbed families add (semi-induced types and hypothesis violations)
-off the vertex unions the walk meets.
+Every class but the semi-induced one holds only on the empty or reduced
+families, which ``_reduced_families`` walks for ``survey``,
+``implication-chain`` and the splitting verifiers. ``survey`` gathers
+the invariants' maxima, the class types and the two Taylor basis
+hypotheses, reading what the absorbed families add (semi-induced types
+and hypothesis violations) off the vertex unions the walk meets.
 """
 
 from __future__ import annotations
@@ -534,20 +534,34 @@ class FamilySurvey:
         return (i, j) not in self.hyp2_violations
 
 
-def survey(h: Hypergraph) -> FamilySurvey:
-    """Classify every family of edges, visiting only the reduced ones.
+def _reduced_families(kernel: _Kernel):
+    """Every reduced family of ``kernel``'s edges as ``(bits, fam, union,
+    matching, private)``: an edge bitmask and a sorted tuple, its vertex
+    union, whether it is a matching, and each member's private part (its
+    vertices in no other member), in index order. Depth first, the empty
+    family first, in lexicographic order of the tuples. An absorbed member
+    stays absorbed when members join, so a family grows by an edge above
+    its last index only when the grown family is reduced: the new edge has
+    a vertex outside the union, and every old private part keeps a vertex
+    outside the new edge."""
+    masks = kernel.masks
+    # children are pushed last index first, so they pop in lexicographic order
+    stack = [(0, (), 0, True, [])]
+    while stack:
+        bits, fam, u, matching, private = item = stack.pop()
+        for s in range(len(masks) - 1, bits.bit_length() - 1, -1):
+            mask = masks[s]
+            child = bits | 1 << s
+            child_private = [part & ~mask for part in private]
+            child_private.append(mask & ~u)
+            if not kernel.absorbed(child, child_private):
+                stack.append((child, fam + (s,), u | mask, matching and not mask & u,
+                              child_private))
+        yield item
 
-    A member inside the union of the others stays there when more
-    members join, so a family with an absorbed member has one in every
-    larger family too. The walk is depth first in lexicographic order of
-    the sorted index tuples, and grows a family by an edge above its last
-    index only when the grown family is reduced; the subtree below an
-    absorbed family is skipped whole. The reduced families therefore
-    still come in lexicographic order. Each carries its vertex union,
-    whether it is a matching, and each member's private part (its
-    vertices in no other member). The grown family is reduced iff the
-    new edge has a vertex outside the union and every old private part
-    keeps a vertex outside the new edge.
+
+def survey(h: Hypergraph) -> FamilySurvey:
+    """Classify every family of edges, walking ``_reduced_families``.
 
     A family with an absorbed member is no matching (that member meets
     another), so of the classes only the semi-induced one can hold on it.
@@ -581,18 +595,17 @@ def survey(h: Hypergraph) -> FamilySurvey:
     ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
     count by design.
     """
-    m = h.m
-    _within_budget(m, "edges")
+    _within_budget(h.m, "edges")
     # the searches on reduced families look up unions of their
     # sub-families; a full table beat unions filled on demand by 10-20%,
     # at 16 edges too
     kernel = _sweep_kernel(h)
-    masks, sizes = kernel.masks, kernel.sizes
+    sizes = kernel.sizes
 
     kinds = ("matching", "induced", "semi_induced", "self_semi_induced",
              "self_contained", "self_disjoint", "self_semi_disjoint", "self_ordered")
     types: dict[str, set[tuple[int, int]]] = {k: {(0, 0)} for k in kinds}
-    if m > 0:
+    if h.m > 0:
         types["self_ordered"] = set()
     counts_ssi = {(0, 0): 1}
     counts_scsi = {(0, 0): 1}
@@ -607,20 +620,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
     # family of that size met so far
     covers: dict[int, list[int]] = {}
 
-    # (family as bits and as a tuple, its union, whether it is a
-    # matching, its private parts); children are pushed last index
-    # first, so they pop in lexicographic order
-    stack = [(0, (), 0, True, [])]
-    while stack:
-        bits, fam, u, matching, private = stack.pop()
-        for s in range(m - 1, bits.bit_length() - 1, -1):
-            mask = masks[s]
-            child = bits | 1 << s
-            child_private = [part & ~mask for part in private]
-            child_private.append(mask & ~u)
-            if not kernel.absorbed(child, child_private):
-                stack.append((child, fam + (s,), u | mask, matching and not mask & u,
-                              child_private))
+    for bits, fam, u, matching, private in _reduced_families(kernel):
         if not bits:
             continue
 

@@ -3,11 +3,10 @@ exponential in the vertex count n or the edge count m, so each entry
 point refuses inputs above one of these.
 
 BETTI_CAP_N       vertices for Hochster homology, over all 2^n restrictions
-EXACT_M_CAP       edges for the campaign check that classifies all 2^m families
 TAYLOR_BUDGET     edges for the reduced edge-subset complex of 2^m symbols
 LYUBEZNIK_BUDGET  admissible symbols of Lyubeznik's resolution, up to 2^m
-FAMILY_BUDGET     edges for the family survey, which walks up to 2^m families,
-                  and members of a family whose witnesses or orders are searched
+FAMILY_BUDGET     edges for the family walks, over up to 2^m families, and
+                  members of a family whose witnesses or orders are searched
 TRIANGULATED_CAP  vertices for triangulation tests, over neighborhood subsets
 
 Each engine enforces its own limit: a vertex cap raises
@@ -28,9 +27,6 @@ import os
 from .errors import ValidationError
 
 BETTI_CAP_N = 14
-# implication-chain costs 4-5x the survey it reads: 0.43 vs 0.11 s over
-# three general 14/14 instances on a 2-core x86-64 host (Python 3.11).
-EXACT_M_CAP = 10
 TAYLOR_BUDGET = 12
 # A 16-edge matching has 2^16 admissible symbols, counting the empty
 # one; its table took 0.3-0.6 s on a 2-core x86-64 host (Python 3.11).

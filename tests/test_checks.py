@@ -64,7 +64,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 4
+    assert a["schema_version"] == 5
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
                       "failures", "meta"}
     # everything that may vary between runs lives under meta
@@ -86,16 +86,16 @@ def test_large_instance_skips_exact_checks_without_failing():
     # edge budget: each engine refuses it, and its checks skip
     report = run_checks(_matching(17))
     assert [r.name for r in report.checks if r.status != "skip"] == []
-    # an 11-edge matching is within every engine's limit: only the check
-    # gated on the edge count skips
+    # an 11-edge matching is within every engine's limit, and every one
+    # of its families is reduced, so implication-chain checks them all
     report = run_checks(_matching(11))
     assert report.ok
     results = {r.name: r for r in report.checks}
     assert results["engine-agreement"].status == "pass"
     assert results["restriction-monotonicity"].status == "pass"
     assert results["invariant-inequalities"].status == "pass"
-    assert results["implication-chain"].status == "skip"
-    assert results["implication-chain"].detail == "more than 10 edges"
+    assert results["implication-chain"].status == "pass"
+    assert results["implication-chain"].checked == 2**11 - 1
 
 
 def test_budget_overrun_is_a_skip(monkeypatch):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from hyperbetti import cli
 from hyperbetti.cli import main
 from hyperbetti.limits import FAMILY_BUDGET, LYUBEZNIK_BUDGET
 from hyperbetti.linalg import PRIME_LIMIT, Field, parse_field
@@ -231,7 +232,12 @@ def test_fuzz_writes_report(tmp_path, capsys):
     assert a == b
 
 
-def test_fuzz_out_to_an_unwritable_path_exits_two(tmp_path, capsys):
+def test_fuzz_out_to_an_unwritable_path_exits_two(tmp_path, capsys, monkeypatch):
+    def campaign_must_not_run(*args, **kwargs):
+        pytest.fail("the campaign ran before --out was found unwritable")
+
+    # a missing directory, since permission bits do not stop root
+    monkeypatch.setattr(cli, "run_fuzz", campaign_must_not_run)
     out = tmp_path / "missing" / "report.json"
     assert main(["fuzz", "--class", "general", "--vertices", "5", "--edges", "4",
                  "--count", "1", "--seed", "0", "--out", str(out)]) == 2

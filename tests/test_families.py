@@ -498,6 +498,18 @@ def test_implication_chain_computes_costly_classes_only_under_a_premise(monkeypa
 # implications and inequalities, property-tested
 
 
+def _assert_premises_imply_reduced(h):
+    """On a nonempty family, every premise of ``checks._IMPLICATIONS``
+    holds only if the family oracle finds it reduced: what lets
+    ``implication-chain`` walk only the reduced families."""
+    edges = oracle.edge_sets(h)
+    for r in range(1, h.m + 1):
+        for fam in itertools.combinations(range(h.m), r):
+            cls = classify(h, fam)
+            for premise, _ in checks._IMPLICATIONS:
+                assert not getattr(cls, premise) or oracle.reduced(edges, fam), (premise, fam)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sized_hypergraphs())
 def test_class_implications(h):
@@ -515,6 +527,22 @@ def test_class_implications(h):
                 assert cls.self_contained or not cls.reduced or cls.i <= 1
             if cls.matching and cls.semi_induced:
                 assert cls.induced
+    _assert_premises_imply_reduced(h)
+
+
+def test_premises_imply_reduced_catches_a_premise_on_an_absorbed_family(c3, monkeypatch):
+    # the triangle's three edges are semi-induced and absorbed, so reading
+    # self semi-induced as semi-induced alone makes a premise hold there
+    real = families._classification
+
+    def ssi_as_semi_induced(kernel, fam):
+        cls = real(kernel, fam)
+        cls.self_semi_induced = cls.semi_induced
+        return cls
+
+    monkeypatch.setattr(families, "_classification", ssi_as_semi_induced)
+    with pytest.raises(AssertionError, match=r"'self_semi_induced', \(0, 1, 2\)"):
+        _assert_premises_imply_reduced(c3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+from hyperbetti import splitting
 from hyperbetti.errors import (
     NotSimplicial,
     NotSpecialClass,
@@ -15,6 +17,7 @@ from hyperbetti.errors import (
     ViolationFound,
 )
 from hyperbetti.families import compute_invariants, survey
+from hyperbetti.generators import make_batch
 from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build, delete_edge, is_triangulated
 from hyperbetti.linalg import GF2
@@ -29,6 +32,7 @@ from hyperbetti.splitting import (
     verify_split_extension,
 )
 
+import family_oracle as oracle
 from conftest import cycle_graph, path_graph
 
 
@@ -179,6 +183,48 @@ def test_extension_lemma(p4, p6):
     assert verify_split_extension(k43(), split(k43())) == 1
     h = star_hypergraph(3)
     assert verify_split_extension(h, split(h)) > 0
+
+
+def _every_family(m):
+    return [fam for r in range(m + 1) for fam in itertools.combinations(range(m), r)]
+
+
+def _verified_instances(p6):
+    seeded = make_batch("special:3", 9, 6, 3, 7) + make_batch("chordal", 8, 8, 3, 7)
+    return [p6, k43(), star_hypergraph(3)] + [h for h in seeded if h.m and is_triangulated(h)]
+
+
+def test_verifier_counts_match_family_oracle(p6):
+    """Each verifier checks every family the lemma speaks of, the empty
+    family included, counted here over all families of H1 and H2."""
+    for h in _verified_instances(p6):
+        dec = split(h)
+        e1, e2 = oracle.edge_sets(dec.h1), oracle.edge_sets(dec.h2)
+        persistent = [fam for fam in _every_family(dec.h1.m)
+                      if oracle.induced(e1, fam) or oracle.self_disjoint(e1, fam)]
+        extended = [fam for fam in _every_family(dec.h2.m) if oracle.self_disjoint(e2, fam)]
+        assert verify_matching_persistence(h, dec) == len(persistent), h.edges
+        assert verify_split_extension(h, dec) == len(extended), h.edges
+
+
+def test_verifiers_fail_when_the_full_hypergraph_loses_its_classes(p6, monkeypatch):
+    real = splitting._classification
+
+    def classes_lost_in_h(kernel, fam):
+        # h is the instance of the loop below, whose kernel shares its edges
+        cls = real(kernel, fam)
+        if kernel.masks is not h.edges:
+            return cls
+        return SimpleNamespace(i=cls.i, j=cls.j, induced=False, self_disjoint=False)
+
+    monkeypatch.setattr(splitting, "_classification", classes_lost_in_h)
+    for h in _verified_instances(p6):
+        dec = split(h)
+        for verify, name in ((verify_matching_persistence, "matching-persistence"),
+                             (verify_split_extension, "split-extension")):
+            with pytest.raises(ViolationFound) as caught:
+                verify(h, dec)
+            assert caught.value.check == name
 
 
 def test_characterization_on_trees_and_stars(p6):
