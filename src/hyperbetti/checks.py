@@ -48,6 +48,7 @@ from .errors import CapExceeded, CertificateError, ValidationError
 from .families import (
     FamilySurvey,
     InvariantReport,
+    _Kernel,
     _classification,
     _reduced_families,
     _sweep_kernel,
@@ -493,8 +494,8 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
     for (i, j) in ctx.taylor.types():
         if i == 0:
             continue
-        hyp1 = ctx.sv.families_all_reduced(i, j)
-        hyp2 = ctx.sv.absorbing_families_stay_reduced(i, j)
+        hyp1 = ctx.taylor.families_all_reduced(i, j)
+        hyp2 = ctx.taylor.absorbing_families_stay_reduced(i, j)
         if not hyp1 and not hyp2:
             continue
         beta = ctx.table.get(i, j)
@@ -520,7 +521,10 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
 @_declare("conditional-pd-cap", "table", "survey")
 def _check_conditional_pd_cap(ctx: _Ctx, name: str) -> CheckResult:
     e = ctx.invariants.values["e"]
-    if any(i >= e for (i, j) in ctx.sv.hyp1_violations):
+    # the all-reduced hypothesis fails at some size i >= e exactly when the
+    # whole edge set is absorbed: a member absorbed in any family is absorbed
+    # in it too, and it has m >= e members
+    if _Kernel(ctx.h.edges).absorbed((1 << ctx.h.m) - 1):
         return _skip(name, "all-reduced hypothesis fails at or above e")
     pd = ctx.table.projective_dimension()
     if pd > e:

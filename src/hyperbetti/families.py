@@ -44,9 +44,8 @@ orders refuse a family of more than ``limits.FAMILY_BUDGET`` members.
 Every class but the semi-induced one holds only on the empty or reduced
 families, which ``_reduced_families`` walks for ``survey``,
 ``implication-chain`` and the splitting verifiers. ``survey`` gathers
-the invariants' maxima, the class types and the two Taylor basis
-hypotheses, reading what the absorbed families add (semi-induced types
-and hypothesis violations) off the vertex unions the walk meets.
+the invariants' maxima and the class types, reading what the absorbed
+families add (semi-induced types) off the vertex unions the walk meets.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ class _Kernel:
     demand. Each predicate tests one condition of the module docstring on
     its own; a class that also asks for a reduced family is the
     conjunction with ``not absorbed(bits)``, taken by the caller.
-    ``absorbed`` and ``self_contained`` read the members' private parts,
-    which a caller that carries them, as the survey does, passes in. The
+    ``self_contained`` reads the members' private parts, which a caller
+    that carries them, as the survey does, passes in. The
     ordered class has two tests on a reduced family of two or more
     members: ``ordered_in`` for one given order, and ``least_ordering``,
     a memoized and pruned search over orders that returns the first.
@@ -117,27 +116,18 @@ class _Kernel:
             out.append(masks[low.bit_length() - 1] & ~union[bits ^ low])
         return out
 
-    def absorbed(self, bits: int, private: list[int] | None = None) -> int:
+    def absorbed(self, bits: int) -> int:
         """Members of ``bits`` contained in the union of the others: those
-        with an empty private part. ``private`` is ``private_parts(bits)``
-        when the caller already has it. Otherwise each part is computed
-        in the loop as ``private_parts`` computes it, with no list: the
-        Taylor engine and ``classify`` call this once per symbol or
-        family, and the list cost them 2-10%."""
+        with an empty private part, computed as ``private_parts`` computes
+        it but with no list: the Taylor engine and ``classify`` call this
+        once per symbol or family, and the list cost them 2-10%."""
+        masks, union = self.masks, self.union
         out = 0
         rest = bits
-        if private is None:
-            masks, union = self.masks, self.union
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
-                    out |= low
-            return out
-        for part in private:
+        while rest:
             low = rest & -rest
             rest ^= low
-            if not part:
+            if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
                 out |= low
         return out
 
@@ -489,49 +479,8 @@ class FamilySurvey:
     counts_ssi: dict[tuple[int, int], int]
     counts_scsi: dict[tuple[int, int], int]
     counts_induced_uniform: dict[tuple[int, int], int]  # (t, i) -> count
-    hyp1_violations: set[tuple[int, int]]
-    hyp2_violations: set[tuple[int, int]]
     maxima: dict[str, _Max]
     maxima_a_t: dict[int, _Max] = dc_field(default_factory=dict)
-
-    def families_all_reduced(self, i: int, j: int) -> bool:
-        """Every size-i family covering j vertices is reduced.
-
-        Under this hypothesis the reduced basis symbols of the Taylor
-        slice span its homology, so beta_{i,j} is at most |B_{i,j}|.
-
-        ``survey`` reads the violations off the vertex unions. Let c(U)
-        be the least size of a family with union U and N(U) the number
-        of edges inside U. The absorbed families with union U have
-        exactly the sizes c(U) + 1 to N(U). If a family F with union U
-        is absorbed at member s, then F minus s still covers U, so F has
-        more than c(U) members; and F lies inside U, so it has at most
-        N(U). Conversely, a minimum cover together with any further
-        edges inside U is absorbed, each added edge lying inside the
-        union of the cover.
-        """
-        return (i, j) not in self.hyp1_violations
-
-    def absorbing_families_stay_reduced(self, i: int, j: int) -> bool:
-        """No family of i+1 edges with an absorbed member and union size j
-        has a second absorbed member.
-
-        Under this hypothesis the classes of B_{i,j} are independent, so
-        beta_{i,j} is at least |B_{i,j}|.
-
-        ``survey`` reads the violations off the vertex unions, with c(U)
-        and N(U) as in ``families_all_reduced``. The families with union
-        U and two or more absorbed members have the sizes i2 to N(U):
-        such a family stays so when an edge inside U joins, since an
-        absorbed member stays absorbed, and the set of all edges inside
-        U is the largest. Such a family has more than c(U) members. At
-        c(U) + 1, removing one absorbed member s leaves a minimum cover
-        C, so i2 is c(U) + 1 iff some minimum cover C and some edge s
-        inside U but outside C give ``absorbed(C | 1 << s)`` two or more
-        members. Otherwise i2 is c(U) + 2 (when N(U) reaches it): two
-        edges added to a minimum cover are both absorbed.
-        """
-        return (i, j) not in self.hyp2_violations
 
 
 def _reduced_families(kernel: _Kernel):
@@ -554,7 +503,7 @@ def _reduced_families(kernel: _Kernel):
             child = bits | 1 << s
             child_private = [part & ~mask for part in private]
             child_private.append(mask & ~u)
-            if not kernel.absorbed(child, child_private):
+            if all(child_private):
                 stack.append((child, fam + (s,), u | mask, matching and not mask & u,
                               child_private))
         yield item
@@ -574,22 +523,11 @@ def survey(h: Hypergraph) -> FamilySurvey:
     self disjoint family is self semi-disjoint, so the same skip leaves
     the semi-disjoint class unchanged too.
 
-    The absorbed families are read off their vertex unions, in one pass
-    after the walk. For the union U of a nonempty family, let N(U) be the
-    number of edges inside U (from the ``inside`` memo) and c(U) the
-    least size of a family with union U, a minimum cover. A minimum
-    cover is reduced, so the walk meets every U and records c(U) with
-    the minimum covers it met.
-
-    * The only semi-induced family with union U is the set of the edges
-      inside U, of type (N(U), |U|).
-    * ``hyp1_violations`` gets (i, |U|) for c(U) < i <= N(U); see
-      ``FamilySurvey.families_all_reduced`` for why.
-    * ``hyp2_violations`` gets (i - 1, |U|) for i2 <= i <= N(U), where
-      i2 is c(U) + 1 when some minimum cover C and some edge s inside U
-      but outside C give ``absorbed(C | 1 << s)`` two or more members,
-      and c(U) + 2 otherwise; see
-      ``FamilySurvey.absorbing_families_stay_reduced`` for why.
+    The absorbed families add only semi-induced types, read off the
+    vertex unions the walk meets. Every union U of a family is that of a
+    least family covering it, which is reduced, so the walk meets every
+    U; the only semi-induced family with union U is the set of the edges
+    inside U, of type (number of edges inside U, |U|).
 
     Raises BudgetExceeded when the hypergraph has more than
     ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
@@ -610,15 +548,11 @@ def survey(h: Hypergraph) -> FamilySurvey:
     counts_ssi = {(0, 0): 1}
     counts_scsi = {(0, 0): 1}
     counts_induced_uniform: dict[tuple[int, int], int] = {}
-    hyp1_violations: set[tuple[int, int]] = set()
-    hyp2_violations: set[tuple[int, int]] = set()
     maxima = {name: _Max() for name in
               ("m", "a", "b", "b_prime", "c", "c_prime", "d1", "d2",
                "d1_prime", "d2_prime", "e")}
     a_t: dict[int, _Max] = {}
-    # covers[U]: the least size of a family met with union U, then each
-    # family of that size met so far
-    covers: dict[int, list[int]] = {}
+    unions: set[int] = set()
 
     for bits, fam, u, matching, private in _reduced_families(kernel):
         if not bits:
@@ -626,11 +560,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
 
         i = len(fam)
         j = u.bit_count()
-        cover = covers.get(u)
-        if cover is None or i < cover[0]:
-            covers[u] = [i, bits]
-        elif i == cover[0]:
-            cover.append(bits)
+        unions.add(u)
 
         semi = kernel.semi_induced(bits)
 
@@ -673,25 +603,13 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["c"].offer(i, fam)
             maxima["c_prime"].offer(j - i, fam)
 
-    for u, (c, *minimum) in covers.items():
-        j = u.bit_count()
-        inside = kernel.inside(u)
-        n_inside = inside.bit_count()
-        types["semi_induced"].add((n_inside, j))
-        hyp1_violations.update((i, j) for i in range(c + 1, n_inside + 1))
-        if n_inside > c:
-            least = c + 1 if (c, j) in hyp2_violations or any(
-                kernel.absorbed(cover | 1 << s).bit_count() > 1
-                for cover in minimum for s in bits_of(inside & ~cover)) else c + 2
-            hyp2_violations.update((i - 1, j) for i in range(least, n_inside + 1))
+    types["semi_induced"].update((kernel.inside(u).bit_count(), u.bit_count()) for u in unions)
 
     return FamilySurvey(
         types=types,
         counts_ssi=counts_ssi,
         counts_scsi=counts_scsi,
         counts_induced_uniform=counts_induced_uniform,
-        hyp1_violations=hyp1_violations,
-        hyp2_violations=hyp2_violations,
         maxima=maxima,
         maxima_a_t=a_t,
     )

@@ -12,9 +12,9 @@ over |W| = j these give beta_{i,j}.
 A basis symbol lies in the kernel precisely when no member is absorbed
 by the others ("reduced" below). The set B_{i,j} collects the reduced
 basis symbols of size i and degree |W| = j that are also outside the
-image from above; under the two subset hypotheses that ``FamilySurvey``
-records it bounds or equals beta_{i,j}. Absorption is tested by the
-family kernel of ``families``.
+image from above; under the two subset hypotheses, which
+``TaylorAnalysis`` decides from its symbols, it bounds or equals
+beta_{i,j}. Absorption is tested by the family kernel of ``families``.
 
 Lyubeznik's resolution is the subcomplex spanned by the L-admissible
 symbols under the index order, sliced the same way from far fewer and
@@ -140,14 +140,40 @@ class TaylorAnalysis:
         """The types (size i, degree |W|) of the slices, sorted."""
         return sorted(self._unions_by_type)
 
+    @cached_property
+    def _absorbed(self) -> dict[tuple[int, int], list[int]]:
+        """Per slice, the absorbed members of each symbol, as edge
+        bitmasks in the order of ``slices``."""
+        absorbed = self.kernel.absorbed
+        return {key: [absorbed(mask_of(c)) for c in symbols]
+                for key, symbols in self.slices.items()}
+
+    def _symbols_absorbed(self, i: int, j: int):
+        """The absorbed members of every symbol of type (i, j); the complex
+        has one symbol per edge family, so of every such family."""
+        for w in self._unions_by_type.get((i, j), ()):
+            yield from self._absorbed[i, w]
+
+    def families_all_reduced(self, i: int, j: int) -> bool:
+        """Every size-i family covering j vertices is reduced, so beta_{i,j}
+        is at most |B_{i,j}|: the reduced basis symbols then span the
+        homology of the slice."""
+        return not any(self._symbols_absorbed(i, j))
+
+    def absorbing_families_stay_reduced(self, i: int, j: int) -> bool:
+        """No family of i + 1 edges covering j vertices has two or more
+        absorbed members, so beta_{i,j} is at least |B_{i,j}|: the classes
+        of B_{i,j} are then independent."""
+        return all(a.bit_count() < 2 for a in self._symbols_absorbed(i + 1, j))
+
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
         """Reduced basis symbols of type (i, j) not hit from above, which
         the boundary, keeping W, can only do from their own (i + 1, W)."""
         out = []
         for w in self._unions_by_type.get((i, j), ()):
             image = self.boundaries.get((i + 1, w))
-            for pos, c in enumerate(self.slices[i, w]):
-                if self.kernel.absorbed(mask_of(c)):
+            for pos, (c, absorbed) in enumerate(zip(self.slices[i, w], self._absorbed[i, w])):
+                if absorbed:
                     continue
                 if image is not None and image.contains({pos: 1}):
                     continue

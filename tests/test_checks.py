@@ -11,6 +11,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import hyperbetti.checks as checks
 from hyperbetti import limits
@@ -27,15 +28,18 @@ from hyperbetti.checks import (
     shrink_failure,
 )
 from hyperbetti.errors import ViolationFound
+from hyperbetti.families import _Kernel, compute_invariants
 from hyperbetti.formats import instance_payload, parse_json
-from hyperbetti.generators import make_batch, path_graph
+from hyperbetti.generators import make_batch, path_graph, random_free_vertex
 from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import build
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.splitting import split
 from hyperbetti.taylor import TaylorAnalysis
 
+import family_oracle as oracle
 from conftest import cycle_graph
+from test_families import sized_hypergraphs
 
 
 FIELDS = [QQ, GF2]
@@ -422,12 +426,51 @@ def test_conditional_slice_bounds_catch_an_extra_symbol_under_both_hypotheses(mo
         assert entry(ctx).status == "pass"
         for target in ctx.taylor.types():
             i, j = target
-            if i and ctx.sv.families_all_reduced(i, j) and ctx.sv.absorbing_families_stay_reduced(i, j):
+            if i and ctx.taylor.families_all_reduced(i, j) and ctx.taylor.absorbing_families_stay_reduced(i, j):
                 result = entry(ctx)
                 assert result.status == "fail"
                 assert "under no-double-absorption hypothesis" in result.detail
                 slices += 1
     assert slices >= 60
+
+
+def _assert_pd_cap_hypothesis_is_the_edge_set_reduced(h):
+    """``conditional-pd-cap`` used to skip when some family of e or more
+    edges is absorbed, e the self-contained number; it now skips when
+    the whole edge set is absorbed. Both against the family oracle, and
+    under the hypothesis e is m."""
+    edges = oracle.edge_sets(h)
+    *_, hyp1, _ = oracle.survey_facts(edges)
+    e = oracle.survey_maxima(edges)[0]["e"][0]
+    absorbed = bool(_Kernel(h.edges).absorbed((1 << h.m) - 1))
+    assert absorbed == bool(oracle.absorbed(edges, tuple(range(h.m)))), edges
+    assert absorbed == any(i >= e for i, _ in hyp1), edges
+    if not absorbed:
+        assert compute_invariants(h).values["e"] == h.m, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_hypergraphs())
+def test_conditional_pd_cap_hypothesis_is_the_edge_set_reduced(h):
+    _assert_pd_cap_hypothesis_is_the_edge_set_reduced(h)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_conditional_pd_cap_hypothesis_holds_on_free_vertex_instances(m):
+    for seed in range(3):
+        _assert_pd_cap_hypothesis_is_the_edge_set_reduced(random_free_vertex(m, seed))
+
+
+def test_conditional_pd_cap_catches_pd_above_m(monkeypatch):
+    # every edge has a private vertex, so the check applies with e = m
+    entry = _entry("conditional-pd-cap")
+    h = random_free_vertex(5, 3)
+    ctx = _Ctx(h, QQ, 0)
+    assert entry(ctx).status == "pass"
+    monkeypatch.setattr(type(ctx.table), "projective_dimension", lambda table: h.m + 1)
+    result = entry(ctx)
+    assert result.status == "fail"
+    assert result.detail == f"pd {h.m + 1} exceeds e {h.m} despite hypothesis"
 
 
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):

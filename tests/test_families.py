@@ -30,6 +30,7 @@ from hyperbetti.families import (
 from hyperbetti.generators import make_batch, star_hypergraph
 from hyperbetti.hypergraph import build, from_edge_labels
 from hyperbetti.linalg import QQ
+from hyperbetti.taylor import analyze_taylor
 
 import family_oracle as oracle
 from conftest import path_graph
@@ -289,16 +290,6 @@ def test_survey_budget(p4, monkeypatch):
     assert survey(p4).maxima["m"].value == 2
 
 
-def test_survey_hypothesis_flags(c3, p4):
-    sv = survey(c3)
-    assert not sv.families_all_reduced(3, 3)
-    assert not sv.absorbing_families_stay_reduced(2, 3)
-    assert sv.families_all_reduced(2, 3)
-    sv4 = survey(p4)
-    assert sv4.families_all_reduced(2, 4)
-    assert sv4.absorbing_families_stay_reduced(2, 4)
-
-
 def test_survey_types_match_classify(p4, c4, triple_overlap):
     kinds = (
         "matching",
@@ -358,24 +349,34 @@ def test_classify_matches_family_oracle(h, rnd):
                  [(1, 2, 3, 4, 5, 6), (0, 2, 6), (0, 1, 5), (0, 1, 2, 4)]))
 def test_survey_matches_family_oracle(h):
     _assert_survey_matches_oracle(h)
+    _assert_taylor_hypotheses_match_oracle(h)
 
 
 def _assert_survey_matches_oracle(h):
-    types, counts_ssi, counts_scsi, hyp1, hyp2 = oracle.survey_facts(oracle.edge_sets(h))
+    types, counts_ssi, counts_scsi, _, _ = oracle.survey_facts(oracle.edge_sets(h))
     sv = survey(h)
     assert sv.types == types
     assert sv.counts_ssi == counts_ssi
     assert sv.counts_scsi == counts_scsi
-    assert sv.hyp1_violations == hyp1
-    assert sv.hyp2_violations == hyp2
     maxima, a_t = oracle.survey_maxima(oracle.edge_sets(h))
     assert {name: (mx.value, mx.witness) for name, mx in sv.maxima.items()} == maxima
     assert {t: (mx.value, mx.witness) for t, mx in sv.maxima_a_t.items()} == a_t
 
 
+def _assert_taylor_hypotheses_match_oracle(h):
+    """Both basis hypotheses of ``analyze_taylor`` at every type (i, j)
+    with i up to m + 1, against the oracle's violations."""
+    *_, hyp1, hyp2 = oracle.survey_facts(oracle.edge_sets(h))
+    an = analyze_taylor(h)
+    for i in range(h.m + 2):
+        for j in range(h.n + 1):
+            assert an.families_all_reduced(i, j) == ((i, j) not in hyp1), (i, j, h.edges)
+            assert an.absorbing_families_stay_reduced(i, j) == ((i, j) not in hyp2), (i, j, h.edges)
+
+
 # (class, vertices, edges): 8 to 10 edges, above the 3 to 6 that
-# sized_hypergraphs draws, where unions have several minimum covers and
-# the hypothesis sets read off them have room to differ. special:3 needs
+# sized_hypergraphs draws, where families overlap in more ways and the
+# hypothesis sets have room to differ; all fit TAYLOR_BUDGET. special:3 needs
 # about 1.6 vertices per edge to reach its edge count, and its families
 # are mostly reduced, so the oracle tries every order of each: 1 s per
 # instance at 8 edges, 10 s at 9.
@@ -388,6 +389,7 @@ def test_survey_matches_family_oracle_on_larger_instances(spec, n, m):
     for h in make_batch(spec, n, m, 2, 19):
         assert h.m == m
         _assert_survey_matches_oracle(h)
+        _assert_taylor_hypotheses_match_oracle(h)
 
 
 def test_survey_visits_each_reduced_family_once(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hyperbetti import limits
 from hyperbetti.bitsets import mask_of
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
-from hyperbetti.families import _Kernel, classify, survey
+from hyperbetti.families import _Kernel, classify
 from hyperbetti.generators import make_batch
 from hyperbetti.hypergraph import build
 from hyperbetti.homology import betti_table, homology_of_restrictions
@@ -197,25 +197,35 @@ def test_triangle_slice_two_three(c3):
     # so the basis overshoots the Betti number here
     assert an.b_set(2, 3) == [(0, 1), (0, 2), (1, 2)]
     # only the upper-bound hypothesis holds, and |B| bounds beta from above
-    sv = survey(c3)
-    assert sv.families_all_reduced(2, 3)
-    assert not sv.absorbing_families_stay_reduced(2, 3)
+    assert an.families_all_reduced(2, 3)
+    assert not an.absorbing_families_stay_reduced(2, 3)
     assert an.table().get(2, 3) <= len(an.b_set(2, 3))
+
+
+def test_taylor_hypothesis_flags(c3, p4):
+    an = analyze_taylor(c3)
+    assert not an.families_all_reduced(3, 3)
+    assert not an.absorbing_families_stay_reduced(2, 3)
+    assert an.families_all_reduced(2, 3)
+    an4 = analyze_taylor(p4)
+    assert an4.families_all_reduced(2, 4)
+    assert an4.absorbing_families_stay_reduced(2, 4)
 
 
 def test_exact_bound_on_path(p3):
     an = analyze_taylor(p3)
     assert len(an.b_set(1, 2)) == 2 == an.table().get(1, 2)
-    assert survey(p3).families_all_reduced(1, 2)
-    assert survey(p3).absorbing_families_stay_reduced(1, 2)
+    assert an.families_all_reduced(1, 2)
+    assert an.absorbing_families_stay_reduced(1, 2)
 
 
 def test_uniform_degree_slice_counts_induced_matchings():
     # at j = t*i the slice collects exactly the induced matchings
     p5 = path_graph(5)
-    assert survey(p5).families_all_reduced(2, 4)
-    assert survey(p5).absorbing_families_stay_reduced(2, 4)
-    assert len(analyze_taylor(p5).b_set(2, 4)) == 1
+    an = analyze_taylor(p5)
+    assert an.families_all_reduced(2, 4)
+    assert an.absorbing_families_stay_reduced(2, 4)
+    assert len(an.b_set(2, 4)) == 1
     assert betti_table(p5).get(2, 4) == 1
 
 
@@ -224,7 +234,6 @@ def test_uniform_degree_slice_counts_induced_matchings():
 def test_basis_sandwich(h):
     an = analyze_taylor(h)
     table = an.table()
-    sv = survey(h)
     ssi: dict[tuple[int, int], set] = {}
     contained: dict[tuple[int, int], set] = {}
     types = set()
@@ -240,9 +249,9 @@ def test_basis_sandwich(h):
     for key in an.types():
         members = set(an.b_set(*key))
         assert ssi.get(key, set()) <= members <= contained.get(key, set())
-        if sv.families_all_reduced(*key):
+        if an.families_all_reduced(*key):
             assert table.get(*key) <= len(members)
-        if sv.absorbing_families_stay_reduced(*key):
+        if an.absorbing_families_stay_reduced(*key):
             assert table.get(*key) >= len(members)
 
 
