@@ -195,7 +195,7 @@ class _Ctx:
 
     @_artifact
     def table(self) -> BettiTable | None:
-        return None if self.hom is None else table_from_homology(self.hom, self.field, self.h.n)
+        return None if self.hom is None else table_from_homology(self.hom, self.field)
 
     @_artifact
     def sv(self) -> FamilySurvey | None:
@@ -594,7 +594,7 @@ def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, B
     """
     keep = ((1 << ctx.h.n) - 1) & ~mask_of(dec.removed_vertices)
     return (betti_via_lyubeznik(dec.h1, ctx.field),
-            table_from_homology(ctx.hom, ctx.field, ctx.h.n, within=keep))
+            table_from_homology(ctx.hom, ctx.field, within=keep))
 
 
 @_declare("splitting-recursion", "special", "table")

@@ -44,8 +44,8 @@ orders refuse a family of more than ``limits.FAMILY_BUDGET`` members.
 Every class but the semi-induced one holds only on the empty or reduced
 families, which ``_reduced_families`` walks for ``survey``,
 ``implication-chain`` and the splitting verifiers. ``survey`` gathers
-the invariants' maxima and the class types, reading what the absorbed
-families add (semi-induced types) off the vertex unions the walk meets.
+the invariants' maxima, the self (semi-)disjoint types and the counts
+per type of two classes.
 """
 
 from __future__ import annotations
@@ -473,7 +473,13 @@ class _Max:
 
 @dataclass
 class FamilySurvey:
-    """Aggregated facts about every edge family of a hypergraph."""
+    """Aggregated facts about every edge family of a hypergraph.
+
+    ``types`` maps ``self_disjoint`` and ``self_semi_disjoint`` to the
+    (i, j) types of their families. ``counts_ssi`` and ``counts_scsi``
+    count the self semi-induced and the self-contained semi-induced
+    families per type, so their keys are those classes' types.
+    """
 
     types: dict[str, set[tuple[int, int]]]
     counts_ssi: dict[tuple[int, int], int]
@@ -512,22 +518,15 @@ def _reduced_families(kernel: _Kernel):
 def survey(h: Hypergraph) -> FamilySurvey:
     """Classify every family of edges, walking ``_reduced_families``.
 
-    A family with an absorbed member is no matching (that member meets
-    another), so of the classes only the semi-induced one can hold on it.
-    On the reduced families each predicate runs only where its answer can
-    change the result: the self disjoint and the self ordered tests run
-    only on a family whose type is not yet in that class. A family of a
-    type already seen cannot add a type, and its size and spread equal
-    those of a family offered before it, so it cannot raise a maximum
-    or, since ``_Max`` keeps the first witness on ties, change one. Every
-    self disjoint family is self semi-disjoint, so the same skip leaves
-    the semi-disjoint class unchanged too.
-
-    The absorbed families add only semi-induced types, read off the
-    vertex unions the walk meets. Every union U of a family is that of a
-    least family covering it, which is reduced, so the walk meets every
-    U; the only semi-induced family with union U is the set of the edges
-    inside U, of type (number of edges inside U, |U|).
+    A family with an absorbed member is in none of the classes surveyed,
+    so only the reduced families are visited. On them each predicate runs
+    only where its answer can change the result: the self disjoint and
+    the self ordered tests run only on a family whose type is not yet in
+    that class. A family of a type already seen cannot add a type, and
+    its size and spread equal those of a family offered before it, so it
+    cannot raise a maximum or, since ``_Max`` keeps the first witness on
+    ties, change one. Every self disjoint family is self semi-disjoint,
+    so the same skip leaves the semi-disjoint class unchanged too.
 
     Raises BudgetExceeded when the hypergraph has more than
     ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
@@ -540,11 +539,8 @@ def survey(h: Hypergraph) -> FamilySurvey:
     kernel = _sweep_kernel(h)
     sizes = kernel.sizes
 
-    kinds = ("matching", "induced", "semi_induced", "self_semi_induced",
-             "self_contained", "self_disjoint", "self_semi_disjoint", "self_ordered")
-    types: dict[str, set[tuple[int, int]]] = {k: {(0, 0)} for k in kinds}
-    if h.m > 0:
-        types["self_ordered"] = set()
+    types = {"self_disjoint": {(0, 0)}, "self_semi_disjoint": {(0, 0)}}
+    ordered_types: set[tuple[int, int]] = set()
     counts_ssi = {(0, 0): 1}
     counts_scsi = {(0, 0): 1}
     counts_induced_uniform: dict[tuple[int, int], int] = {}
@@ -552,7 +548,6 @@ def survey(h: Hypergraph) -> FamilySurvey:
               ("m", "a", "b", "b_prime", "c", "c_prime", "d1", "d2",
                "d1_prime", "d2_prime", "e")}
     a_t: dict[int, _Max] = {}
-    unions: set[int] = set()
 
     for bits, fam, u, matching, private in _reduced_families(kernel):
         if not bits:
@@ -560,15 +555,12 @@ def survey(h: Hypergraph) -> FamilySurvey:
 
         i = len(fam)
         j = u.bit_count()
-        unions.add(u)
 
         semi = kernel.semi_induced(bits)
 
         if matching:
-            types["matching"].add((i, j))
             maxima["m"].offer(i, fam)
         if matching and semi:
-            types["induced"].add((i, j))
             maxima["a"].offer(i, fam)
             t = sizes[fam[0]]
             if all(sizes[k] == t for k in fam):
@@ -576,13 +568,11 @@ def survey(h: Hypergraph) -> FamilySurvey:
                 a_t.setdefault(t, _Max()).offer(i, fam)
 
         if semi:
-            types["self_semi_induced"].add((i, j))
             counts_ssi[i, j] = counts_ssi.get((i, j), 0) + 1
             maxima["b"].offer(i, fam)
             maxima["b_prime"].offer(j - i, fam)
 
         if kernel.self_contained(bits, private):
-            types["self_contained"].add((i, j))
             counts_scsi[i, j] = counts_scsi.get((i, j), 0) + 1
             maxima["e"].offer(i, fam)
 
@@ -597,13 +587,11 @@ def survey(h: Hypergraph) -> FamilySurvey:
                 maxima["d1"].offer(i, fam)
                 maxima["d1_prime"].offer(j - i, fam)
 
-        if (i, j) not in types["self_ordered"] and (
+        if (i, j) not in ordered_types and (
                 i == 1 or kernel.least_ordering(bits) is not None):
-            types["self_ordered"].add((i, j))
+            ordered_types.add((i, j))
             maxima["c"].offer(i, fam)
             maxima["c_prime"].offer(j - i, fam)
-
-    types["semi_induced"].update((kernel.inside(u).bit_count(), u.bit_count()) for u in unions)
 
     return FamilySurvey(
         types=types,
@@ -735,8 +723,13 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
     first maximal orientation stays the same: clearing such a stem's bit
     keeps the total and gives a smaller number, and that stem's flower is
     its other endpoint either way.
+
+    Raises BudgetExceeded when the graph has more than
+    ``limits.FAMILY_BUDGET`` edges: the search orients every induced
+    matching, exponential in the edge count.
     """
     _require_graph(h)
+    _within_budget(h.m, "edges")
     adj = [0] * h.n
     for mask in h.edges:
         a, b = tuple_of(mask)

@@ -61,13 +61,11 @@ class BettiTable:
     """Sparse graded Betti table of the edge-ideal quotient.
 
     ``entries`` maps (homological degree i, internal degree j) to a
-    positive integer; absent pairs are zero. ``n`` is the ambient
-    number of vertices, bounding j.
+    positive integer; absent pairs are zero.
     """
 
     entries: dict[tuple[int, int], int]
     field: Field = QQ
-    n: int = 0
 
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -219,7 +217,7 @@ def homology_of_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list
     return out
 
 
-def table_from_homology(hom: dict[int, list[int]], field: Field, n: int, within: int | None = None) -> BettiTable:
+def table_from_homology(hom: dict[int, list[int]], field: Field, within: int | None = None) -> BettiTable:
     """Assemble a Betti table from per-restriction homology.
 
     With ``within`` set, sums only over subsets of that bitmask, giving
@@ -235,10 +233,10 @@ def table_from_homology(hom: dict[int, list[int]], field: Field, n: int, within:
                 k = slot - 1
                 key = (j - k - 1, j)
                 entries[key] = entries.get(key, 0) + dim
-    return BettiTable(entries, field, n if within is None else within.bit_count())
+    return BettiTable(entries, field)
 
 
 def betti_table(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Exact graded Betti table over ``field`` by restriction homology."""
     hom = homology_of_restrictions(h, field)
-    return table_from_homology(hom, field, h.n)
+    return table_from_homology(hom, field)

@@ -174,11 +174,11 @@ def edge_neighborhood(h: Hypergraph, s: int) -> int:
 
 @dataclass(frozen=True)
 class UniformityProfile:
-    """Edge-size census with the two structural flags used downstream."""
+    """The common edge size ``d``, if any, with the two structural flags
+    used downstream."""
 
     is_uniform: bool
     d: int | None
-    sizes: tuple[int, ...]
     is_special_class: bool
 
 
@@ -189,11 +189,11 @@ def uniformity_profile(h: Hypergraph) -> UniformityProfile:
     edges that meet share exactly d - 1 vertices. Every graph qualifies.
     An edgeless hypergraph is vacuously uniform and special with d None.
     """
-    sizes = tuple(sorted({mask.bit_count() for mask in h.edges}))
+    sizes = {mask.bit_count() for mask in h.edges}
     if not sizes:
-        return UniformityProfile(True, None, sizes, True)
+        return UniformityProfile(True, None, True)
     uniform = len(sizes) == 1
-    d = sizes[0] if uniform else None
+    d = min(sizes) if uniform else None
     special = uniform
     if uniform:
         for a in range(h.m):
@@ -204,7 +204,7 @@ def uniformity_profile(h: Hypergraph) -> UniformityProfile:
                     break
             if not special:
                 break
-    return UniformityProfile(uniform, d, sizes, special)
+    return UniformityProfile(uniform, d, special)
 
 
 def require_uniform(h: Hypergraph) -> int:

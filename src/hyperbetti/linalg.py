@@ -178,5 +178,7 @@ def parse_field(spec: str) -> Field:
             p = int(s[3:])
         except ValueError:
             raise ValueError(f"gf:P needs an integer prime, got {spec!r}") from None
+        if p < 2:
+            raise ValueError(f"gf:P needs a prime P, got {spec!r}")
         return Field(p)
     raise ValueError(f"unrecognized field spec {spec!r}; use q, gf2, or gf:P")

@@ -198,7 +198,7 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
         memo[key] = out
         return out
 
-    return BettiTable(worker(h), field, h.n)
+    return BettiTable(worker(h), field)
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,22 @@ and ``lyubeznik_restrictions``, which ``betti_via_taylor`` and
 ``betti_via_lyubeznik`` sum into a table. Both complexes are bounded by
 the budgets in ``limits``.
 
-Both are echelonized by one routine, ``_boundaries``, largest symbols
-first and with clearing: a symbol that leads a cycle of the image from
-the level above has its boundary in the span of the boundaries of later
-symbols, so it is never read. Each slice (i, W) then reads at most beta_{i,W}
-rows that gain no rank.
+Both complexes hold each symbol as the edge bitmask of its members, bit
+s standing for edge index s; only ``b_set`` lists symbols, as sorted
+tuples. Both are echelonized by one routine, ``_boundaries``, largest
+symbols first and with clearing: a symbol that leads a cycle of the
+image from the level above has its boundary in the span of the
+boundaries of later symbols, so it is never read. Each slice (i, W)
+then reads at most beta_{i,W} rows that gain no rank.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import limits
-from .bitsets import bits_of, is_subset, mask_of
+from .bitsets import bits_of, is_subset, tuple_of
 from .errors import BettiVanishes, BudgetExceeded, PremiseFails, ValidationError
 from .families import _Kernel, _sweep_kernel, _validate_family, classify
 from .homology import BettiTable, betti_table, table_from_homology
@@ -53,12 +54,12 @@ def chain_union(h: Hypergraph, chain) -> int:
     return u
 
 
-def _faces(chain: tuple[int, ...], absorbed: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Signed faces of the reduced boundary of a basis symbol: position k
-    (1-based) is dropped with sign (-1)^k, and only when its member is in
-    the edge bitmask ``absorbed``."""
-    return [(-1 if k % 2 == 0 else 1, chain[:k] + chain[k + 1:])
-            for k, s in enumerate(chain) if absorbed >> s & 1]
+def _faces(symbol: int, absorbed: int) -> list[tuple[int, int]]:
+    """Signed faces of the reduced boundary of a basis symbol: the member
+    at position k (1-based, in index order) is dropped with sign (-1)^k,
+    and only when it is in the edge bitmask ``absorbed``."""
+    return [(-1 if k % 2 == 0 else 1, symbol ^ 1 << s)
+            for k, s in enumerate(bits_of(symbol)) if absorbed >> s & 1]
 
 
 def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
@@ -84,7 +85,7 @@ def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
         for pos, c in enumerate(slices[i, w]):
             if pos in cleared:
                 continue
-            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(mask_of(c)))}
+            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(c))}
             if row:
                 space.add(row)
         spaces[i, w] = space
@@ -116,9 +117,8 @@ class TaylorAnalysis:
     slice (i - 1, W); ranks and ``contains`` read nothing else.
     """
 
-    h: Hypergraph
     field: Field
-    slices: dict[tuple[int, int], list[tuple[int, ...]]]
+    slices: dict[tuple[int, int], list[int]]
     boundaries: dict[tuple[int, int], RowSpace]
     kernel: _Kernel
 
@@ -134,7 +134,7 @@ class TaylorAnalysis:
         return _restriction_map(self.slices, self.boundaries)
 
     def table(self) -> BettiTable:
-        return table_from_homology(self.restrictions(), self.field, self.h.n)
+        return table_from_homology(self.restrictions(), self.field)
 
     def types(self) -> list[tuple[int, int]]:
         """The types (size i, degree |W|) of the slices, sorted."""
@@ -145,7 +145,7 @@ class TaylorAnalysis:
         """Per slice, the absorbed members of each symbol, as edge
         bitmasks in the order of ``slices``."""
         absorbed = self.kernel.absorbed
-        return {key: [absorbed(mask_of(c)) for c in symbols]
+        return {key: [absorbed(c) for c in symbols]
                 for key, symbols in self.slices.items()}
 
     def _symbols_absorbed(self, i: int, j: int):
@@ -177,7 +177,7 @@ class TaylorAnalysis:
                     continue
                 if image is not None and image.contains({pos: 1}):
                     continue
-                out.append(c)
+                out.append(tuple_of(c))
         return sorted(out)
 
 
@@ -187,11 +187,10 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
     if m > limits.TAYLOR_BUDGET:
         raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
     kernel = _sweep_kernel(h)
-    slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for size in range(m + 1):
-        for chain in itertools.combinations(range(m), size):
-            slices.setdefault((size, kernel.union[mask_of(chain)]), []).append(chain)
-    return TaylorAnalysis(h, field, slices, _boundaries(slices, kernel, field), kernel)
+    slices: dict[tuple[int, int], list[int]] = {}
+    for symbol, w in enumerate(kernel.union):
+        slices.setdefault((symbol.bit_count(), w), []).append(symbol)
+    return TaylorAnalysis(field, slices, _boundaries(slices, kernel, field), kernel)
 
 
 def betti_via_taylor(h: Hypergraph, field: Field = QQ) -> BettiTable:
@@ -202,7 +201,7 @@ def betti_via_taylor(h: Hypergraph, field: Field = QQ) -> BettiTable:
 # Lyubeznik's subcomplex, sliced by union
 
 
-def admissible_symbols(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
+def admissible_symbols(h: Hypergraph) -> list[tuple[int, int]]:
     """Every L-admissible symbol under the index order, with its union.
 
     A symbol grows by prepending a smaller edge index p to an admissible
@@ -214,21 +213,21 @@ def admissible_symbols(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
     """
     edges = h.edges
     budget = limits.LYUBEZNIK_BUDGET
-    out: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    out: list[tuple[int, int]] = [(0, 0)]
 
-    def grow(chain: tuple[int, ...], union: int) -> None:
-        for p in range(chain[0] if chain else len(edges)):
+    def grow(suffix: int, union: int, least: int) -> None:
+        for p in range(least):
             u = union | edges[p]
             if any(is_subset(edges[q], u) for q in range(p)):
                 continue
-            symbol = (p,) + chain
+            symbol = suffix | 1 << p
             out.append((symbol, u))
             if len(out) > budget:
                 raise BudgetExceeded(
                     f"admissible symbols exceed the Lyubeznik symbol budget {budget}")
-            grow(symbol, u)
+            grow(symbol, u, p)
 
-    grow((), 0)
+    grow(0, 0, len(edges))
     return out
 
 
@@ -242,15 +241,15 @@ def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[i
     members absorbed by the others, so it preserves the union W, and the
     size-i symbols of union W give beta_{i,W}.
     """
-    slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    slices: dict[tuple[int, int], list[int]] = {}
     for symbol, w in admissible_symbols(h):
-        slices.setdefault((len(symbol), w), []).append(symbol)
+        slices.setdefault((symbol.bit_count(), w), []).append(symbol)
     return _restriction_map(slices, _boundaries(slices, _Kernel(h.edges), field))
 
 
 def betti_via_lyubeznik(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Exact graded Betti table over ``field`` from Lyubeznik's resolution."""
-    return table_from_homology(lyubeznik_restrictions(h, field), field, h.n)
+    return table_from_homology(lyubeznik_restrictions(h, field), field)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,8 @@ def test_report_shape_and_determinism():
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
     assert a["schema_version"] == 5
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
                       "failures", "meta"}
     # everything that may vary between runs lives under meta

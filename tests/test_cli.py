@@ -74,6 +74,8 @@ def test_recursive_needs_elimination_order(c4_file, capsys):
     [
         ["betti", "/definitely/not/here.txt"],
         ["betti", "FILE", "--field", "gf:composite"],
+        # characteristic 0 is the rationals, which gf:P must not name
+        ["betti", "FILE", "--field", "gf:0"],
         # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5, 7
         ["betti", "FILE", "--field", "gf:561"],
         ["betti", "FILE", "--field", "gf:3215031751"],

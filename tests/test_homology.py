@@ -108,7 +108,7 @@ def test_restriction_table_counts_inside_subset():
     h = path_graph(4)
     hom = homology_of_restrictions(h, QQ)
     # restriction to the first three vertices is a path with two edges
-    sub = table_from_homology(hom, QQ, h.n, within=0b0111)
+    sub = table_from_homology(hom, QQ, within=0b0111)
     assert sub.entries == FROZEN["P3"]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import limits
-from hyperbetti.bitsets import mask_of
+from hyperbetti.bitsets import mask_of, tuple_of
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
 from hyperbetti.families import _Kernel, classify
 from hyperbetti.generators import make_batch
@@ -38,22 +38,28 @@ from test_families import sized_hypergraphs
 from test_homology import RP2_NON_FACES
 
 
-def reduced_boundary(h, chain):
-    """Signed faces of a symbol's boundary, as both engines build it."""
-    return _faces(chain, _Kernel(h.edges).absorbed(mask_of(chain)))
+def reduced_boundary(h, symbol):
+    """Signed faces of a symbol's boundary, as both engines build it; the
+    symbol and its faces are edge bitmasks."""
+    return _faces(symbol, _Kernel(h.edges).absorbed(symbol))
 
 
 def test_boundary_signs_on_triangle(c3):
     # all three members are absorbed, signs alternate starting negative
-    faces = reduced_boundary(c3, (0, 1, 2))
-    assert faces == [(-1, (1, 2)), (1, (0, 2)), (-1, (0, 1))]
+    faces = reduced_boundary(c3, 0b111)
+    assert faces == [(-1, 0b110), (1, 0b101), (-1, 0b011)]
+    # edge 0 has the private vertex x, so only positions 2 to 4 are
+    # dropped, and each keeps the sign of its position in the symbol
+    pendant = build(["a", "b", "c", "x"], [(0, 3), (0, 1), (1, 2), (0, 2)])
+    faces = reduced_boundary(pendant, 0b1111)
+    assert faces == [(1, 0b1101), (-1, 0b1011), (1, 0b0111)]
 
 
 def test_boundary_drops_only_absorbed(p3):
-    assert reduced_boundary(p3, (0, 1)) == []
+    assert reduced_boundary(p3, 0b11) == []
     assert classify(p3, (0, 1)).reduced
     assert not classify(c3_full := build(["x", "y", "z"], [(0, 1), (0, 2), (1, 2)]), (0, 1, 2)).reduced
-    assert reduced_boundary(c3_full, (0, 1)) == []
+    assert reduced_boundary(c3_full, 0b11) == []
 
 
 def test_taylor_matches_hochster_on_fixtures(p3, p4, p6, c3, c4, triple_overlap):
@@ -98,9 +104,9 @@ def test_admissible_symbols_are_the_admissible_chains(h):
     }
     found = admissible_symbols(h)
     assert len(found) == len(expected)
-    assert {chain for chain, _ in found} == expected
-    for chain, union in found:
-        assert union == chain_union(h, chain)
+    assert {tuple_of(bits) for bits, _ in found} == expected
+    for bits, union in found:
+        assert union == chain_union(h, tuple_of(bits))
 
 
 def _lyubeznik_corpus():
@@ -146,10 +152,10 @@ def test_clearing_wastes_at_most_one_row_per_betti_number(monkeypatch, field):
 def test_b_set_is_the_reduced_symbols_outside_the_full_image(field):
     # every boundary row from (i + 1, W), none cleared, in a fresh space
     for name, h in _lyubeznik_corpus():
-        slices: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        slices: dict[tuple[int, int], list[int]] = {}
         for size in range(h.m + 1):
             for chain in itertools.combinations(range(h.m), size):
-                slices.setdefault((size, chain_union(h, chain)), []).append(chain)
+                slices.setdefault((size, chain_union(h, chain)), []).append(mask_of(chain))
         expected: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for (i, w), basis in slices.items():
             index = {c: pos for pos, c in enumerate(basis)}
@@ -157,7 +163,7 @@ def test_b_set_is_the_reduced_symbols_outside_the_full_image(field):
             for c in slices.get((i + 1, w), ()):
                 image.add({index[face]: sign for sign, face in reduced_boundary(h, c)})
             expected.setdefault((i, w.bit_count()), []).extend(
-                c for c in basis
+                tuple_of(c) for c in basis
                 if not reduced_boundary(h, c) and not image.contains({index[c]: 1}))
         an = analyze_taylor(h, field)
         assert an.types() == sorted(expected), (name, h)
