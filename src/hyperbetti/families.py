@@ -30,8 +30,9 @@ is the degenerate witness of value 0 for each invariant.
 
 Inside the package a family is also an edge bitmask, bit s standing for
 edge index s, and every class predicate above lives once, in
-``_Kernel``: ``classify``, ``survey``, the bouquet search, the Taylor
-engine and the campaign's family sweeps all call it.
+``_Kernel``: ``classify``, ``survey``, the bouquet search and the
+campaign's family sweeps all call it. The Taylor and Lyubeznik engines
+do not: they read absorption off their own slices (see ``taylor``).
 
 ``classify`` decides the matching, semi-induced, reduced, self
 semi-induced and induced classes up front, each in one pass over the
@@ -88,7 +89,7 @@ class _Kernel:
     family (``_sweep_kernel``), or by default a ``_Unions`` filled on
     demand. Each predicate tests one condition of the module docstring on
     its own; a class that also asks for a reduced family is the
-    conjunction with ``not absorbed(bits)``, taken by the caller.
+    conjunction with ``all(private_parts(bits))``, taken by the caller.
     ``self_contained`` reads the members' private parts, which a caller
     that carries them, as the survey does, passes in. The
     ordered class has two tests on a reduced family of two or more
@@ -114,21 +115,6 @@ class _Kernel:
             low = rest & -rest
             rest ^= low
             out.append(masks[low.bit_length() - 1] & ~union[bits ^ low])
-        return out
-
-    def absorbed(self, bits: int) -> int:
-        """Members of ``bits`` contained in the union of the others: those
-        with an empty private part, computed as ``private_parts`` computes
-        it but with no list: the Taylor engine and ``classify`` call this
-        once per symbol or family, and the list cost them 2-10%."""
-        masks, union = self.masks, self.union
-        out = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not masks[low.bit_length() - 1] & ~union[bits ^ low]:
-                out |= low
         return out
 
     def matching(self, bits: int) -> bool:
@@ -381,7 +367,7 @@ class FamilyClassification:
         self.j = kernel.union[bits].bit_count()
         self.matching = kernel.matching(bits)
         self.semi_induced = kernel.semi_induced(bits)
-        self.reduced = not kernel.absorbed(bits)
+        self.reduced = all(kernel.private_parts(bits))
         self.self_semi_induced = self.reduced and self.semi_induced
         self.induced = self.matching and self.semi_induced
 
@@ -722,7 +708,9 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
     keeps orientation 0 and only the other stems are enumerated. The
     first maximal orientation stays the same: clearing such a stem's bit
     keeps the total and gives a smaller number, and that stem's flower is
-    its other endpoint either way.
+    its other endpoint either way. An orientation's total is its stems
+    plus the uncovered neighbours of its roots, so the flowers are built
+    only for an orientation that beats the best so far.
 
     Raises BudgetExceeded when the graph has more than
     ``limits.FAMILY_BUDGET`` edges: the search orients every induced
@@ -739,8 +727,7 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
     best_total = _Max()
     best_count = _Max()
 
-    matchings = _induced_matchings(h)
-    for matching in matchings:
+    for matching in _induced_matchings(h):
         size = len(matching)
         covered = 0
         for s in matching:
@@ -750,25 +737,22 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
                 Bouquet(min(h.edge_vertices(s)), (max(h.edge_vertices(s)),)) for s in matching))
         endpoints = [h.edge_vertices(s) for s in matching]
         # orientation bit of each stem with a neighbour outside the cover
-        live = [1 << k for k, (a, b) in enumerate(endpoints) if (adj[a] | adj[b]) & ~covered]
-        for choice in range(1 << len(live)):
-            orient = 0
-            for t, bit in enumerate(live):
-                if choice >> t & 1:
-                    orient |= bit
+        live = mask_of(k for k, (a, b) in enumerate(endpoints) if (adj[a] | adj[b]) & ~covered)
+        orient = 0
+        for _ in range(1 << live.bit_count()):
             roots = [endpoints[k][orient >> k & 1] for k in range(size)]
-            flowers = {k: [endpoints[k][1 - (orient >> k & 1)]] for k in range(size)}
-            total = size
-            for v in range(h.n):
-                if covered >> v & 1:
-                    continue
-                homes = [k for k, r in enumerate(roots) if adj[r] >> v & 1]
-                if homes:
-                    flowers[homes[0]].append(v)
-                    total += 1
+            reach = 0
+            for r in roots:
+                reach |= adj[r]
+            extra = reach & ~covered
+            total = size + extra.bit_count()
             if total > best_total.value:
+                flowers = [[endpoints[k][1 - (orient >> k & 1)]] for k in range(size)]
+                for v in bits_of(extra):
+                    flowers[next(k for k, r in enumerate(roots) if adj[r] >> v & 1)].append(v)
                 best_total.offer(total, tuple(
                     Bouquet(roots[k], tuple(sorted(flowers[k]))) for k in range(size)))
+            orient = (orient - live) & live  # the next submask of ``live``, increasing
     return BouquetReport(best_total.value, best_count.value, best_total.witness,
                          best_count.witness)
 

@@ -14,7 +14,7 @@ by the others ("reduced" below). The set B_{i,j} collects the reduced
 basis symbols of size i and degree |W| = j that are also outside the
 image from above; under the two subset hypotheses, which
 ``TaylorAnalysis`` decides from its symbols, it bounds or equals
-beta_{i,j}. Absorption is tested by the family kernel of ``families``.
+beta_{i,j}.
 
 Lyubeznik's resolution is the subcomplex spanned by the L-admissible
 symbols under the index order, sliced the same way from far fewer and
@@ -25,12 +25,15 @@ and ``lyubeznik_restrictions``, which ``betti_via_taylor`` and
 the budgets in ``limits``.
 
 Both complexes hold each symbol as the edge bitmask of its members, bit
-s standing for edge index s; only ``b_set`` lists symbols, as sorted
-tuples. Both are echelonized by one routine, ``_boundaries``, largest
-symbols first and with clearing: a symbol that leads a cycle of the
-image from the level above has its boundary in the span of the
-boundaries of later symbols, so it is never read. Each slice (i, W)
-then reads at most beta_{i,W} rows that gain no rank.
+s standing for edge index s, sliced by one helper, ``_slice``; only
+``b_set`` lists symbols, as sorted tuples. Each complex holds every
+subsymbol of its symbols, so a member is absorbed exactly when dropping
+it leaves a symbol of the slice (i - 1, W) below, and ``_faces`` reads a
+symbol's boundary off that slice. Both are echelonized by one routine,
+``_boundaries``, largest symbols first and with clearing: a symbol that
+leads a cycle of the image from the level above has its boundary in the
+span of the boundaries of later symbols, so it is never read. Each slice
+(i, W) then reads at most beta_{i,W} rows that gain no rank.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import cached_property
 from . import limits
 from .bitsets import bits_of, is_subset, tuple_of
 from .errors import BettiVanishes, BudgetExceeded, PremiseFails, ValidationError
-from .families import _Kernel, _sweep_kernel, _validate_family, classify
+from .families import _sweep_kernel, _validate_family, classify
 from .homology import BettiTable, betti_table, table_from_homology
 from .hypergraph import Hypergraph, induced_subhypergraph
 from .linalg import QQ, Field, RowSpace
@@ -54,17 +57,36 @@ def chain_union(h: Hypergraph, chain) -> int:
     return u
 
 
-def _faces(symbol: int, absorbed: int) -> list[tuple[int, int]]:
-    """Signed faces of the reduced boundary of a basis symbol: the member
-    at position k (1-based, in index order) is dropped with sign (-1)^k,
-    and only when it is in the edge bitmask ``absorbed``."""
-    return [(-1 if k % 2 == 0 else 1, symbol ^ 1 << s)
-            for k, s in enumerate(bits_of(symbol)) if absorbed >> s & 1]
+def _slice(pairs) -> dict[tuple[int, int], dict[int, int]]:
+    """Slice (symbol, union W) pairs by (size i, union W). Each slice maps
+    a symbol's edge bitmask to its position, in the order given, so it is
+    its own index."""
+    slices: dict[tuple[int, int], dict[int, int]] = {}
+    for symbol, w in pairs:
+        block = slices.setdefault((symbol.bit_count(), w), {})
+        block[symbol] = len(block)
+    return slices
 
 
-def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
+def _faces(symbol: int, below: dict[int, int]) -> dict[int, int]:
+    """The reduced boundary row of a basis symbol, keyed by position in
+    ``below``, the slice (i - 1, W) under it: the member at position k
+    (1-based, in index order) is dropped with sign (-1)^k exactly when
+    the face keeps the union W, that is when it is a key of ``below``."""
+    row, sign, rest = {}, -1, symbol
+    while rest:
+        low = rest & -rest
+        pos = below.get(symbol ^ low)
+        if pos is not None:
+            row[pos] = sign
+        rest, sign = rest ^ low, -sign
+    return row
+
+
+def _boundaries(slices: dict, field: Field) -> dict:
     """Echelonize the reduced boundary out of every slice (i, W) into
-    slice (i - 1, W), keyed by the source, largest symbols first.
+    slice (i - 1, W), keyed by the source, largest symbols first, each
+    row read off that slice below by ``_faces``.
 
     Clearing (Chen and Kerber, 2011): slice (i, W) skips the symbol at
     each pivot of the image from (i + 1, W). A ``RowSpace`` stores a row
@@ -80,12 +102,11 @@ def _boundaries(slices: dict, kernel: _Kernel, field: Field) -> dict:
             continue
         above = spaces.get((i + 1, w))
         cleared = above.rows if above else {}
-        index = {face: pos for pos, face in enumerate(below)}
         space = RowSpace(field)
         for pos, c in enumerate(slices[i, w]):
             if pos in cleared:
                 continue
-            row = {index[face]: sign for sign, face in _faces(c, kernel.absorbed(c))}
+            row = _faces(c, below)
             if row:
                 space.add(row)
         spaces[i, w] = space
@@ -118,9 +139,8 @@ class TaylorAnalysis:
     """
 
     field: Field
-    slices: dict[tuple[int, int], list[int]]
+    slices: dict[tuple[int, int], dict[int, int]]
     boundaries: dict[tuple[int, int], RowSpace]
-    kernel: _Kernel
 
     @cached_property
     def _unions_by_type(self) -> dict[tuple[int, int], list[int]]:
@@ -142,15 +162,14 @@ class TaylorAnalysis:
 
     @cached_property
     def _absorbed(self) -> dict[tuple[int, int], list[int]]:
-        """Per slice, the absorbed members of each symbol, as edge
-        bitmasks in the order of ``slices``."""
-        absorbed = self.kernel.absorbed
-        return {key: [absorbed(c) for c in symbols]
-                for key, symbols in self.slices.items()}
+        """Per slice, the number of absorbed members of each symbol, the
+        length of its boundary row, in the order of ``slices``."""
+        return {(i, w): [len(_faces(c, self.slices.get((i - 1, w), {}))) for c in symbols]
+                for (i, w), symbols in self.slices.items()}
 
     def _symbols_absorbed(self, i: int, j: int):
-        """The absorbed members of every symbol of type (i, j); the complex
-        has one symbol per edge family, so of every such family."""
+        """The absorbed-member counts of every symbol of type (i, j); the
+        complex has one symbol per edge family, so of every such family."""
         for w in self._unions_by_type.get((i, j), ()):
             yield from self._absorbed[i, w]
 
@@ -164,7 +183,7 @@ class TaylorAnalysis:
         """No family of i + 1 edges covering j vertices has two or more
         absorbed members, so beta_{i,j} is at least |B_{i,j}|: the classes
         of B_{i,j} are then independent."""
-        return all(a.bit_count() < 2 for a in self._symbols_absorbed(i + 1, j))
+        return all(a < 2 for a in self._symbols_absorbed(i + 1, j))
 
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
         """Reduced basis symbols of type (i, j) not hit from above, which
@@ -186,11 +205,8 @@ def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
     m = h.m
     if m > limits.TAYLOR_BUDGET:
         raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
-    kernel = _sweep_kernel(h)
-    slices: dict[tuple[int, int], list[int]] = {}
-    for symbol, w in enumerate(kernel.union):
-        slices.setdefault((symbol.bit_count(), w), []).append(symbol)
-    return TaylorAnalysis(field, slices, _boundaries(slices, kernel, field), kernel)
+    slices = _slice(enumerate(_sweep_kernel(h).union))
+    return TaylorAnalysis(field, slices, _boundaries(slices, field))
 
 
 def betti_via_taylor(h: Hypergraph, field: Field = QQ) -> BettiTable:
@@ -241,10 +257,8 @@ def lyubeznik_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list[i
     members absorbed by the others, so it preserves the union W, and the
     size-i symbols of union W give beta_{i,W}.
     """
-    slices: dict[tuple[int, int], list[int]] = {}
-    for symbol, w in admissible_symbols(h):
-        slices.setdefault((symbol.bit_count(), w), []).append(symbol)
-    return _restriction_map(slices, _boundaries(slices, _Kernel(h.edges), field))
+    slices = _slice(admissible_symbols(h))
+    return _restriction_map(slices, _boundaries(slices, field))
 
 
 def betti_via_lyubeznik(h: Hypergraph, field: Field = QQ) -> BettiTable:

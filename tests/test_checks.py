@@ -174,6 +174,11 @@ def test_failure_payload_replays(monkeypatch):
     again = parse_json(json.dumps(payload))
     assert again.labels == path_graph(3).labels
     assert again.edges == path_graph(3).edges
+    # the failing check carries the same counterexample through the json report
+    counterexample = json.loads(report.to_json())["checks"][0]["counterexample"]
+    assert counterexample == report.failures[0]
+    replayed = run_checks(parse_json(json.dumps(counterexample["instance"])))
+    assert replayed.failures == [counterexample]
 
 
 def test_run_fuzz_merges_and_is_deterministic():
@@ -444,7 +449,7 @@ def _assert_pd_cap_hypothesis_is_the_edge_set_reduced(h):
     edges = oracle.edge_sets(h)
     *_, hyp1, _ = oracle.survey_facts(edges)
     e = oracle.survey_maxima(edges)[0]["e"][0]
-    absorbed = bool(_Kernel(h.edges).absorbed((1 << h.m) - 1))
+    absorbed = not all(_Kernel(h.edges).private_parts((1 << h.m) - 1))
     assert absorbed == bool(oracle.absorbed(edges, tuple(range(h.m)))), edges
     assert absorbed == any(i >= e for i, _ in hyp1), edges
     if not absorbed:
@@ -463,16 +468,18 @@ def test_conditional_pd_cap_hypothesis_holds_on_free_vertex_instances(m):
         _assert_pd_cap_hypothesis_is_the_edge_set_reduced(random_free_vertex(m, seed))
 
 
-def test_conditional_pd_cap_catches_pd_above_m(monkeypatch):
-    # every edge has a private vertex, so the check applies with e = m
+@pytest.mark.parametrize("shift", [1, -1], ids=["above", "below"])
+def test_conditional_pd_cap_catches_pd_above_m(monkeypatch, shift):
+    # every edge has a private vertex, so the check applies with e = m and
+    # the Taylor resolution is minimal, so pd = m
     entry = _entry("conditional-pd-cap")
     h = random_free_vertex(5, 3)
     ctx = _Ctx(h, QQ, 0)
     assert entry(ctx).status == "pass"
-    monkeypatch.setattr(type(ctx.table), "projective_dimension", lambda table: h.m + 1)
+    monkeypatch.setattr(type(ctx.table), "projective_dimension", lambda table: h.m + shift)
     result = entry(ctx)
     assert result.status == "fail"
-    assert result.detail == f"pd {h.m + 1} exceeds e {h.m} despite hypothesis"
+    assert result.detail == f"pd {h.m + shift} differs from e {h.m} despite hypothesis"
 
 
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import limits
-from hyperbetti.bitsets import mask_of, tuple_of
+from hyperbetti.bitsets import bits_of, mask_of, tuple_of
 from hyperbetti.errors import BudgetExceeded, PremiseFails, ValidationError
 from hyperbetti.families import _Kernel, classify
 from hyperbetti.generators import make_batch
@@ -22,6 +22,7 @@ from hyperbetti.linalg import GF2, QQ, Field, RowSpace
 from hyperbetti.taylor import (
     Certificate,
     _faces,
+    _slice,
     admissible_symbols,
     analyze_taylor,
     betti_via_lyubeznik,
@@ -38,10 +39,14 @@ from test_families import sized_hypergraphs
 from test_homology import RP2_NON_FACES
 
 
-def reduced_boundary(h, symbol):
-    """Signed faces of a symbol's boundary, as both engines build it; the
-    symbol and its faces are edge bitmasks."""
-    return _faces(symbol, _Kernel(h.edges).absorbed(symbol))
+def reduced_boundary(h, symbol, an=None):
+    """Signed faces of a symbol's boundary, as both engines build it: the
+    row ``_faces`` reads off the slice below in ``analyze_taylor(h)`` (or
+    ``an``), mapped back to face bitmasks; the symbol is one too."""
+    below = (an or analyze_taylor(h)).slices.get(
+        (symbol.bit_count() - 1, chain_union(h, bits_of(symbol))), {})
+    faces = list(below)
+    return [(sign, faces[pos]) for pos, sign in _faces(symbol, below).items()]
 
 
 def test_boundary_signs_on_triangle(c3):
@@ -60,6 +65,23 @@ def test_boundary_drops_only_absorbed(p3):
     assert classify(p3, (0, 1)).reduced
     assert not classify(c3_full := build(["x", "y", "z"], [(0, 1), (0, 2), (1, 2)]), (0, 1, 2)).reduced
     assert reduced_boundary(c3_full, 0b11) == []
+
+
+def test_rows_drop_the_members_with_no_private_part(p3, p4, p6, c3, c4, triple_overlap):
+    # the slice below holds a face exactly when its member is absorbed,
+    # for every symbol of both complexes
+    pendant = build(["a", "b", "c", "x"], [(0, 3), (0, 1), (1, 2), (0, 2)])
+    rp2 = build([f"p{i}" for i in range(6)], RP2_NON_FACES)
+    for h in (p3, p4, p6, c3, c4, triple_overlap, pendant, rp2):
+        kernel = _Kernel(h.edges)
+        for slices in (analyze_taylor(h).slices, _slice(admissible_symbols(h))):
+            for (i, w), symbols in slices.items():
+                below = slices.get((i - 1, w), {})
+                for c in symbols:
+                    members = zip(bits_of(c), kernel.private_parts(c))
+                    expected = {below[c ^ 1 << s]: -1 if k % 2 == 0 else 1
+                                for k, (s, part) in enumerate(members) if not part}
+                    assert _faces(c, below) == expected, (h, c)
 
 
 def test_taylor_matches_hochster_on_fixtures(p3, p4, p6, c3, c4, triple_overlap):
@@ -156,16 +178,16 @@ def test_b_set_is_the_reduced_symbols_outside_the_full_image(field):
         for size in range(h.m + 1):
             for chain in itertools.combinations(range(h.m), size):
                 slices.setdefault((size, chain_union(h, chain)), []).append(mask_of(chain))
+        an = analyze_taylor(h, field)
         expected: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for (i, w), basis in slices.items():
             index = {c: pos for pos, c in enumerate(basis)}
             image = RowSpace(field)
             for c in slices.get((i + 1, w), ()):
-                image.add({index[face]: sign for sign, face in reduced_boundary(h, c)})
+                image.add({index[face]: sign for sign, face in reduced_boundary(h, c, an)})
             expected.setdefault((i, w.bit_count()), []).extend(
                 tuple_of(c) for c in basis
-                if not reduced_boundary(h, c) and not image.contains({index[c]: 1}))
-        an = analyze_taylor(h, field)
+                if not reduced_boundary(h, c, an) and not image.contains({index[c]: 1}))
         assert an.types() == sorted(expected), (name, h)
         for key, members in expected.items():
             assert an.b_set(*key) == sorted(members), (name, h, key)
