@@ -37,14 +37,11 @@ def _load(path: str) -> Hypergraph:
     return parse(text)
 
 
-def _family(text: str, h: Hypergraph) -> tuple[int, ...]:
+def _family(text: str) -> tuple[int, ...]:
     try:
-        fam = tuple(int(tok) for tok in text.split())
+        return tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParseError(f"family must be whitespace-separated edge indices, got {text!r}") from None
-    for s in fam:
-        h.edge_mask(s)
-    return fam
 
 
 def cmd_invariants(args) -> int:
@@ -73,7 +70,7 @@ def cmd_betti(args) -> int:
 
 def cmd_classify(args) -> int:
     h = _load(args.file)
-    fam = _family(args.family, h)
+    fam = _family(args.family)
     cls = classify(h, fam)
     out = {
         "family": list(fam),

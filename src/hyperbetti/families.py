@@ -89,12 +89,14 @@ class _Kernel:
     family (``_sweep_kernel``), or by default a ``_Unions`` filled on
     demand. Each predicate tests one condition of the module docstring on
     its own; a class that also asks for a reduced family is the
-    conjunction with ``all(private_parts(bits))``, taken by the caller.
+    conjunction with ``all(private_parts(bits))``, taken by the caller;
+    ``private_parts`` finds the vertices members share in one pass.
     ``self_contained`` reads the members' private parts, which a caller
-    that carries them, as the survey does, passes in. The
-    ordered class has two tests on a reduced family of two or more
-    members: ``ordered_in`` for one given order, and ``least_ordering``,
-    a memoized and pruned search over orders that returns the first.
+    that carries them, as the survey does, passes in. The ordered class
+    has two tests on a reduced family of two or more members, both built
+    on one witnessing step, ``witnessed``: ``ordered_in`` for one given
+    order, and ``least_ordering``, a memoized and pruned search over
+    orders that returns the first.
     """
 
     def __init__(self, masks, union=None):
@@ -107,15 +109,18 @@ class _Kernel:
 
     def private_parts(self, bits: int) -> list[int]:
         """Per member of ``bits``, in index order, its private part: the
-        vertices of the member that lie in no other member."""
-        masks, union = self.masks, self.union
-        out = []
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            out.append(masks[low.bit_length() - 1] & ~union[bits ^ low])
-        return out
+        vertices of the member that lie in no other member: the member
+        minus ``twice``, the vertices two or more members cover."""
+        masks, members = self.masks, []
+        once = twice = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            mask = masks[low.bit_length() - 1]
+            twice |= once & mask
+            once |= mask
+            members.append(mask)
+        return [mask & ~twice for mask in members]
 
     def matching(self, bits: int) -> bool:
         """Members pairwise disjoint."""
@@ -211,21 +216,29 @@ class _Kernel:
 
     def ordered_in(self, order: tuple[int, ...]) -> bool:
         """The outside-edge condition of the ordered class, in exactly the
-        order given. ``order`` must be a reduced family of two or more
-        members; ``FamilyClassification.self_ordered`` decides the others."""
-        bits = mask_of(order)
+        order given: ``witnessed`` at each position below the last leaves
+        no outside edge unwitnessed. ``order`` must be a reduced family of
+        two or more members; ``FamilyClassification.self_ordered`` decides
+        the others."""
         masks = self.masks
-        # after[k]: union of the members after position k
-        after = [0] * len(order)
-        for k in range(len(order) - 1, 0, -1):
-            after[k - 1] = after[k] | masks[order[k]]
-        probes = [(masks[order[k]], after[k]) for k in range(len(order) - 1)]
-        for s, mask in enumerate(masks):
-            if bits >> s & 1:
-                continue
-            if all(mk & ~(mask | u) for mk, u in probes):
-                return False
-        return True
+        unwit = ((1 << len(masks)) - 1) & ~mask_of(order)
+        after = 0
+        for pos in range(len(order) - 1, 0, -1):
+            after |= masks[order[pos]]
+            unwit ^= self.witnessed(order[pos - 1], after, unwit)
+        return not unwit
+
+    def witnessed(self, k: int, after: int, unwit: int) -> int:
+        """The edges of ``unwit`` that member k witnesses when the members
+        after it cover ``after``: those holding every vertex of S_k outside
+        ``after``, so that S_k lies inside S together with those members."""
+        incident = self.incident()
+        need = self.masks[k] & ~after
+        while need and unwit:
+            v = need & -need
+            need ^= v
+            unwit &= incident[v.bit_length() - 1]
+        return unwit
 
     def incident(self) -> list[int]:
         """Per vertex, the edges containing it, as an edge bitmask."""
@@ -235,10 +248,13 @@ class _Kernel:
         # union on one kernel throughout (invariants_instances_per_s read
         # 6% lower with one, 3 of 3 runs on a 2-core x86-64 host).
         if self._incident is None:
-            self._incident = [0] * max((mask.bit_length() for mask in self.masks), default=0)
+            incident = [0] * max((mask.bit_length() for mask in self.masks), default=0)
             for s, mask in enumerate(self.masks):
-                for v in bits_of(mask):
-                    self._incident[v] |= 1 << s
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    incident[low.bit_length() - 1] |= 1 << s
+            self._incident = incident
         return self._incident
 
     def least_ordering(self, bits: int) -> tuple[int, ...] | None:
@@ -259,7 +275,7 @@ class _Kernel:
         above ``limits.FAMILY_BUDGET`` members.
         """
         _within_budget(bits.bit_count(), "members")
-        masks, union, incident = self.masks, self.union, self.incident()
+        union, witnessed = self.union, self.witnessed
         failed: set[int] = set()
         order: list[int] = []
 
@@ -279,13 +295,7 @@ class _Kernel:
                 low = r & -r
                 r ^= low
                 k = low.bit_length() - 1
-                # member k placed next witnesses S iff S holds all of need
-                need = masks[k] & ~union[rem ^ low]
-                wit = unwit
-                while need and wit:
-                    v = need & -need
-                    need ^= v
-                    wit &= incident[v.bit_length() - 1]
+                wit = witnessed(k, union[rem ^ low], unwit)
                 cover |= wit
                 options.append((k, low, wit))
             if cover == unwit:
@@ -297,7 +307,7 @@ class _Kernel:
             failed.add(key)
             return False
 
-        if place(bits, ((1 << len(masks)) - 1) & ~bits):
+        if place(bits, ((1 << len(self.masks)) - 1) & ~bits):
             return tuple(order)
         return None
 
@@ -306,23 +316,6 @@ def _within_budget(count: int, what: str) -> None:
     if count > limits.FAMILY_BUDGET:
         raise BudgetExceeded(
             f"{count} {what} exceeds family enumeration budget {limits.FAMILY_BUDGET}")
-
-
-def _family_kernel(h: Hypergraph, fam: tuple[int, ...]) -> _Kernel:
-    """Kernel for one family, its union and the unions of all members
-    but one seeded from prefix and suffix ORs."""
-    masks = h.edges
-    union = _Unions(masks)
-    prefix = [0]
-    for s in fam:
-        prefix.append(prefix[-1] | masks[s])
-    bits = mask_of(fam)
-    union[bits] = prefix[-1]
-    suffix = 0
-    for k in range(len(fam) - 1, -1, -1):
-        union[bits ^ (1 << fam[k])] = prefix[k] | suffix
-        suffix |= masks[fam[k]]
-    return _Kernel(masks, union)
 
 
 def _sweep_kernel(h: Hypergraph) -> _Kernel:
@@ -419,7 +412,7 @@ def classify(h: Hypergraph, fam) -> FamilyClassification:
     read (order matters only for the ordered class, which is tested in
     the given order)."""
     fam = _validate_family(h, fam)
-    return _classification(_family_kernel(h, fam), fam)
+    return _classification(_Kernel(h.edges), fam)
 
 
 def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassification:
@@ -430,7 +423,7 @@ def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassificati
 def is_self_ordered(h: Hypergraph, fam) -> bool:
     """Test the ordered class in exactly the order given."""
     fam = _validate_family(h, fam)
-    return _classification(_family_kernel(h, fam), fam).self_ordered
+    return _classification(_Kernel(h.edges), fam).self_ordered
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +458,9 @@ class FamilySurvey:
     (i, j) types of their families. ``counts_ssi`` and ``counts_scsi``
     count the self semi-induced and the self-contained semi-induced
     families per type, so their keys are those classes' types.
+    ``maxima`` holds each invariant's value and first witness, a sorted
+    tuple except for ``c`` and ``c_prime``, whose witnesses are least
+    self-orderings.
     """
 
     types: dict[str, set[tuple[int, int]]]
@@ -573,11 +569,12 @@ def survey(h: Hypergraph) -> FamilySurvey:
                 maxima["d1"].offer(i, fam)
                 maxima["d1_prime"].offer(j - i, fam)
 
-        if (i, j) not in ordered_types and (
-                i == 1 or kernel.least_ordering(bits) is not None):
-            ordered_types.add((i, j))
-            maxima["c"].offer(i, fam)
-            maxima["c_prime"].offer(j - i, fam)
+        if (i, j) not in ordered_types:
+            order = fam if i == 1 else kernel.least_ordering(bits)
+            if order is not None:
+                ordered_types.add((i, j))
+                maxima["c"].offer(i, order)
+                maxima["c_prime"].offer(j - i, order)
 
     return FamilySurvey(
         types=types,
@@ -592,7 +589,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
 def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
-    kernel = _family_kernel(h, fam)
+    kernel = _Kernel(h.edges)
     cls = _classification(kernel, fam)
     if cls.i >= 2 and cls.reduced:
         return kernel.least_ordering(mask_of(fam))
@@ -639,11 +636,6 @@ def compute_invariants(h: Hypergraph, *, precomputed: FamilySurvey | None = None
             values["a_t"] = {t: by_size.value for t, by_size in sv.maxima_a_t.items()}
     for t, by_size in sv.maxima_a_t.items():
         witnesses[f"a_{t}"] = by_size.witness
-
-    # survey witnesses are sorted; list the ordered class's in an order it holds in
-    for name in ("c", "c_prime"):
-        if len(witnesses[name]) > 1:
-            witnesses[name] = self_ordered_witness(h, witnesses[name]) or witnesses[name]
 
     if uniformity_profile(h).d == 2 or h.m == 0:
         rep = bouquet_invariants(h)

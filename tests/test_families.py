@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hyperbetti.checks as checks
 from hyperbetti import families, limits
-from hyperbetti.bitsets import bits_of
+from hyperbetti.bitsets import bits_of, mask_of
 from hyperbetti.errors import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -334,6 +334,10 @@ def test_classify_matches_family_oracle(h, rnd):
             cls = classify(h, order)
             for name in names:
                 assert getattr(cls, name) == expected[name], (name, order, edges)
+            private = [edges[k] - oracle.union(edges, [t for t in fam if t != k]) for k in fam]
+            for kernel in (families._Kernel(h.edges), families._sweep_kernel(h)):
+                parts = kernel.private_parts(mask_of(fam))
+                assert [set(bits_of(part)) for part in parts] == private, (fam, edges)
             for witness, matching in ((cls.self_disjoint_witness, True),
                                       (cls.self_semi_disjoint_witness, False)):
                 if witness is not None:
@@ -363,6 +367,11 @@ def _assert_survey_matches_oracle(h):
     assert sv.counts_ssi == counts_ssi
     assert sv.counts_scsi == counts_scsi
     maxima, a_t = oracle.survey_maxima(oracle.edge_sets(h))
+    # the survey lists the ordered class's witnesses in their least self-ordering
+    for name in ("c", "c_prime"):
+        value, witness = maxima[name]
+        if witness:
+            maxima[name] = value, oracle.first_self_ordering(oracle.edge_sets(h), witness)
     assert {name: (mx.value, mx.witness) for name, mx in sv.maxima.items()} == maxima
     assert {t: (mx.value, mx.witness) for t, mx in sv.maxima_a_t.items()} == a_t
 
