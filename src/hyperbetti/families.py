@@ -360,13 +360,14 @@ class FamilyClassification:
         self.j = kernel.union[bits].bit_count()
         self.matching = kernel.matching(bits)
         self.semi_induced = kernel.semi_induced(bits)
-        self.reduced = all(kernel.private_parts(bits))
+        self._private = kernel.private_parts(bits)
+        self.reduced = all(self._private)
         self.self_semi_induced = self.reduced and self.semi_induced
         self.induced = self.matching and self.semi_induced
 
     @cached_property
     def self_contained(self) -> bool:
-        return self.reduced and self._kernel.self_contained(self._bits)
+        return self.reduced and self._kernel.self_contained(self._bits, self._private)
 
     @cached_property
     def _witnesses(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:

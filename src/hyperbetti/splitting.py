@@ -34,11 +34,13 @@ from .homology import BettiTable
 from .taylor import betti_via_taylor, chain_union
 from .hypergraph import (
     Hypergraph,
+    _least_simplicial,
     delete_edge,
     edge_neighborhood,
     induced_subhypergraph,
     is_simplicial_vertex,
     is_triangulated,
+    require_uniform,
     uniformity_profile,
 )
 from .linalg import QQ, Field
@@ -55,10 +57,7 @@ def require_special_class(h: Hypergraph) -> int | None:
 
 def find_simplicial_vertex(h: Hypergraph) -> int | None:
     """Least non-isolated simplicial vertex, or None."""
-    for x in bits_of(chain_union(h, range(h.m))):
-        if is_simplicial_vertex(h, x):
-            return x
-    return None
+    return _least_simplicial(h.edges, require_uniform(h)) if h.m else None
 
 
 @dataclass(frozen=True)
@@ -173,15 +172,17 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
     remove one of the four triples of the complete 3-uniform
     hypergraph on four vertices and no simplicial vertex is left.
     Splits therefore happen only while the instance at hand is still
-    triangulated; a stuck branch is finished with the reduced
-    edge-subset complex instead, which is where ``field`` enters.
+    triangulated, which the root and each deletion H1 are tested for;
+    each H2 is induced in a triangulated instance, so it is triangulated
+    untested. A stuck branch is finished with the reduced edge-subset
+    complex instead, which is where ``field`` enters.
     """
     require_special_class(h)
     if not is_triangulated(h):
         raise NotTriangulated("the hypergraph admits no simplicial elimination order")
     memo: dict[tuple, dict[tuple[int, int], int]] = {}
 
-    def worker(g: Hypergraph) -> dict[tuple[int, int], int]:
+    def worker(g: Hypergraph, triangulated: bool) -> dict[tuple[int, int], int]:
         if g.m == 0:
             return {(0, 0): 1}
         key = canonical_key(g)
@@ -190,15 +191,15 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
             return got
         if g.m == 1:
             out = {(0, 0): 1, (1, g.edges[0].bit_count()): 1}
-        elif is_triangulated(g):
+        elif triangulated or is_triangulated(g):
             dec = split(g)
-            out = split_sum(dec, worker(dec.h1), worker(dec.h2))
+            out = split_sum(dec, worker(dec.h1, False), worker(dec.h2, True))
         else:
             out = dict(betti_via_taylor(g, field).entries)
         memo[key] = out
         return out
 
-    return BettiTable(worker(h), field)
+    return BettiTable(worker(h, True), field)
 
 
 # ---------------------------------------------------------------------------

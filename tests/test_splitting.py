@@ -133,6 +133,31 @@ def test_split_sum_rebuilds_the_table(p6):
         assert rebuilt == betti_table(h).entries
 
 
+def test_recursion_tests_each_node_for_triangulation_once(monkeypatch):
+    # H2 is induced in a triangulated node, so it is triangulated untested;
+    # only the root and the deletions H1 ask
+    h = make_batch("special:3", 12, 12, 1, 65)[0]
+    tested, splits = [], []
+    real_test, real_split = splitting.is_triangulated, splitting.split
+
+    def counting_test(g):
+        tested.append(g)
+        return real_test(g)
+
+    def recording_split(g):
+        dec = real_split(g)
+        splits.append((g, dec.h2))
+        return dec
+
+    monkeypatch.setattr(splitting, "is_triangulated", counting_test)
+    monkeypatch.setattr(splitting, "split", recording_split)
+    assert betti_recursive(h).entries == betti_table(h).entries
+    h2s = [h2 for _, h2 in splits]
+    assert any(g is h2 for g, _ in splits for h2 in h2s)
+    assert sum(g is h for g in tested) == 1
+    assert not [g for g in tested if any(g is h2 for h2 in h2s)]
+
+
 def test_recursive_rejections(c4, triple_overlap):
     with pytest.raises(NotTriangulated):
         betti_recursive(c4)
