@@ -27,7 +27,7 @@ one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 The campaign compares no size limit of its own: each engine enforces
 its limit in ``limits``, and an artifact whose engine raises
 ``CapExceeded`` is None, a skip of each check that needs it. Reports
-follow ``SCHEMA_VERSION`` 5 and are deterministic for fixed inputs and
+follow ``SCHEMA_VERSION`` 6 and are deterministic for fixed inputs and
 seed: everything that varies between runs lives under the ``meta`` key.
 """
 
@@ -88,7 +88,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 SAMPLED_ORDERINGS = 6
 
 
@@ -229,12 +229,13 @@ def _skip(name: str, why: str) -> CheckResult:
 
 # What a check may declare it needs: a predicate on _Ctx, and the skip
 # reason reported when the predicate does not hold, formatted with
-# ``limits`` when the skip happens.
+# ``limits`` when the skip happens; the survey and Taylor share a budget.
+_TOO_MANY_EDGES = "more than {limits.FAMILY_BUDGET} edges"
 _NEEDS = {
     "table": (lambda ctx: ctx.table is not None,
               "more than {limits.LYUBEZNIK_BUDGET} admissible symbols"),
-    "survey": (lambda ctx: ctx.sv is not None, "family enumeration too large"),
-    "taylor": (lambda ctx: ctx.taylor is not None, "instance above Taylor-analysis caps"),
+    "survey": (lambda ctx: ctx.sv is not None, _TOO_MANY_EDGES),
+    "taylor": (lambda ctx: ctx.taylor is not None, _TOO_MANY_EDGES),
     "special": (lambda ctx: ctx.special,
                 "needs a triangulated instance of the restricted class"),
     "edges": (lambda ctx: ctx.h.m > 0, "no edges"),
@@ -312,6 +313,7 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("invariant-inequalities", "survey")
 def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
+    """The invariants' order relations, and b' = d2', an identity (see README)."""
     v = ctx.invariants.values
     relations = (
         ("a<=m", v["a"] <= v["m"]),
@@ -321,12 +323,12 @@ def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
         ("a<=d1", v["a"] <= v["d1"]),
         ("d1<=d2", v["d1"] <= v["d2"]),
         ("c<=e", v["c"] <= v["e"]),
-        ("b_prime<=d2_prime", v["b_prime"] <= v["d2_prime"]),
+        ("b_prime==d2_prime", v["b_prime"] == v["d2_prime"]),
         ("d1_prime<=d2_prime", v["d1_prime"] <= v["d2_prime"]),
     )
     for rel, holds in relations:
         if not holds:
-            return _fail(name, ctx.h, f"inequality {rel} fails: {v}", 0)
+            return _fail(name, ctx.h, f"relation {rel} fails: {v}", 0)
     return CheckResult(name, "pass", len(relations))
 
 
@@ -424,13 +426,12 @@ def _check_induced_matching_slices(ctx: _Ctx, name: str) -> CheckResult:
 def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
     v = ctx.invariants.values
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
+    # pd >= b and reg >= d2' follow from these and invariant-inequalities
     bounds = [
-        ("pd>=b", pd >= v["b"]),
         ("pd>=c", pd >= v["c"]),
         ("pd>=d2", pd >= v["d2"]),
         ("reg>=b_prime", reg >= v["b_prime"]),
         ("reg>=c_prime", reg >= v["c_prime"]),
-        ("reg>=d2_prime", reg >= v["d2_prime"]),
     ]
     for t, a_t in v["a_t"].items():
         bounds.append((f"reg>=({t}-1)*a_{t}", reg >= (t - 1) * a_t))

@@ -320,7 +320,9 @@ def _within_budget(count: int, what: str) -> None:
 
 def _sweep_kernel(h: Hypergraph) -> _Kernel:
     """Kernel for a sweep over every family, with the vertex union of
-    each one tabulated up front, indexed by edge bitmask."""
+    each one tabulated up front, indexed by edge bitmask. Refuses more
+    than ``limits.FAMILY_BUDGET`` edges, for the survey and Taylor alike."""
+    _within_budget(h.m, "edges")
     masks = h.edges
     union = [0] * (1 << len(masks))
     for bits in range(1, len(union)):
@@ -515,7 +517,6 @@ def survey(h: Hypergraph) -> FamilySurvey:
     ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
     count by design.
     """
-    _within_budget(h.m, "edges")
     # the searches on reduced families look up unions of their
     # sub-families; a full table beat unions filled on demand by 10-20%,
     # at 16 edges too

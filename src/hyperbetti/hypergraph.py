@@ -11,6 +11,7 @@ orderings, witness selection) depend on that order being stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from . import limits
@@ -190,21 +191,11 @@ def uniformity_profile(h: Hypergraph) -> UniformityProfile:
     An edgeless hypergraph is vacuously uniform and special with d None.
     """
     sizes = {mask.bit_count() for mask in h.edges}
-    if not sizes:
-        return UniformityProfile(True, None, True)
-    uniform = len(sizes) == 1
-    d = min(sizes) if uniform else None
-    special = uniform
-    if uniform:
-        for a in range(h.m):
-            for b in range(a + 1, h.m):
-                inter = h.edges[a] & h.edges[b]
-                if inter and inter.bit_count() != d - 1:
-                    special = False
-                    break
-            if not special:
-                break
-    return UniformityProfile(uniform, d, special)
+    if len(sizes) != 1:
+        return UniformityProfile(not sizes, None, not sizes)
+    d = sizes.pop()
+    special = all(not a & b or (a & b).bit_count() == d - 1 for a, b in combinations(h.edges, 2))
+    return UniformityProfile(True, d, special)
 
 
 def require_uniform(h: Hypergraph) -> int:

@@ -3,10 +3,9 @@ in the vertex count n or the edge count m, or from the splitting
 recursion, so each entry point refuses inputs above one of these.
 
 BETTI_CAP_N       vertices for Hochster homology, over all 2^n restrictions
-TAYLOR_BUDGET     edges for the reduced edge-subset complex of 2^m symbols
 LYUBEZNIK_BUDGET  admissible symbols of Lyubeznik's resolution, up to 2^m
-FAMILY_BUDGET     edges for the family walks, over up to 2^m families, and
-                  members of a family whose witnesses or orders are searched
+FAMILY_BUDGET     edges for the walks over 2^m families and the Taylor complex,
+                  and members of a family whose witnesses or orders are searched
 TRIANGULATED_CAP  vertices for triangulation tests and so the recursion; the
                   test itself counts edges and is polynomial, O(n^2 m)
 
@@ -28,10 +27,11 @@ import os
 from .errors import ValidationError
 
 BETTI_CAP_N = 14
-TAYLOR_BUDGET = 12
 # A 16-edge matching has 2^16 admissible symbols, counting the empty
 # one; its table took 0.3-0.6 s on a 2-core x86-64 host (Python 3.11).
 LYUBEZNIK_BUDGET = 1 << 16
+# On a 16-edge matching, star and cycle the survey took 0.5-1.0 s and the
+# Taylor analysis with every B_{i,j} 0.4-0.7 s, on the same host.
 FAMILY_BUDGET = 16
 # At 16 vertices the counted test takes at most 0.11 ms (README); the cap
 # stays for special:D instances and the recursion, which only its memo keeps small.

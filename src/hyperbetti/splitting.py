@@ -112,6 +112,13 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
             raise ValidationError(f"vertex {h.labels[x]} lies in no edge")
     elif not h.edge_mask(s) & xbit:
         raise ValidationError(f"edge {s} does not contain vertex {h.labels[x]}")
+    return _split_at(h, d, x, s)
+
+
+def _split_at(h: Hypergraph, d: int, x: int, s: int) -> SplittingDecomposition:
+    """``split`` at ``x`` along ``s``, taken as valid for the class of
+    edge size ``d``; ``betti_recursive`` checks the class once, at the root."""
+    xbit = 1 << x
     smask = h.edge_mask(s)
     nmask = edge_neighborhood(h, s)
     zs = tuple(bits_of(nmask))
@@ -177,7 +184,7 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
     untested. A stuck branch is finished with the reduced edge-subset
     complex instead, which is where ``field`` enters.
     """
-    require_special_class(h)
+    d = require_special_class(h)
     if not is_triangulated(h):
         raise NotTriangulated("the hypergraph admits no simplicial elimination order")
     memo: dict[tuple, dict[tuple[int, int], int]] = {}
@@ -192,7 +199,8 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
         if g.m == 1:
             out = {(0, 0): 1, (1, g.edges[0].bit_count()): 1}
         elif triangulated or is_triangulated(g):
-            dec = split(g)
+            x = _least_simplicial(g.edges, d)
+            dec = _split_at(g, d, x, next(e for e, mask in enumerate(g.edges) if mask >> x & 1))
             out = split_sum(dec, worker(dec.h1, False), worker(dec.h2, True))
         else:
             out = dict(betti_via_taylor(g, field).entries)

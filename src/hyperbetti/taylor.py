@@ -22,7 +22,7 @@ smaller blocks. Both complexes give their beta_{i,W} in the
 restriction-map format of ``homology``: ``TaylorAnalysis.restrictions``
 and ``lyubeznik_restrictions``, which ``betti_via_taylor`` and
 ``betti_via_lyubeznik`` sum into a table. Both complexes are bounded by
-the budgets in ``limits``.
+the budgets in ``limits``, the reduced one by the survey's.
 
 Both complexes hold each symbol as the edge bitmask of its members, bit
 s standing for edge index s, sliced by one helper, ``_slice``; only
@@ -201,10 +201,8 @@ class TaylorAnalysis:
 
 
 def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:
-    """Slice the reduced complex and echelonize every boundary once."""
-    m = h.m
-    if m > limits.TAYLOR_BUDGET:
-        raise BudgetExceeded(f"{m} edges exceeds symbol complex budget {limits.TAYLOR_BUDGET}")
+    """Slice the reduced complex and echelonize every boundary once. Its
+    symbols are the survey's edge families, under the survey's budget."""
     slices = _slice(enumerate(_sweep_kernel(h).union))
     return TaylorAnalysis(field, slices, _boundaries(slices, field))
 

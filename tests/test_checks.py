@@ -68,7 +68,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 5
+    assert a["schema_version"] == 6
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -102,6 +102,19 @@ def test_large_instance_skips_exact_checks_without_failing():
     assert results["invariant-inequalities"].status == "pass"
     assert results["implication-chain"].status == "pass"
     assert results["implication-chain"].checked == 2**11 - 1
+
+
+def test_taylor_checks_skip_where_the_survey_does():
+    # 17 edges of K7: the table fits its budget, but the Taylor analysis,
+    # like the survey, walks the 2^17 edge families, and both refuse them
+    h = build([f"v{i}" for i in range(7)], [(a, b) for a in range(7) for b in range(a + 1, 7)][:17])
+    results = {r.name: r for r in run_checks(h).checks}
+    for name in ("implication-chain", "restriction-monotonicity", "basis-sandwich",
+                 "conditional-slice-bounds"):
+        assert (results[name].status, results[name].detail) == (
+            "skip", f"more than {limits.FAMILY_BUDGET} edges"), name
+    # engine-agreement holds the table to the recursion alone
+    assert (results["engine-agreement"].status, results["engine-agreement"].checked) == ("pass", 1)
 
 
 def test_budget_overrun_is_a_skip(monkeypatch):
@@ -203,10 +216,11 @@ def test_run_fuzz_parallel_matches_serial():
 # input renames no test.
 _GOLDEN = [pytest.param(spec, n, m, tag, field, id=f"{spec}-{n}-{m}-{tag}-field{k}")
            for spec, n, m in [("general", 8, 8), ("special:3", 9, 6), ("chordal", 8, 8),
-                              ("uniform:3", 9, 10), ("general", 14, 12)]
+                              ("uniform:3", 9, 10), ("general", 14, 12), ("uniform:3", 12, 14)]
            for k, (tag, field) in enumerate([("q", QQ), ("gf2", GF2)])
-           # general 14/12 runs the table checks above 10 vertices and 10 edges
-           if (n, tag) != (14, "gf2")]
+           # general 14/12 runs the table checks above 10 vertices and 10
+           # edges, and uniform:3 12/14 the Taylor checks above 12 edges
+           if tag == "q" or n < 12]
 
 
 @pytest.mark.parametrize("class_spec, n, m, tag, field", _GOLDEN)
@@ -480,6 +494,19 @@ def test_conditional_pd_cap_catches_pd_above_m(monkeypatch, shift):
     result = entry(ctx)
     assert result.status == "fail"
     assert result.detail == f"pd {h.m + shift} differs from e {h.m} despite hypothesis"
+
+
+def test_invariant_inequalities_holds_b_prime_to_d2_prime():
+    # b' = d2' is an identity (README), so a d2' one above b' fails the
+    # check, which a mere b' <= d2' would let pass
+    entry = _entry("invariant-inequalities")
+    ctx = _Ctx(path_graph(5), QQ, 0)
+    assert entry(ctx).status == "pass"
+    v = ctx.invariants.values
+    v["d2_prime"] = v["b_prime"] + 1
+    result = entry(ctx)
+    assert result.status == "fail"
+    assert result.detail.startswith("relation b_prime==d2_prime fails")
 
 
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):

@@ -64,6 +64,21 @@ def test_lyubeznik_over_its_symbol_budget_exits_two(tmp_path, capsys):
     assert "error" in err and f"budget {LYUBEZNIK_BUDGET}" in err
 
 
+def test_taylor_runs_up_to_the_family_budget(tmp_path, capsys):
+    # the Taylor complex walks the survey's 2^m edge families, under its budget
+    def matching(k):
+        f = tmp_path / f"matching{k}.txt"
+        f.write_text("\n".join(f"a{s} b{s}" for s in range(k)) + "\n")
+        return str(f)
+
+    assert main(["betti", matching(FAMILY_BUDGET), "--method", "taylor"]) == 0
+    assert f"pd={FAMILY_BUDGET}" in capsys.readouterr().out
+    assert main(["betti", matching(FAMILY_BUDGET + 1), "--method", "taylor"]) == 2
+    captured = capsys.readouterr()
+    assert f"family enumeration budget {FAMILY_BUDGET}" in captured.err
+    assert not captured.out
+
+
 def test_recursive_needs_elimination_order(c4_file, capsys):
     assert main(["betti", c4_file, "--method", "recursive"]) == 2
     assert "error" in capsys.readouterr().err

@@ -389,7 +389,7 @@ def _assert_taylor_hypotheses_match_oracle(h):
 
 # (class, vertices, edges): 8 to 10 edges, above the 3 to 6 that
 # sized_hypergraphs draws, where families overlap in more ways and the
-# hypothesis sets have room to differ; all fit TAYLOR_BUDGET. special:3 needs
+# hypothesis sets have room to differ; all fit FAMILY_BUDGET. special:3 needs
 # about 1.6 vertices per edge to reach its edge count, and its families
 # are mostly reduced, so the oracle tries every order of each: 1 s per
 # instance at 8 edges, 10 s at 9.

@@ -42,7 +42,7 @@ def test_only_limits_defines_size_limits():
     found = {path.name: _limit_sites(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(found.pop("limits.py")) == [
         "'BETTI_CAP_N'", "BETTI_CAP_N", "FAMILY_BUDGET", "LYUBEZNIK_BUDGET",
-        "TAYLOR_BUDGET", "TRIANGULATED_CAP"]
+        "TRIANGULATED_CAP"]
     assert {name: sites for name, sites in found.items() if sites} == {}
 
 

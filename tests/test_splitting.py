@@ -138,24 +138,39 @@ def test_recursion_tests_each_node_for_triangulation_once(monkeypatch):
     # only the root and the deletions H1 ask
     h = make_batch("special:3", 12, 12, 1, 65)[0]
     tested, splits = [], []
-    real_test, real_split = splitting.is_triangulated, splitting.split
+    real_test, real_split = splitting.is_triangulated, splitting._split_at
 
     def counting_test(g):
         tested.append(g)
         return real_test(g)
 
-    def recording_split(g):
-        dec = real_split(g)
+    def recording_split(g, *args):
+        dec = real_split(g, *args)
         splits.append((g, dec.h2))
         return dec
 
     monkeypatch.setattr(splitting, "is_triangulated", counting_test)
-    monkeypatch.setattr(splitting, "split", recording_split)
+    monkeypatch.setattr(splitting, "_split_at", recording_split)
     assert betti_recursive(h).entries == betti_table(h).entries
     h2s = [h2 for _, h2 in splits]
     assert any(g is h2 for g, _ in splits for h2 in h2s)
     assert sum(g is h for g in tested) == 1
     assert not [g for g in tested if any(g is h2 for h2 in h2s)]
+
+
+def test_recursion_checks_the_class_at_the_root_only(monkeypatch):
+    # H1 and H2 keep a subset of a node's edges, so they stay in the class
+    h = make_batch("special:3", 12, 12, 1, 65)[0]
+    profiled = []
+    real_profile = splitting.uniformity_profile
+
+    def counting_profile(g):
+        profiled.append(g)
+        return real_profile(g)
+
+    monkeypatch.setattr(splitting, "uniformity_profile", counting_profile)
+    assert betti_recursive(h).entries == betti_table(h).entries
+    assert profiled == [h]
 
 
 def test_recursive_rejections(c4, triple_overlap):

@@ -98,12 +98,14 @@ def test_taylor_matches_hochster_random(h):
 
 
 def test_budget_enforced(monkeypatch):
-    h = build([f"v{i}" for i in range(14)], [(0, i) for i in range(1, 14)])
-    with pytest.raises(BudgetExceeded):
+    # the analysis walks the survey's 2^m edge families, under its budget
+    h = build([f"v{i}" for i in range(18)], [(0, i) for i in range(1, 18)])
+    with pytest.raises(BudgetExceeded, match=f"17 edges exceeds family enumeration budget "
+                                             f"{limits.FAMILY_BUDGET}"):
         analyze_taylor(h)
     # a raised budget is read at call time, and a star resolves like a simplex
-    monkeypatch.setattr(limits, "TAYLOR_BUDGET", 13)
-    assert betti_via_taylor(h).get(13, 14) == 1
+    monkeypatch.setattr(limits, "FAMILY_BUDGET", 17)
+    assert betti_via_taylor(h).get(17, 18) == 1
 
 
 # ---------------------------------------------------------------------------
