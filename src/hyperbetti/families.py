@@ -183,13 +183,28 @@ class _Kernel:
         every other member must have exactly one vertex outside some
         member of S_0. The family is assumed reduced.
         Candidates are scanned by decreasing size, then lexicographically
-        in the positions of ``fam``, so the family itself, which works
-        whenever it is a (semi-)induced matching, comes first. The first
-        semi-disjoint witness that is a matching is the disjoint one too.
-        A member one vertex away from no other member must lie in S_0, so
-        only the other members are chosen; two candidates that share
-        those forced members compare as their chosen parts do, so the
-        scan order stays the same. Raises BudgetExceeded above
+        in the positions of ``fam``, so the family itself comes first: it
+        is the semi-disjoint witness whenever it is semi-induced. A member
+        one vertex away from no other member must lie in S_0, so only the
+        other members are chosen; two candidates that share those forced
+        members compare as their chosen parts do, so the scan order stays
+        the same.
+
+        Closure: S_0 holds the forced members, so a semi-induced S_0 also
+        holds every edge inside their union. No other member lies there, as
+        the family is reduced, so an edge there other than the forced
+        members lies outside the family and leaves no witness at all: the
+        scan stops before it starts unless the forced members are
+        semi-induced.
+
+        A disjoint witness is a semi-disjoint one too, so the first
+        semi-disjoint witness is also the disjoint one when it is a
+        matching, and else comes before it in the scan. The disjoint
+        witness is then the first in scan order among the matchings: the
+        forced members, when they are one, with free members disjoint
+        from them and from each other. ``_matchings`` lists those depth
+        first, in lexicographic order; kept by size, each size is in the
+        order of the scan. Raises BudgetExceeded above
         ``limits.FAMILY_BUDGET`` members.
         """
         _within_budget(len(fam), "members")
@@ -200,19 +215,36 @@ class _Kernel:
                 free.append(k)
             else:
                 forced |= 1 << k
-        semi_disjoint = None
-        for size in range(len(free), -1, -1):
-            for chosen in itertools.combinations(free, size):
-                sub = forced | mask_of(chosen)
-                matching = self.matching(sub)
-                if not (matching or semi_disjoint is None) or not self.semi_induced(sub):
-                    continue
-                if all(self.near(k) & sub for k in bits_of(bits ^ sub)):
-                    witness = tuple(k for k in fam if sub >> k & 1)
-                    if matching:
-                        return witness, witness if semi_disjoint is None else semi_disjoint
-                    semi_disjoint = witness
-        return None, semi_disjoint
+        if self.semi_induced(bits):
+            semi = bits
+        elif not self.semi_induced(forced):
+            return None, None
+        else:
+            semi = self._first_witness(bits, (forced | mask_of(chosen)
+                                              for size in range(len(free) - 1, -1, -1)
+                                              for chosen in itertools.combinations(free, size)))
+            if semi is None:
+                return None, None
+        semi_disjoint = tuple(k for k in fam if semi >> k & 1)
+        if self.matching(semi):
+            return semi_disjoint, semi_disjoint
+        if not self.matching(forced):
+            return None, semi_disjoint
+        by_size: list[list[int]] = [[] for _ in range(len(free) + 1)]
+        for sub in _matchings(self.masks, free, forced, self.union[forced]):
+            by_size[(sub ^ forced).bit_count()].append(sub)
+        sub = self._first_witness(bits, itertools.chain.from_iterable(reversed(by_size)))
+        return (None if sub is None else tuple(k for k in fam if sub >> k & 1)), semi_disjoint
+
+    def _first_witness(self, bits: int, candidates) -> int | None:
+        """The first of the sub-families ``candidates`` of ``bits`` that is
+        semi-induced and has every other member of ``bits`` one vertex away
+        from one of its members."""
+        near, semi_induced = self.near, self.semi_induced
+        for sub in candidates:
+            if semi_induced(sub) and all(near(k) & sub for k in bits_of(bits ^ sub)):
+                return sub
+        return None
 
     def ordered_in(self, order: tuple[int, ...]) -> bool:
         """The outside-edge condition of the ordered class, in exactly the
@@ -257,7 +289,7 @@ class _Kernel:
             self._incident = incident
         return self._incident
 
-    def least_ordering(self, bits: int) -> tuple[int, ...] | None:
+    def least_ordering(self, bits: int, private: list[int] | None = None) -> tuple[int, ...] | None:
         """Lexicographically least ordering of the reduced family ``bits``,
         of two or more members, that satisfies the outside-edge condition
         of the ordered class; None when no ordering does.
@@ -273,9 +305,34 @@ class _Kernel:
         witnesses nothing. Candidates are tried in increasing index order,
         so the first ordering found is the least. Raises BudgetExceeded
         above ``limits.FAMILY_BUDGET`` members.
+
+        That test rejects most families at the root, before the memo and
+        the search are set up: there every other member comes after member
+        k, so k witnesses exactly the outside edges that hold its private
+        part, and the root fails when some outside edge holds the private
+        part of no member. The search would fail at that same first step,
+        so the answer is unchanged. ``private`` is ``private_parts(bits)``
+        when the caller already has it.
         """
         _within_budget(bits.bit_count(), "members")
         union, witnessed = self.union, self.witnessed
+        if private is None:
+            private = self.private_parts(bits)
+        outside = ((1 << len(self.masks)) - 1) & ~bits
+        # the root step: ``witnessed`` with need = the private part, inlined,
+        # since most families end here and a call per member cost 8% of a
+        # survey on 10-13 edges
+        incident = self.incident()
+        cover = 0
+        for part in private:
+            held = outside & ~cover
+            while part and held:
+                v = part & -part
+                part ^= v
+                held &= incident[v.bit_length() - 1]
+            cover |= held
+        if cover != outside:
+            return None
         failed: set[int] = set()
         order: list[int] = []
 
@@ -307,9 +364,27 @@ class _Kernel:
             failed.add(key)
             return False
 
-        if place(bits, ((1 << len(self.masks)) - 1) & ~bits):
+        if place(bits, outside):
             return tuple(order)
         return None
+
+
+def _matchings(masks, candidates, bits: int = 0, covered: int = 0):
+    """The family ``bits``, covering ``covered``, and each family that
+    adds to it a matching of ``candidates`` (edge indices) that avoids
+    ``covered``, as edge bitmasks. Depth first, each family before its
+    extensions and the added members in the order of ``candidates``, so
+    the families that add r members come in the order of
+    ``itertools.combinations(candidates, r)``."""
+    # children are pushed last candidate first, so they pop in order
+    stack = [(bits, covered, 0)]
+    while stack:
+        bits, covered, start = stack.pop()
+        for pos in range(len(candidates) - 1, start - 1, -1):
+            mask = masks[candidates[pos]]
+            if not mask & covered:
+                stack.append((bits | 1 << candidates[pos], covered | mask, pos + 1))
+        yield bits
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -323,12 +398,10 @@ def _sweep_kernel(h: Hypergraph) -> _Kernel:
     each one tabulated up front, indexed by edge bitmask. Refuses more
     than ``limits.FAMILY_BUDGET`` edges, for the survey and Taylor alike."""
     _within_budget(h.m, "edges")
-    masks = h.edges
-    union = [0] * (1 << len(masks))
-    for bits in range(1, len(union)):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | masks[low.bit_length() - 1]
-    return _Kernel(masks, union)
+    union = [0]
+    for mask in h.edges:
+        union += [u | mask for u in union]
+    return _Kernel(h.edges, union)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +586,13 @@ def survey(h: Hypergraph) -> FamilySurvey:
     ties, change one. Every self disjoint family is self semi-disjoint,
     so the same skip leaves the semi-disjoint class unchanged too.
 
+    Most of those searches fail, and fail cheaply: ``least_ordering``
+    rejects at its root, from the private parts the walk carries, a family
+    where some outside edge holds no member's private part; and
+    ``disjoint_witnesses`` ends as soon as an outside edge lies inside the
+    union of the members every witness must hold, and looks for the
+    disjoint witness among matchings only. Each keeps the first witness.
+
     Raises BudgetExceeded when the hypergraph has more than
     ``limits.FAMILY_BUDGET`` edges; the walk is exponential in the edge
     count by design.
@@ -572,7 +652,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
                 maxima["d1_prime"].offer(j - i, fam)
 
         if (i, j) not in ordered_types:
-            order = fam if i == 1 else kernel.least_ordering(bits)
+            order = fam if i == 1 else kernel.least_ordering(bits, private)
             if order is not None:
                 ordered_types.add((i, j))
                 maxima["c"].offer(i, order)
@@ -754,17 +834,5 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All induced matchings of ``h`` as sorted index tuples (empty omitted)."""
     kernel = _Kernel(h.edges)
-    out: list[tuple[int, ...]] = []
-
-    def grow(bits: int, start: int):
-        covered = kernel.union[bits]
-        for s in range(start, h.m):
-            if h.edges[s] & covered:
-                continue
-            nxt = bits | 1 << s
-            if kernel.semi_induced(nxt):
-                out.append(tuple_of(nxt))
-            grow(nxt, s + 1)
-
-    grow(0, 0)
-    return out
+    return [tuple_of(bits) for bits in _matchings(h.edges, range(h.m))
+            if bits and kernel.semi_induced(bits)]

@@ -38,7 +38,7 @@ span of the boundaries of later symbols, so it is never read. Each slice
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from . import limits
@@ -141,6 +141,9 @@ class TaylorAnalysis:
     field: Field
     slices: dict[tuple[int, int], dict[int, int]]
     boundaries: dict[tuple[int, int], RowSpace]
+    # b_set per type, which two campaign checks read
+    _b_sets: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _unions_by_type(self) -> dict[tuple[int, int], list[int]]:
@@ -187,17 +190,20 @@ class TaylorAnalysis:
 
     def b_set(self, i: int, j: int) -> list[tuple[int, ...]]:
         """Reduced basis symbols of type (i, j) not hit from above, which
-        the boundary, keeping W, can only do from their own (i + 1, W)."""
-        out = []
-        for w in self._unions_by_type.get((i, j), ()):
-            image = self.boundaries.get((i + 1, w))
-            for pos, (c, absorbed) in enumerate(zip(self.slices[i, w], self._absorbed[i, w])):
-                if absorbed:
-                    continue
-                if image is not None and image.contains({pos: 1}):
-                    continue
-                out.append(tuple_of(c))
-        return sorted(out)
+        the boundary, keeping W, can only do from their own (i + 1, W).
+        Computed once per type."""
+        if (i, j) not in self._b_sets:
+            out = []
+            for w in self._unions_by_type.get((i, j), ()):
+                image = self.boundaries.get((i + 1, w))
+                for pos, (c, absorbed) in enumerate(zip(self.slices[i, w], self._absorbed[i, w])):
+                    if absorbed:
+                        continue
+                    if image is not None and image.contains({pos: 1}):
+                        continue
+                    out.append(tuple_of(c))
+            self._b_sets[i, j] = tuple(sorted(out))
+        return list(self._b_sets[i, j])
 
 
 def analyze_taylor(h: Hypergraph, field: Field = QQ) -> TaylorAnalysis:

@@ -151,6 +151,68 @@ def test_unsorted_family_breaks_witness_ties_by_position():
     assert classify(h, (1, 2)).self_disjoint_witness == (1,)
 
 
+def _book(pages: int):
+    """``pages`` edges {0, 1, x}: every two are one vertex apart, and no
+    two are disjoint."""
+    return build([f"v{i}" for i in range(pages + 2)], [(0, 1, 2 + k) for k in range(pages)])
+
+
+def test_book_finds_its_disjoint_witness_among_matchings(monkeypatch):
+    # The whole book is self semi-induced, so it is its own first
+    # semi-disjoint witness; the disjoint witness is the first single
+    # page, and the search reaches it without testing the non-matchings.
+    real, calls = families._Kernel.matching, []
+
+    def matching(kernel, bits):
+        calls.append(bits)
+        return real(kernel, bits)
+
+    monkeypatch.setattr(families._Kernel, "matching", matching)
+    h = _book(14)
+    cls = classify(h, range(14))
+    assert cls.self_disjoint_witness == (0,)
+    assert cls.self_semi_disjoint_witness == tuple(range(14))
+    assert len(calls) <= 2 * 14
+
+
+def test_witnesses_match_family_oracle_on_every_reduced_family():
+    """Against the oracle's scan over every sub-family, on a corpus where
+    nearly every semi-disjoint witness is not a matching, so the disjoint
+    one comes from the search among matchings."""
+    not_matching = 0
+    for h in make_batch("special:3", 14, 8, 2, 19):
+        edges = oracle.edge_sets(h)
+        kernel = families._sweep_kernel(h)
+        for bits, fam, *_ in families._reduced_families(kernel):
+            sd, ssd = kernel.disjoint_witnesses(fam)
+            assert sd == oracle.first_disjoint_witness(edges, fam, True), (fam, edges)
+            assert ssd == oracle.first_disjoint_witness(edges, fam, False), (fam, edges)
+            not_matching += ssd is not None and not oracle.matching(edges, ssd)
+    assert not_matching
+
+
+def test_an_outside_edge_inside_the_forced_union_ends_the_search(monkeypatch):
+    # Edges 0 and 1 are one vertex away from no member, so every witness
+    # holds both, and with them edge 2, which lies outside the family:
+    # after the family itself, the search tries no candidate with the
+    # free members 3 and 4.
+    h = build([f"v{i}" for i in range(7)], [(0, 1), (2, 3), (1, 2), (4, 5), (4, 6)])
+    fam = (0, 1, 3, 4)
+    cls = classify(h, fam)
+    assert cls.reduced
+    real, calls = families._Kernel.semi_induced, []
+
+    def semi_induced(kernel, bits):
+        calls.append(bits)
+        return real(kernel, bits)
+
+    monkeypatch.setattr(families._Kernel, "semi_induced", semi_induced)
+    assert (cls.self_disjoint_witness, cls.self_semi_disjoint_witness) == (None, None)
+    assert calls == [mask_of(fam), 0b11]
+    edges = oracle.edge_sets(h)
+    assert oracle.first_disjoint_witness(edges, fam, False) is None
+
+
 def test_classify_rejects_bad_indices(p3):
     with pytest.raises(IndexOutOfRange):
         classify(p3, (0, 5))
@@ -277,6 +339,14 @@ def test_witnesses_have_the_reported_class(p6, triple_overlap, c4):
         assert is_self_ordered(h, w["c"])
         assert len(w["a"]) == inv.values["a"]
         assert len(w["d2"]) == inv.values["d2"]
+
+
+def test_sweep_table_holds_every_union():
+    for h in make_batch("general", 9, 10, 2, 3) + [_book(5), build(["a"], [])]:
+        kernel = families._sweep_kernel(h)
+        unions = families._Unions(h.edges)
+        assert len(kernel.union) == 1 << h.m
+        assert all(kernel.union[bits] == unions[bits] for bits in range(1 << h.m))
 
 
 def test_survey_budget(p4, monkeypatch):

@@ -195,6 +195,25 @@ def test_b_set_is_the_reduced_symbols_outside_the_full_image(field):
             assert an.b_set(*key) == sorted(members), (name, h, key)
 
 
+def test_b_set_is_computed_once_per_type(monkeypatch):
+    # basis-sandwich and conditional-slice-bounds read the same types
+    an = analyze_taylor(make_batch("uniform:3", 9, 10, 1, 7)[0])
+    first = {key: an.b_set(*key) for key in an.types()}
+    tested = []
+    real = RowSpace.contains
+
+    def contains(space, row):
+        tested.append(row)
+        return real(space, row)
+
+    monkeypatch.setattr(RowSpace, "contains", contains)
+    for members in first.values():
+        members.append(("changed",))
+    for key, members in first.items():
+        assert an.b_set(*key) == members[:-1], key
+    assert tested == []
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_perfect_matching_is_a_koszul_complex(m):
     # beta_{i,2i} = C(m, i) and nothing else
