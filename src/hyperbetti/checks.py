@@ -600,7 +600,7 @@ def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, B
 def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
     dec = ctx.dec
     tab1, tab2 = _split_tables(ctx, dec)
-    rhs_entries = split_sum(dec, tab1.entries, tab2.entries)
+    rhs_entries = split_sum(dec.t, dec.d, tab1.entries, tab2.entries)
     checked = 0
     for i in range(ctx.h.m + 2):
         for j in range(ctx.h.n + 1):

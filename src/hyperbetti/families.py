@@ -175,9 +175,12 @@ class _Kernel:
             self._near[k] = out
         return out
 
-    def disjoint_witnesses(self, fam: tuple[int, ...]):
+    def disjoint_witnesses(self, fam: tuple[int, ...], bits: int | None = None,
+                           semi: bool | None = None, matching: bool | None = None):
         """Witnesses S_0 of ``fam`` for the self disjoint and the self
-        semi-disjoint class, each a sub-tuple or None.
+        semi-disjoint class, each a sub-tuple or None. ``bits``, ``semi``
+        and ``matching`` are the family's edge bitmask and whether it is
+        semi-induced and a matching, where the caller already has them.
 
         S_0 must be semi-induced, a matching for the disjoint class, and
         every other member must have exactly one vertex outside some
@@ -204,29 +207,39 @@ class _Kernel:
         forced members, when they are one, with free members disjoint
         from them and from each other. ``_matchings`` lists those depth
         first, in lexicographic order; kept by size, each size is in the
-        order of the scan. Raises BudgetExceeded above
-        ``limits.FAMILY_BUDGET`` members.
+        order of the scan. A family with no free member is its only
+        candidate, so its witnesses are the family itself or none. Raises
+        BudgetExceeded above ``limits.FAMILY_BUDGET`` members.
         """
         _within_budget(len(fam), "members")
-        bits = mask_of(fam)
+        if bits is None:
+            bits = mask_of(fam)
         forced, free = 0, []
         for k in fam:
             if self.near(k) & bits:
                 free.append(k)
             else:
                 forced |= 1 << k
-        if self.semi_induced(bits):
-            semi = bits
+        if semi is None:
+            semi = self.semi_induced(bits)
+        if not free:
+            if not semi:
+                return None, None
+            if matching is None:
+                matching = self.matching(bits)
+            return (fam if matching else None), fam
+        if semi:
+            first = bits
         elif not self.semi_induced(forced):
             return None, None
         else:
-            semi = self._first_witness(bits, (forced | mask_of(chosen)
-                                              for size in range(len(free) - 1, -1, -1)
-                                              for chosen in itertools.combinations(free, size)))
-            if semi is None:
+            first = self._first_witness(bits, (forced | mask_of(chosen)
+                                               for size in range(len(free) - 1, -1, -1)
+                                               for chosen in itertools.combinations(free, size)))
+            if first is None:
                 return None, None
-        semi_disjoint = tuple(k for k in fam if semi >> k & 1)
-        if self.matching(semi):
+        semi_disjoint = tuple(k for k in fam if first >> k & 1)
+        if self.matching(first):
             return semi_disjoint, semi_disjoint
         if not self.matching(forced):
             return None, semi_disjoint
@@ -641,7 +654,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["e"].offer(i, fam)
 
         if (i, j) not in types["self_disjoint"]:
-            sd, ssd = kernel.disjoint_witnesses(fam)
+            sd, ssd = kernel.disjoint_witnesses(fam, bits, semi, matching)
             if ssd is not None:
                 types["self_semi_disjoint"].add((i, j))
                 maxima["d2"].offer(i, fam)

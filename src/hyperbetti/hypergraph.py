@@ -256,13 +256,17 @@ def is_triangulated(h: Hypergraph) -> bool:
     if h.n > limits.TRIANGULATED_CAP:
         raise SizeCapExceeded(
             f"{h.n} vertices exceeds triangulation cap {limits.TRIANGULATED_CAP}")
-    if h.m == 0:
-        return True
-    d = require_uniform(h)
-    edges = h.edges
-    while edges:
-        x = _least_simplicial(edges, d)
-        if x is None:
-            return False
+    return h.m == 0 or _elimination_start(h.edges, require_uniform(h)) is not None
+
+
+def _elimination_start(edges, d: int) -> int | None:
+    """The greedy elimination of ``is_triangulated`` on the nonempty
+    d-sets ``edges``: the first vertex it deletes when it deletes every
+    edge, that is their least simplicial vertex, or None when it sticks."""
+    first = x = _least_simplicial(edges, d)
+    while x is not None:
         edges = [mask for mask in edges if not mask >> x & 1]
-    return True
+        if not edges:
+            return first
+        x = _least_simplicial(edges, d)
+    return None

@@ -31,9 +31,10 @@ from .errors import (
 )
 from .families import FamilySurvey, _classification, _reduced_families, _sweep_kernel, survey
 from .homology import BettiTable
-from .taylor import betti_via_taylor, chain_union
+from .taylor import betti_via_taylor
 from .hypergraph import (
     Hypergraph,
+    _elimination_start,
     _least_simplicial,
     delete_edge,
     edge_neighborhood,
@@ -112,14 +113,7 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
             raise ValidationError(f"vertex {h.labels[x]} lies in no edge")
     elif not h.edge_mask(s) & xbit:
         raise ValidationError(f"edge {s} does not contain vertex {h.labels[x]}")
-    return _split_at(h, d, x, s)
-
-
-def _split_at(h: Hypergraph, d: int, x: int, s: int) -> SplittingDecomposition:
-    """``split`` at ``x`` along ``s``, taken as valid for the class of
-    edge size ``d``; ``betti_recursive`` checks the class once, at the root."""
-    xbit = 1 << x
-    smask = h.edge_mask(s)
+    smask = h.edges[s]
     nmask = edge_neighborhood(h, s)
     zs = tuple(bits_of(nmask))
     chosen = []
@@ -147,67 +141,109 @@ def _split_at(h: Hypergraph, d: int, x: int, s: int) -> SplittingDecomposition:
     )
 
 
-def split_sum(dec: SplittingDecomposition, h1_entries: dict[tuple[int, int], int],
+def split_sum(t: int, d: int, h1_entries: dict[tuple[int, int], int],
               h2_entries: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The right side of the recursion for ``dec``, from the table
-    entries of its H1 and H2."""
+    """The right side of the recursion for a split edge of size ``d``
+    with ``t`` neighbor vertices, from the table entries of its H1 and
+    H2."""
     out = dict(h1_entries)
     for (i2, j2), v in h2_entries.items():
-        for ell in range(dec.t + 1):
-            pos = (i2 + 1 + ell, j2 + dec.d + ell)
-            out[pos] = out.get(pos, 0) + comb(dec.t, ell) * v
+        for ell in range(t + 1):
+            pos = (i2 + 1 + ell, j2 + d + ell)
+            out[pos] = out.get(pos, 0) + comb(t, ell) * v
     return out
 
 
-def canonical_key(h: Hypergraph) -> tuple:
-    """Sorted edge list after dropping isolated vertices and renumbering
-    the rest in vertex order.
+def canonical_key(edges) -> tuple[int, ...]:
+    """The edge masks ``edges``, sorted, after squeezing out the vertices
+    in no edge and so renumbering the rest in vertex order.
 
     Equal keys mean the same hypergraph up to isolated vertices and an
     order-preserving renaming, so equal Betti tables. Isomorphic
     hypergraphs listed in another vertex order may get different keys,
     which only costs a memo miss.
     """
-    rank = {v: r for r, v in enumerate(bits_of(chain_union(h, range(h.m))))}
-    return tuple(sorted(tuple(rank[u] for u in bits_of(m)) for m in h.edges))
+    union = 0
+    for mask in edges:
+        union |= mask
+    if union & (union + 1):
+        # squeeze out each vertex below the top one that is in no edge,
+        # the highest first, so the lower ones keep their positions
+        low = union & -union
+        shift = low.bit_length() - 1
+        edges = [mask >> shift for mask in edges]
+        holes = ~union >> shift & ((1 << (union.bit_length() - shift)) - 1)
+        while holes:
+            below = (1 << (holes.bit_length() - 1)) - 1
+            edges = [mask & below | mask >> 1 & ~below for mask in edges]
+            holes &= below
+    return tuple(sorted(edges))
 
 
 def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
     """Full graded Betti table by the splitting recursion.
 
+    Each node of the recursion is a ``canonical_key``, which is also its
+    memo key. A node splits at its least simplicial vertex x along its
+    first edge S through x: H1 is the node without S, and H2 the edges
+    that avoid S and its neighbors, and :func:`split_sum` adds their
+    tables. Betti numbers of this class do not depend on the field, so
+    the choice of S, in key order, changes no table.
+
     Deleting an edge can drop a hypergraph of this class out of it:
     remove one of the four triples of the complete 3-uniform
     hypergraph on four vertices and no simplicial vertex is left.
     Splits therefore happen only while the instance at hand is still
-    triangulated, which the root and each deletion H1 are tested for;
-    each H2 is induced in a triangulated instance, so it is triangulated
-    untested. A stuck branch is finished with the reduced edge-subset
-    complex instead, which is where ``field`` enters.
+    triangulated, which the root and each deletion H1 are tested for, by
+    the greedy elimination of ``is_triangulated``, whose first vertex is
+    the x to split at; each H2 is induced in a triangulated instance, so
+    it is triangulated untested. A stuck branch is finished with the
+    reduced edge-subset complex instead, which is where ``field``
+    enters; it is the one node that builds a Hypergraph.
     """
     d = require_special_class(h)
     if not is_triangulated(h):
         raise NotTriangulated("the hypergraph admits no simplicial elimination order")
-    memo: dict[tuple, dict[tuple[int, int], int]] = {}
+    memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    if d is not None:
+        memo[((1 << d) - 1,)] = {(0, 0): 1, (1, d): 1}
 
-    def worker(g: Hypergraph, triangulated: bool) -> dict[tuple[int, int], int]:
-        if g.m == 0:
-            return {(0, 0): 1}
-        key = canonical_key(g)
+    def worker(key: tuple[int, ...], triangulated: bool) -> dict[tuple[int, int], int]:
         got = memo.get(key)
         if got is not None:
             return got
-        if g.m == 1:
-            out = {(0, 0): 1, (1, g.edges[0].bit_count()): 1}
-        elif triangulated or is_triangulated(g):
-            x = _least_simplicial(g.edges, d)
-            dec = _split_at(g, d, x, next(e for e, mask in enumerate(g.edges) if mask >> x & 1))
-            out = split_sum(dec, worker(dec.h1, False), worker(dec.h2, True))
-        else:
-            out = dict(betti_via_taylor(g, field).entries)
-        memo[key] = out
+        x = _least_simplicial(key, d) if triangulated else _elimination_start(key, d)
+        if x is None:
+            n = max(key).bit_length()
+            g = Hypergraph(tuple(str(v) for v in range(n)), key)
+            out = memo[key] = dict(betti_via_taylor(g, field).entries)
+            return out
+        xbit = 1 << x
+        smask = next(mask for mask in key if mask & xbit)
+        # N(S), and the vertices z of it that an edge avoiding x reaches
+        # with only z outside S
+        nmask = reach = 0
+        for mask in key:
+            if mask & smask:
+                outside = mask & ~smask
+                nmask |= outside
+                if not mask & xbit and not outside & (outside - 1):
+                    reach |= outside
+        if nmask & ~reach:
+            z = next(bits_of(nmask & ~reach))
+            raise ViolationFound(
+                "neighbor-edge",
+                f"no edge through vertex {z} avoiding vertex {x} with the rest inside "
+                f"the split edge, in the subhypergraph of edge masks {key}",
+                instance=h)
+        cut = smask | nmask
+        out = memo[key] = split_sum(
+            nmask.bit_count(), d,
+            worker(canonical_key([mask for mask in key if mask != smask]), False),
+            worker(canonical_key([mask for mask in key if not mask & cut]), True))
         return out
 
-    return BettiTable(worker(h, True), field)
+    return BettiTable(worker(canonical_key(h.edges), True), field)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperbetti import splitting
+from hyperbetti import hypergraph, splitting
+from hyperbetti.bitsets import bits_of
 from hyperbetti.errors import (
     NotSimplicial,
     NotSpecialClass,
@@ -19,8 +20,9 @@ from hyperbetti.errors import (
 from hyperbetti.families import compute_invariants, survey
 from hyperbetti.generators import make_batch
 from hyperbetti.homology import betti_table
-from hyperbetti.hypergraph import build, delete_edge, is_triangulated
-from hyperbetti.linalg import GF2
+from hyperbetti.hypergraph import Hypergraph, build, delete_edge, is_triangulated
+from hyperbetti.linalg import GF2, QQ
+from hyperbetti.taylor import betti_via_taylor
 from hyperbetti.splitting import (
     betti_recursive,
     canonical_key,
@@ -129,33 +131,92 @@ def test_split_sum_rebuilds_the_table(p6):
     for h in (p6, tree, star_hypergraph(3), k43()):
         dec = split(h)
         assert dec.t >= 1
-        rebuilt = split_sum(dec, betti_table(dec.h1).entries, betti_table(dec.h2).entries)
+        rebuilt = split_sum(dec.t, dec.d, betti_table(dec.h1).entries, betti_table(dec.h2).entries)
         assert rebuilt == betti_table(h).entries
+
+
+def _node(key):
+    return Hypergraph(tuple(str(v) for v in range(max(key).bit_length())), key)
 
 
 def test_recursion_tests_each_node_for_triangulation_once(monkeypatch):
     # H2 is induced in a triangulated node, so it is triangulated untested;
-    # only the root and the deletions H1 ask
+    # only the root and the deletions H1 go through the elimination
     h = make_batch("special:3", 12, 12, 1, 65)[0]
-    tested, splits = [], []
-    real_test, real_split = splitting.is_triangulated, splitting._split_at
+    root_tests, tested, untested = [], [], []
 
-    def counting_test(g):
-        tested.append(g)
-        return real_test(g)
+    def recording(log, real):
+        def wrapper(edges, d):
+            log.append(tuple(edges))
+            return real(edges, d)
+        return wrapper
 
-    def recording_split(g, *args):
-        dec = real_split(g, *args)
-        splits.append((g, dec.h2))
-        return dec
-
-    monkeypatch.setattr(splitting, "is_triangulated", counting_test)
-    monkeypatch.setattr(splitting, "_split_at", recording_split)
+    monkeypatch.setattr(hypergraph, "_elimination_start",
+                        recording(root_tests, hypergraph._elimination_start))
+    monkeypatch.setattr(splitting, "_elimination_start",
+                        recording(tested, splitting._elimination_start))
+    monkeypatch.setattr(splitting, "_least_simplicial",
+                        recording(untested, splitting._least_simplicial))
     assert betti_recursive(h).entries == betti_table(h).entries
-    h2s = [h2 for _, h2 in splits]
-    assert any(g is h2 for g, _ in splits for h2 in h2s)
-    assert sum(g is h for g in tested) == 1
-    assert not [g for g in tested if any(g is h2 for h2 in h2s)]
+    monkeypatch.undo()
+    root = canonical_key(h.edges)
+    assert root_tests == [h.edges] and untested[0] == root
+    # the children of every node that split, by the public split
+    h1s, h2s = set(), set()
+    for key in untested + [key for key in tested if is_triangulated(_node(key))]:
+        dec = split(_node(key))
+        h1s.add(canonical_key(dec.h1.edges))
+        h2s.add(canonical_key(dec.h2.edges))
+    assert len(set(tested)) == len(tested) and not set(tested) & set(untested)
+    assert set(tested) <= h1s and set(untested[1:]) <= h2s
+    assert set(untested[1:]) - h1s
+    # every node of two or more edges was examined, by one of the two
+    assert {key for key in h1s | h2s if len(key) > 1} <= set(tested) | set(untested)
+
+
+def test_recursion_raises_when_a_neighbor_edge_is_missing(monkeypatch):
+    # outside the class: x = 0 is simplicial, but no edge through z = 3
+    # avoids x with the rest inside the split edge {0,1,2}
+    h = build(list("abcde"), [(0, 1, 2), (2, 3, 4)])
+    monkeypatch.setattr(splitting, "require_special_class", lambda g: 3)
+    assert is_triangulated(h)
+    with pytest.raises(ViolationFound) as caught:
+        betti_recursive(h)
+    assert caught.value.check == "neighbor-edge"
+
+
+def _benchmark_scale_instances():
+    seeded = [h for cls in ("special:3", "special:4", "chordal")
+              for n, m in ((12, 14), (14, 14), (16, 16))
+              for h in make_batch(cls, n, m, 2, 23)]
+    # K4^3 beside a seeded special:3 instance on twelve more vertices
+    side = make_batch("special:3", 12, 12, 1, 23)[0]
+    labels = list("wxyz") + [f"v{v}" for v in range(side.n)]
+    beside = build(labels, list(itertools.combinations(range(4), 3))
+                   + [tuple(4 + v for v in bits_of(mask)) for mask in side.edges])
+    return seeded + [k43(), beside]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2], ids=["QQ", "GF2"])
+def test_recursive_matches_taylor_at_benchmark_scale(field, monkeypatch):
+    instances = _benchmark_scale_instances()
+    assert all(h.m <= 16 and is_triangulated(h) for h in instances)
+    fallbacks = []
+    real = splitting.betti_via_taylor
+
+    def counting(g, f):
+        fallbacks.append(f)
+        return real(g, f)
+
+    monkeypatch.setattr(splitting, "betti_via_taylor", counting)
+    for h in instances:
+        before = len(fallbacks)
+        assert betti_recursive(h, field).entries == betti_via_taylor(h, field).entries, h.edges
+        if h.edges[:4] == k43().edges:
+            # deleting a triple of K4^3 leaves no simplicial vertex
+            assert len(fallbacks) > before
+    assert fallbacks and all(f is field for f in fallbacks)
+    assert max(h.n for h in instances) == 16
 
 
 def test_recursion_checks_the_class_at_the_root_only(monkeypatch):
@@ -292,15 +353,18 @@ def test_characterization_takes_a_precomputed_table_and_survey(p6):
 def test_canonical_key_stability():
     a = path_graph(6)
     b = build([f"v{i}" for i in range(6)], [(5 - i, 4 - i) for i in range(5)])
-    assert canonical_key(a) == canonical_key(b)
+    assert canonical_key(a.edges) == canonical_key(b.edges)
     # vertices are renumbered in order, not up to isomorphism: a star
     # keeps its key when shifted, and may change it when its root moves
     root_first = build(list("rabc"), [(0, 1), (0, 2), (0, 3)])
     shifted = build(list("xyrabc"), [(2, 3), (2, 4), (2, 5)])
     root_last = build(list("abcr"), [(0, 3), (1, 3), (2, 3)])
-    assert canonical_key(root_first) == canonical_key(shifted) == ((0, 1), (0, 2), (0, 3))
-    assert canonical_key(root_last) == ((0, 3), (1, 3), (2, 3))
-    assert canonical_key(path_graph(3)) != canonical_key(cycle_graph(3))
-    # isolated vertices do not affect the key
+    assert canonical_key(root_first.edges) == canonical_key(shifted.edges) == (0b0011, 0b0101, 0b1001)
+    assert canonical_key(root_last.edges) == (0b1001, 0b1010, 0b1100)
+    assert canonical_key(path_graph(3).edges) != canonical_key(cycle_graph(3).edges)
+    # isolated vertices do not affect the key, below, between or above the edges
     padded = build([f"v{i}" for i in range(9)], [(i, i + 1) for i in range(5)])
-    assert canonical_key(padded) == canonical_key(a)
+    assert canonical_key(padded.edges) == canonical_key(a.edges)
+    gaps = build([f"v{i}" for i in range(9)], [(1, 3), (5, 7)])
+    assert canonical_key(gaps.edges) == (0b0011, 0b1100)
+    assert canonical_key([]) == ()
