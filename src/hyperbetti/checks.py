@@ -313,7 +313,16 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("invariant-inequalities", "survey")
 def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
-    """The invariants' order relations, and b' = d2', an identity (see README)."""
+    """The invariants' order relations, and b' = d2', an identity (see README).
+
+    Each order relation is a class inclusion of ``_IMPLICATIONS`` read
+    on the maximizing family: ``induced->matching`` gives a <= m,
+    ``induced->self_semi_induced`` a <= b, ``induced->self_disjoint``
+    a <= d1, ``ssi->ssd`` b <= d2, ``ssi->self_contained`` b <= e,
+    ``sd->ssd`` d1 <= d2 and d1' <= d2', and ``ordered->self_contained``
+    c <= e. Where ``implication-chain`` passes, this check can therefore
+    fail only through the survey's pruning and bookkeeping of maxima.
+    """
     v = ctx.invariants.values
     relations = (
         ("a<=m", v["a"] <= v["m"]),

@@ -68,8 +68,10 @@ def parse_edgelist(text: str) -> Hypergraph:
 
 
 def serialize_edgelist(h: Hypergraph) -> str:
-    if any(" " in lab or "/" in lab for lab in h.labels):
-        raise ParseError("labels with spaces or '/' cannot be written as an edge list")
+    # a label reads back as itself only when it is one whitespace-split word
+    if any(lab.split() != [lab] or "/" in lab for lab in h.labels):
+        raise ParseError(
+            "labels that are empty or hold whitespace or '/' cannot be written as an edge list")
     return "".join(" ".join(h.edge_labels(s)) + "\n" for s in range(h.m))
 
 

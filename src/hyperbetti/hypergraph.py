@@ -160,19 +160,6 @@ def delete_edge(h: Hypergraph, s: int) -> Hypergraph:
     return Hypergraph(h.labels, h.edges[:s] + h.edges[s + 1 :])
 
 
-def edge_neighborhood(h: Hypergraph, s: int) -> int:
-    """Bitmask of vertices outside edge ``s`` lying in some edge that meets it.
-
-    An edge meeting no other edge has empty neighborhood.
-    """
-    smask = h.edge_mask(s)
-    out = 0
-    for mask in h.edges:
-        if mask & smask:
-            out |= mask & ~smask
-    return out
-
-
 @dataclass(frozen=True)
 class UniformityProfile:
     """The common edge size ``d``, if any, with the two structural flags
@@ -228,16 +215,6 @@ def _least_simplicial(edges, d: int) -> int | None:
     for mask in edges:
         covered |= mask
     return next((x for x in bits_of(covered) if _simplicial_in(edges, x, d)), None)
-
-
-def is_simplicial_vertex(h: Hypergraph, x: int) -> bool:
-    """True when every d-subset of the closed neighborhood of ``x`` is an edge.
-
-    Requires a uniform hypergraph. A vertex lying in no edge has a
-    closed neighborhood of size one and is vacuously simplicial.
-    """
-    h.check_vertex(x)
-    return _simplicial_in(h.edges, x, require_uniform(h))
 
 
 def is_triangulated(h: Hypergraph) -> bool:

@@ -10,7 +10,9 @@ H2 the restriction away from S and its neighborhood,
                     + sum_l C(t, l) * beta_{i-1-l, j-d-l}(H2).
 
 :func:`betti_recursive` applies it down to single edges, and the
-campaign holds an exact table to it.
+campaign holds an exact table to it. :func:`split` and the recursion
+take one split step, and :func:`_split_neighborhood` is its one
+neighbor-edge rule.
 
 Betti numbers of this class do not depend on the coefficient field;
 the ``field`` argument only tags the returned table.
@@ -36,12 +38,10 @@ from .hypergraph import (
     Hypergraph,
     _elimination_start,
     _least_simplicial,
+    _simplicial_in,
     delete_edge,
-    edge_neighborhood,
     induced_subhypergraph,
-    is_simplicial_vertex,
     is_triangulated,
-    require_uniform,
     uniformity_profile,
 )
 from .linalg import QQ, Field
@@ -54,11 +54,6 @@ def require_special_class(h: Hypergraph) -> int | None:
         raise NotSpecialClass(
             "edges must share a common size d and pairwise intersect in 0 or d-1 vertices")
     return prof.d
-
-
-def find_simplicial_vertex(h: Hypergraph) -> int | None:
-    """Least non-isolated simplicial vertex, or None."""
-    return _least_simplicial(h.edges, require_uniform(h)) if h.m else None
 
 
 @dataclass(frozen=True)
@@ -99,12 +94,12 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
     if d is None:
         raise ValidationError("cannot split an edgeless hypergraph")
     if x is None:
-        x = find_simplicial_vertex(h)
+        x = _least_simplicial(h.edges, d)
         if x is None:
             raise NotSimplicial("no simplicial vertex to split at")
     else:
         h.check_vertex(x)
-        if not is_simplicial_vertex(h, x):
+        if not _simplicial_in(h.edges, x, d):
             raise NotSimplicial(f"vertex {h.labels[x]} is not simplicial")
     xbit = 1 << x
     if s is None:
@@ -114,31 +109,48 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
     elif not h.edge_mask(s) & xbit:
         raise ValidationError(f"edge {s} does not contain vertex {h.labels[x]}")
     smask = h.edges[s]
-    nmask = edge_neighborhood(h, s)
+    nmask = _split_neighborhood(h.edges, x, smask, h)
     zs = tuple(bits_of(nmask))
-    chosen = []
-    for z in zs:
-        zbit = 1 << z
-        pick = next(
-            (e for e, mask in enumerate(h.edges)
-             if e != s and mask & ~smask == zbit and not mask & xbit),
-            None)
-        if pick is None:
-            raise ViolationFound(
-                "neighbor-edge",
-                f"no edge through {h.labels[z]} avoiding {h.labels[x]} with the rest inside the split edge",
-                instance=h)
-        chosen.append(pick)
+    chosen = tuple(
+        next(e for e, mask in enumerate(h.edges) if mask & ~smask == 1 << z and not mask & xbit)
+        for z in zs)
     keep = [v for v in range(h.n) if not (smask | nmask) >> v & 1]
     h2, h2_map = induced_subhypergraph(h, keep)
     h1 = delete_edge(h, s)
     h1_map = {e: e - (e > s) for e in range(h.m) if e != s}
     return SplittingDecomposition(
         x=x, s=s, d=d,
-        neighbor_vertices=zs, neighbor_edges=tuple(chosen),
+        neighbor_vertices=zs, neighbor_edges=chosen,
         h1=h1, h2=h2, h1_edge_map=h1_map, h2_edge_map=h2_map,
         removed_vertices=tuple(bits_of(smask | nmask)),
     )
+
+
+def _split_neighborhood(edges, x: int, smask: int, h: Hypergraph) -> int:
+    """The split step's neighbor-edge rule: N(S), the vertices outside
+    the split edge S = ``smask`` through x of the edge masks ``edges``
+    that meet it.
+
+    Each z in N(S) must lie in an edge that avoids x and has only z
+    outside S. Within the class such an edge always exists, so a miss
+    raises ViolationFound on ``h``, the instance being split.
+    """
+    xbit = 1 << x
+    nmask = reach = 0
+    for mask in edges:
+        if mask & smask:
+            outside = mask & ~smask
+            nmask |= outside
+            if not mask & xbit and not outside & (outside - 1):
+                reach |= outside
+    if nmask & ~reach:
+        z = next(bits_of(nmask & ~reach))
+        raise ViolationFound(
+            "neighbor-edge",
+            f"no edge through vertex {z} avoiding vertex {x} with the rest inside "
+            f"the split edge, in the subhypergraph of edge masks {edges}",
+            instance=h)
+    return nmask
 
 
 def split_sum(t: int, d: int, h1_entries: dict[tuple[int, int], int],
@@ -218,24 +230,8 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
             g = Hypergraph(tuple(str(v) for v in range(n)), key)
             out = memo[key] = dict(betti_via_taylor(g, field).entries)
             return out
-        xbit = 1 << x
-        smask = next(mask for mask in key if mask & xbit)
-        # N(S), and the vertices z of it that an edge avoiding x reaches
-        # with only z outside S
-        nmask = reach = 0
-        for mask in key:
-            if mask & smask:
-                outside = mask & ~smask
-                nmask |= outside
-                if not mask & xbit and not outside & (outside - 1):
-                    reach |= outside
-        if nmask & ~reach:
-            z = next(bits_of(nmask & ~reach))
-            raise ViolationFound(
-                "neighbor-edge",
-                f"no edge through vertex {z} avoiding vertex {x} with the rest inside "
-                f"the split edge, in the subhypergraph of edge masks {key}",
-                instance=h)
+        smask = next(mask for mask in key if mask >> x & 1)
+        nmask = _split_neighborhood(key, x, smask, h)
         cut = smask | nmask
         out = memo[key] = split_sum(
             nmask.bit_count(), d,

@@ -94,12 +94,12 @@ def test_parse_sniffs_and_serialize_round_trips():
 
 
 def test_edgelist_rejects_unprintable_labels():
-    h = build(["a b", "c"], [(0, 1)])
-    with pytest.raises(ParseError):
-        serialize_edgelist(h)
-    h2 = build(["a/b", "c"], [(0, 1)])
-    with pytest.raises(ParseError):
-        serialize_edgelist(h2)
+    # each would be written as text that parses back, without error, as
+    # another hypergraph
+    for label in ("a b", "a/b", "a\tb", "a\nb", ""):
+        h = build([label, "c", "d"], [(0, 1), (1, 2)])
+        with pytest.raises(ParseError):
+            serialize_edgelist(h)
 
 
 def test_serialize_json_shape():

@@ -9,12 +9,13 @@ import pytest
 
 from hyperbetti.generators import complete_uniform, cycle_graph, make_batch
 from hyperbetti.hypergraph import (
+    _least_simplicial,
+    _simplicial_in,
     build,
     induced_subhypergraph,
-    is_simplicial_vertex,
     is_triangulated,
+    require_uniform,
 )
-from hyperbetti.splitting import find_simplicial_vertex
 
 
 def k43_minus_one():
@@ -76,11 +77,12 @@ def test_counted_tests_match_the_definition_on_every_induced_subhypergraph(name)
                 assert is_triangulated(g) == _oracle_triangulated(edges, set(w)), (h, w)
                 if not g.m:
                     continue
+                d = require_uniform(g)
                 simplicial = [_oracle_simplicial(edges, x, set(w)) for x in w]
-                assert [is_simplicial_vertex(g, y) for y in range(g.n)] == simplicial, (h, w)
+                assert [_simplicial_in(g.edges, y, d) for y in range(g.n)] == simplicial, (h, w)
                 covered = set().union(*(e for e in edges if e <= set(w)))
                 least = next((y for y, x in enumerate(w) if x in covered and simplicial[y]), None)
-                assert find_simplicial_vertex(g) == least, (h, w)
+                assert _least_simplicial(g.edges, d) == least, (h, w)
 
 
 def test_the_corpus_holds_both_answers():

@@ -1,6 +1,6 @@
 """Every public module-level function and class of the package is either
-exported or used by the package itself: no library code lives only for
-its tests."""
+exported or used by the package itself, and every private one is used by
+it: no library code lives only for its tests."""
 
 from __future__ import annotations
 
@@ -25,18 +25,31 @@ def _names_read(node: ast.AST) -> set[str]:
             for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_exported_or_used():
+def _unread_definitions(private: bool) -> list[str]:
+    """Module-level functions and classes, private or public as asked,
+    whose names no other top-level statement of the package reads."""
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     statements = [stmt for tree in modules.values() for stmt in tree.body]
     reads = {id(stmt): _names_read(stmt) for stmt in statements}
-    orphans = []
+    unread = []
     for module, tree in modules.items():
         for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name in hyperbetti.__all__ or stmt.name in INSTANCE_CONSTRUCTORS:
+            if stmt.name.startswith("_") != private:
                 continue
             # a read inside the definition itself, such as recursion, does not count
             if not any(stmt.name in reads[id(other)] for other in statements if other is not stmt):
-                orphans.append(f"{module}:{stmt.name}")
+                unread.append(f"{module}:{stmt.name}")
+    return unread
+
+
+def test_every_public_definition_is_exported_or_used():
+    orphans = [name for name in _unread_definitions(private=False)
+               if name.split(":")[1] not in {*hyperbetti.__all__, *INSTANCE_CONSTRUCTORS}]
     assert orphans == []
+
+
+def test_every_private_definition_is_used():
+    # a private helper that a fold leaves behind has no reader but its tests
+    assert _unread_definitions(private=True) == []

@@ -26,7 +26,6 @@ from hyperbetti.taylor import betti_via_taylor
 from hyperbetti.splitting import (
     betti_recursive,
     canonical_key,
-    find_simplicial_vertex,
     split,
     split_sum,
     verify_disjointness_characterization,
@@ -48,10 +47,10 @@ def star_hypergraph(leaves: int):
 
 
 def test_find_simplicial_vertex(p4, c4):
-    assert find_simplicial_vertex(p4) == 0
-    assert find_simplicial_vertex(c4) is None
+    assert hypergraph._least_simplicial(p4.edges, 2) == 0
+    assert hypergraph._least_simplicial(c4.edges, 2) is None
     complete4 = build(list("abcd"), list(itertools.combinations(range(4), 2)))
-    assert find_simplicial_vertex(complete4) == 0
+    assert hypergraph._least_simplicial(complete4.edges, 2) == 0
 
 
 def test_split_path_endpoint(p3):
@@ -182,6 +181,10 @@ def test_recursion_raises_when_a_neighbor_edge_is_missing(monkeypatch):
     assert is_triangulated(h)
     with pytest.raises(ViolationFound) as caught:
         betti_recursive(h)
+    assert caught.value.check == "neighbor-edge"
+    # the public split takes the same step, so it meets the same rule
+    with pytest.raises(ViolationFound) as caught:
+        split(h)
     assert caught.value.check == "neighbor-edge"
 
 
