@@ -27,7 +27,7 @@ one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 The campaign compares no size limit of its own: each engine enforces
 its limit in ``limits``, and an artifact whose engine raises
 ``CapExceeded`` is None, a skip of each check that needs it. Reports
-follow ``SCHEMA_VERSION`` 6 and are deterministic for fixed inputs and
+follow ``SCHEMA_VERSION`` 7 and are deterministic for fixed inputs and
 seed: everything that varies between runs lives under the ``meta`` key.
 """
 
@@ -88,7 +88,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 SAMPLED_ORDERINGS = 6
 
 
@@ -172,8 +172,9 @@ class _Ctx:
     """Shared per-instance artifacts, each built on first use and kept.
 
     Each artifact is an ``_artifact``: None where its engine is over its
-    size limit, or where an artifact it reads is None, and None or False
-    (``special``) where it does not apply. Checks first read one inside
+    size limit, or where an artifact it reads is None or False, and None
+    where it does not apply. ``special`` is a bool, never None, because
+    no limit stops the triangulation test. Checks first read one inside
     their ``_declare`` entry, so an artifact that raises anything else is
     built once and is a ``fail`` of each check that reads it, and the
     other checks still run.
@@ -219,7 +220,8 @@ class _Ctx:
 
     @_artifact
     def recursive(self) -> BettiTable | None:
-        """Table by the splitting recursion, on ``special`` instances."""
+        """Table by the splitting recursion, on ``special`` instances
+        within its vertex cap."""
         return betti_recursive(self.h, self.field) if self.special else None
 
 
@@ -238,6 +240,8 @@ _NEEDS = {
     "taylor": (lambda ctx: ctx.taylor is not None, _TOO_MANY_EDGES),
     "special": (lambda ctx: ctx.special,
                 "needs a triangulated instance of the restricted class"),
+    "recursive": (lambda ctx: ctx.recursive is not None,
+                  "more than {limits.TRIANGULATED_CAP} vertices"),
     "edges": (lambda ctx: ctx.h.m > 0, "no edges"),
     "graph": (lambda ctx: ctx.profile.d == 2 or ctx.h.m == 0, "not a graph"),
     "uniform": (lambda ctx: ctx.profile.is_uniform and ctx.profile.d is not None,
@@ -636,7 +640,7 @@ def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
     return CheckResult(name, "pass", count, witness={"x": ctx.dec.x, "s": ctx.dec.s})
 
 
-@_declare("disjointness-characterization", "special", "survey")
+@_declare("disjointness-characterization", "special", "survey", "recursive")
 def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
     rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
                                                precomputed=ctx.sv)

@@ -1,13 +1,15 @@
 """Reading and writing instances.
 
-Two formats round-trip losslessly:
+Two formats:
 
 * ``json``: ``{"vertices": ["x", ...], "edges": [[0, 1], ...]}`` with
   edges as lists of vertex indices. This is the canonical form; vertex
-  order is exactly the listed order.
+  order is exactly the listed order, and it round-trips losslessly.
 * ``edgelist``: one edge per line, vertex labels separated by
-  whitespace; ``/`` separates several edges on one line. Vertices are
-  numbered in order of first appearance.
+  whitespace; ``/`` separates several edges on one line. It keeps every
+  edge, in order, with its labels, but numbers vertices in order of
+  first use and drops any vertex in no edge, so it round-trips only up
+  to that renumbering.
 
 Structural problems (bad shape, empty edge) raise :class:`ParseError`
 with a line number where one makes sense; semantic problems (duplicate

@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from . import limits
 from .bitsets import mask_of, tuple_of
 from .errors import ValidationError
-from .hypergraph import Hypergraph, build, is_triangulated
+from .hypergraph import Hypergraph, build
 
 
 def path_graph(n: int) -> Hypergraph:
@@ -126,14 +125,17 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
 
     Grows edges by attaching a (d-1)-subset of an existing edge to a
     fresh vertex, occasionally opening a disjoint component; candidates
-    that break the pairwise-intersection rule or triangulatedness are
-    rejected, so every result is a valid input for the recursive engine.
+    that break the pairwise-intersection rule are rejected, so every
+    result is a valid input for the recursive engine. Triangulatedness
+    needs no test: a fresh vertex of the new edge has that edge as its
+    closed neighborhood, so it is simplicial in each induced
+    subhypergraph holding the edge, and any other has the edges of an
+    induced subhypergraph of the instance before.
 
     ``m`` is an upper bound on the edge count, seldom reached: every new
     edge takes a fresh vertex and every new component takes d, and
     growth stops when fresh vertices run out, so ``n`` usually decides
-    the size. ``n`` may be at most ``limits.TRIANGULATED_CAP``, where the
-    triangulation test that vets each candidate stops.
+    the size.
     """
     if d < 2:
         raise ValidationError("edge size must be at least 2")
@@ -141,11 +143,7 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
         raise ValidationError(f"{n} vertices cannot carry edges of size {d}")
     if m < 0:
         raise ValidationError("need a nonnegative edge budget")
-    if n > limits.TRIANGULATED_CAP:
-        raise ValidationError(
-            f"special:D instances allow at most {limits.TRIANGULATED_CAP} vertices, got {n}")
     rng = random.Random(seed)
-    labels = _vertex_labels(n)
     masks = [mask_of(range(d))]
     fresh = d
     tries = 0
@@ -159,17 +157,10 @@ def random_special_triangulated(d: int, n: int, m: int, seed: int) -> Hypergraph
             drop = rng.choice(tuple_of(parent))
             cand = (parent & ~(1 << drop)) | (1 << fresh)
             used = 1
-        inter_ok = all(
-            not (cand & e) or (cand & e).bit_count() == d - 1 for e in masks
-        )
-        if not inter_ok:
-            continue
-        tentative = masks + [cand]
-        if not is_triangulated(Hypergraph(tuple(labels), tuple(tentative))):
-            continue
-        masks = tentative
-        fresh += used
-    return build(labels, [tuple_of(e) for e in masks])
+        if all(not (cand & e) or (cand & e).bit_count() == d - 1 for e in masks):
+            masks.append(cand)
+            fresh += used
+    return build(_vertex_labels(n), [tuple_of(e) for e in masks])
 
 
 def random_chordal(n: int, m: int, seed: int) -> Hypergraph:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from . import limits
 from .bitsets import bits_of, is_subset, mask_of, tuple_of
 from .errors import (
     ComparableEdges,
@@ -22,7 +21,6 @@ from .errors import (
     EdgeTooSmall,
     IndexOutOfRange,
     NotUniform,
-    SizeCapExceeded,
     UnknownVertex,
     ValidationError,
 )
@@ -228,11 +226,9 @@ def is_triangulated(h: Hypergraph) -> bool:
     under induced restriction, and the defining property is hereditary,
     so if elimination ever succeeds from some state it succeeds from
     every state reachable by deleting simplicial vertices; greedy choice
-    is therefore complete, not just sound.
+    is therefore complete, not just sound. The test has no size limit;
+    the splitting recursion, whose cost grows faster, caps its own input.
     """
-    if h.n > limits.TRIANGULATED_CAP:
-        raise SizeCapExceeded(
-            f"{h.n} vertices exceeds triangulation cap {limits.TRIANGULATED_CAP}")
     return h.m == 0 or _elimination_start(h.edges, require_uniform(h)) is not None
 
 

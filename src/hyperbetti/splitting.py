@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from . import limits
 from .bitsets import bits_of
 from .errors import (
     NotSimplicial,
     NotSpecialClass,
     NotTriangulated,
+    SizeCapExceeded,
     ValidationError,
     ViolationFound,
 )
@@ -214,6 +216,9 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
     enters; it is the one node that builds a Hypergraph.
     """
     d = require_special_class(h)
+    if h.n > limits.TRIANGULATED_CAP:
+        raise SizeCapExceeded(
+            f"{h.n} vertices exceeds the recursion's cap {limits.TRIANGULATED_CAP}")
     if not is_triangulated(h):
         raise NotTriangulated("the hypergraph admits no simplicial elimination order")
     memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}

@@ -68,7 +68,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 6
+    assert a["schema_version"] == 7
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -128,6 +128,20 @@ def test_budget_overrun_is_a_skip(monkeypatch):
         else:
             # every other check reads the family survey, and passes
             assert r.status == "pass", r.name
+
+
+def test_triangulated_instance_above_the_recursion_cap():
+    # the triangulation test has no cap, so only the check that reads the
+    # recursive table skips on a 20-vertex chordal graph
+    report = run_checks(make_batch("chordal", 20, 14, 1, 7)[0])
+    assert report.ok
+    results = {r.name: r for r in report.checks}
+    assert all(r.detail != "needs a triangulated instance of the restricted class"
+               for r in report.checks)
+    for name in ("splitting-recursion", "matching-persistence", "split-extension"):
+        assert results[name].status == "pass", name
+    disjoint = results["disjointness-characterization"]
+    assert (disjoint.status, disjoint.detail) == ("skip", "more than 16 vertices")
 
 
 def test_cap_override_via_env(monkeypatch):

@@ -283,9 +283,14 @@ def test_fuzz_rejects_counts_below_one(flag, value, capsys):
 
 
 def test_fuzz_special_class_above_the_triangulation_cap(capsys):
+    # only the recursion is capped, so such instances fuzz, and only the
+    # check that reads the recursive table skips
     argv = ["fuzz", "--class", "special:3", "--vertices", "17", "--edges", "6",
             "--count", "1", "--seed", "0"]
-    assert main(argv) == 2
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: special:D instances allow at most 16 vertices")
-    assert not captured.out
+    assert not captured.err
+    report = json.loads(captured.out)
+    assert report["ok"] is True and report["instances"] == 1
+    skips = {c["name"]: c.get("detail") for c in report["checks"] if c["status"] == "skip"}
+    assert skips["disjointness-characterization"] == "more than 16 vertices"

@@ -156,7 +156,7 @@ def test_make_batch_deterministic():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**40), st.integers(2, 4), st.integers(4, 8))
+@given(st.integers(0, 2**40), st.integers(2, 4), st.integers(4, 48))
 def test_special_generator_never_leaves_class(seed, d, n):
     h = random_special_triangulated(d, max(n, d + 1), 4, seed)
     prof = uniformity_profile(h)

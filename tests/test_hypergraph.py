@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from hyperbetti.generators import complete_uniform, cycle_graph, make_batch
+from hyperbetti.generators import complete_uniform, cycle_graph, make_batch, path_graph
 from hyperbetti.hypergraph import (
     _least_simplicial,
     _simplicial_in,
@@ -91,3 +91,7 @@ def test_the_corpus_holds_both_answers():
     assert not is_triangulated(cycle_graph(5))
     assert not is_triangulated(k43_minus_one())
     assert is_triangulated(complete_3_uniform_on_5())
+
+
+def test_triangulation_test_has_no_vertex_cap():
+    assert is_triangulated(path_graph(20))

@@ -1,5 +1,5 @@
-"""Every size limit is defined in ``limits`` and nowhere else, and no
-entry point takes a limit of its own."""
+"""Every size limit is defined in ``limits`` and nowhere else, only the
+engine it bounds reads it, and no entry point takes a limit of its own."""
 
 from __future__ import annotations
 
@@ -44,6 +44,30 @@ def test_only_limits_defines_size_limits():
         "'BETTI_CAP_N'", "BETTI_CAP_N", "FAMILY_BUDGET", "LYUBEZNIK_BUDGET",
         "TRIANGULATED_CAP"]
     assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+def _limit_reads(path: Path) -> set[str]:
+    """Each ``limits.NAME`` that ``path`` reads, for NAME a limit or
+    ``vertex_cap``. Skip reasons name limits inside format strings,
+    which are text, not reads."""
+    names = set(limits.current()) | {"vertex_cap"}
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "limits"}
+
+
+def test_each_limit_is_read_by_the_engine_it_bounds():
+    reads: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "limits.py":
+            for name in _limit_reads(path):
+                reads.setdefault(name, set()).add(path.stem)
+    assert reads == {
+        "FAMILY_BUDGET": {"families"},
+        "LYUBEZNIK_BUDGET": {"taylor"},
+        "TRIANGULATED_CAP": {"splitting"},
+        "vertex_cap": {"homology"},
+    }
 
 
 def test_no_entry_point_takes_a_size_parameter():
