@@ -27,7 +27,7 @@ one the Taylor complex gives (``TaylorAnalysis.restrictions``).
 The campaign compares no size limit of its own: each engine enforces
 its limit in ``limits``, and an artifact whose engine raises
 ``CapExceeded`` is None, a skip of each check that needs it. Reports
-follow ``SCHEMA_VERSION`` 7 and are deterministic for fixed inputs and
+follow ``SCHEMA_VERSION`` and are deterministic for fixed inputs and
 seed: everything that varies between runs lives under the ``meta`` key.
 """
 
@@ -88,7 +88,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 SAMPLED_ORDERINGS = 6
 
 
@@ -499,8 +499,12 @@ def _check_basis_sandwich(ctx: _Ctx, name: str) -> CheckResult:
     return CheckResult(name, "pass", checked)
 
 
-@_declare("conditional-slice-bounds", "table", "taylor", "survey")
+@_declare("conditional-slice-bounds", "table", "taylor")
 def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
+    """beta <= |B| under the all-reduced hypothesis and beta >= |B| under
+    the no-double-absorption one. The paper's bounds by scsi and ssi
+    follow from these and ``basis-sandwich``'s ssi <= |B| <= scsi on the
+    same slice, so they are not compared again here."""
     checked = 0
     for (i, j) in ctx.taylor.types():
         if i == 0:
@@ -511,17 +515,15 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
             continue
         beta = ctx.table.get(i, j)
         b = len(ctx.taylor.b_set(i, j))
-        ssi = ctx.sv.counts_ssi.get((i, j), 0)
-        scsi = ctx.sv.counts_scsi.get((i, j), 0)
-        if hyp1 and not (beta <= b and beta <= scsi):
+        if hyp1 and not beta <= b:
             return _fail(
                 name, ctx.h,
-                f"slice ({i},{j}) under all-reduced hypothesis: beta {beta} > |B| {b} or scsi {scsi}",
+                f"slice ({i},{j}) under all-reduced hypothesis: beta {beta} > |B| {b}",
                 checked)
-        if hyp2 and not (beta >= b and beta >= ssi):
+        if hyp2 and not beta >= b:
             return _fail(
                 name, ctx.h,
-                f"slice ({i},{j}) under no-double-absorption hypothesis: beta {beta} < |B| {b} or ssi {ssi}",
+                f"slice ({i},{j}) under no-double-absorption hypothesis: beta {beta} < |B| {b}",
                 checked)
         checked += 1
     if checked == 0:
@@ -642,22 +644,12 @@ def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
 
 @_declare("disjointness-characterization", "special", "survey", "recursive")
 def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
+    """Nonzero positions, pd = d1 = d2 and reg = d1' = d2'. On a chordal
+    graph ``graph-identities`` and ``uniform-spread-identity`` run too,
+    and with them these give pd = d_G, reg = d_G' and d_G' = a."""
     rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
                                                precomputed=ctx.sv)
-    checked = 3
-    if ctx.profile.d == 2:
-        v = ctx.invariants.values
-        if rep["pd"] != v["d_g"] or rep["reg"] != v["d_g_prime"]:
-            return _fail(
-                name, ctx.h,
-                f"chordal identities fail: pd {rep['pd']} vs d_G {v['d_g']}, "
-                f"reg {rep['reg']} vs d_G' {v['d_g_prime']}", checked)
-        if v["d_g_prime"] != v["a"]:
-            return _fail(name, ctx.h,
-                         f"chordal spread {v['d_g_prime']} != induced matching number {v['a']}",
-                         checked)
-        checked += 2
-    return CheckResult(name, "pass", checked, witness=rep)
+    return CheckResult(name, "pass", 3, witness=rep)
 
 
 _CHECKS = (

@@ -183,7 +183,3 @@ def main(argv=None) -> int:
     except (HyperbettiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -176,11 +176,11 @@ class _Kernel:
         return out
 
     def disjoint_witnesses(self, fam: tuple[int, ...], bits: int | None = None,
-                           semi: bool | None = None, matching: bool | None = None):
+                           semi: bool | None = None):
         """Witnesses S_0 of ``fam`` for the self disjoint and the self
-        semi-disjoint class, each a sub-tuple or None. ``bits``, ``semi``
-        and ``matching`` are the family's edge bitmask and whether it is
-        semi-induced and a matching, where the caller already has them.
+        semi-disjoint class, each a sub-tuple or None. ``bits`` and
+        ``semi`` are the family's edge bitmask and whether it is
+        semi-induced, where the caller already has them.
 
         S_0 must be semi-induced, a matching for the disjoint class, and
         every other member must have exactly one vertex outside some
@@ -222,12 +222,6 @@ class _Kernel:
                 forced |= 1 << k
         if semi is None:
             semi = self.semi_induced(bits)
-        if not free:
-            if not semi:
-                return None, None
-            if matching is None:
-                matching = self.matching(bits)
-            return (fam if matching else None), fam
         if semi:
             first = bits
         elif not self.semi_induced(forced):
@@ -654,7 +648,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
             maxima["e"].offer(i, fam)
 
         if (i, j) not in types["self_disjoint"]:
-            sd, ssd = kernel.disjoint_witnesses(fam, bits, semi, matching)
+            sd, ssd = kernel.disjoint_witnesses(fam, bits, semi)
             if ssd is not None:
                 types["self_semi_disjoint"].add((i, j))
                 maxima["d2"].offer(i, fam)

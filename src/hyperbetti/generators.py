@@ -224,13 +224,13 @@ def parse_class(text: str) -> tuple[str, int | None]:
 
 
 def make_instance(tag: str, d: int | None, n: int, m: int, seed: int) -> Hypergraph:
+    if tag in ("uniform", "special") and d is None:
+        raise ValidationError(f"instance class {tag!r} needs an edge size")
     if tag == "general":
         return random_general(n, m, seed)
     if tag == "uniform":
-        assert d is not None
         return random_uniform(d, n, m, seed)
     if tag == "special":
-        assert d is not None
         return random_special_triangulated(d, n, m, seed)
     if tag == "chordal":
         return random_chordal(n, m, seed)

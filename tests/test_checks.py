@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import hyperbetti.checks as checks
-from hyperbetti import limits
+from hyperbetti import families, limits
 from hyperbetti.checks import (
     CHECK_NAMES,
     CampaignReport,
@@ -31,7 +32,7 @@ from hyperbetti.errors import ViolationFound
 from hyperbetti.families import _Kernel, compute_invariants
 from hyperbetti.formats import instance_payload, parse_json
 from hyperbetti.generators import make_batch, path_graph, random_free_vertex
-from hyperbetti.homology import betti_table
+from hyperbetti.homology import BettiTable, betti_table
 from hyperbetti.hypergraph import build
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.splitting import split
@@ -68,7 +69,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 7
+    assert a["schema_version"] == 8
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -469,6 +470,85 @@ def test_conditional_slice_bounds_catch_an_extra_symbol_under_both_hypotheses(mo
     assert slices >= 60
 
 
+def _wrong_bouquets(key):
+    def patch(monkeypatch):
+        real = families.bouquet_invariants
+
+        def bouquet_invariants(h):
+            rep = real(h)
+            return dataclasses.replace(rep, **{key: getattr(rep, key) + 1})
+
+        monkeypatch.setattr(families, "bouquet_invariants", bouquet_invariants)
+    return patch
+
+
+def _wrong_survey(edit):
+    def patch(monkeypatch):
+        real = checks.survey
+
+        def survey(h):
+            sv = real(h)
+            edit(sv)
+            return sv
+
+        monkeypatch.setattr(checks, "survey", survey)
+    return patch
+
+
+def _shift_counts(key, delta):
+    def edit(sv):
+        counts = getattr(sv, key)
+        for t in counts:
+            counts[t] += delta * (t != (0, 0))
+    return edit
+
+
+def _wrong_a(sv):
+    sv.maxima["a"].value += 1
+
+
+def _recursive_without_top_row(monkeypatch):
+    real = checks.betti_recursive
+
+    def betti_recursive(h, field=QQ):
+        table = real(h, field)
+        reg = table.regularity()
+        return BettiTable({(i, j): v for (i, j), v in table.entries.items() if j - i != reg},
+                          field)
+
+    monkeypatch.setattr(checks, "betti_recursive", betti_recursive)
+
+
+_CHORDAL = [("chordal", 8, 8)]
+_SLICES = [("general", 8, 8), ("special:3", 9, 6)]
+
+
+# Faults that comparisons dropped from the campaign caught, each with the
+# checks that still catch it on every instance. The chordal block of
+# disjointness-characterization caught a wrong d_G, d_G' or a, and a
+# recursive table without its top row (j - i = reg); the survey bounds of
+# conditional-slice-bounds caught wrong ssi or scsi counts.
+@pytest.mark.parametrize("patch, corpus, catchers", [
+    pytest.param(_wrong_bouquets("total_flowers"), _CHORDAL, {"graph-identities"}, id="d_G"),
+    pytest.param(_wrong_bouquets("bouquet_count"), _CHORDAL, {"graph-identities"},
+                 id="d_G_prime"),
+    pytest.param(_wrong_survey(_wrong_a), _CHORDAL, {"uniform-spread-identity"}, id="a"),
+    pytest.param(_recursive_without_top_row, _CHORDAL,
+                 {"engine-agreement", "disjointness-characterization"}, id="recursive-top-row"),
+    pytest.param(_wrong_survey(_shift_counts("counts_ssi", 1)), _SLICES, {"basis-sandwich"},
+                 id="ssi"),
+    pytest.param(_wrong_survey(_shift_counts("counts_scsi", -1)), _SLICES, {"basis-sandwich"},
+                 id="scsi"),
+])
+def test_a_fault_of_a_dropped_comparison_still_fails_the_campaign(patch, corpus, catchers,
+                                                                  monkeypatch):
+    patch(monkeypatch)
+    for spec, n, m in corpus:
+        for h in make_batch(spec, n, m, 20, 7):
+            failed = {r.name for r in run_checks(h).checks if r.status == "fail"}
+            assert catchers <= failed, (spec, failed)
+
+
 def _assert_pd_cap_hypothesis_is_the_edge_set_reduced(h):
     """``conditional-pd-cap`` used to skip when some family of e or more
     edges is absorbed, e the self-contained number; it now skips when
@@ -570,9 +650,9 @@ _READERS = {
     "survey": {
         "implication-chain", "invariant-inequalities", "graph-identities",
         "uniform-spread-identity", "induced-matching-slices", "pd-reg-lower-bounds",
-        "lower-bound-certificates", "basis-sandwich", "conditional-slice-bounds",
-        "conditional-pd-cap", "admissibility-orderings", "matching-persistence",
-        "split-extension", "disjointness-characterization"},
+        "lower-bound-certificates", "basis-sandwich", "conditional-pd-cap",
+        "admissibility-orderings", "matching-persistence", "split-extension",
+        "disjointness-characterization"},
     "lyubeznik_restrictions": {
         "degree-window", "restriction-monotonicity", "engine-agreement",
         "induced-matching-slices", "pd-reg-lower-bounds", "lower-bound-certificates",
@@ -617,7 +697,7 @@ def test_a_raising_artifact_is_built_once(monkeypatch):
     report = run_checks(path_graph(4))
     assert len(calls) == 1
     failed = [r for r in report.checks if r.status == "fail"]
-    assert len(failed) == 14
+    assert len(failed) == 13
     assert {r.name for r in failed} == _READERS["survey"]
     assert all(r.detail == "ZeroDivisionError: injected" for r in failed)
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperbetti
 from hyperbetti import cli
 from hyperbetti.cli import main
 from hyperbetti.limits import FAMILY_BUDGET, LYUBEZNIK_BUDGET
@@ -44,6 +49,14 @@ def test_betti_methods_agree(p3_file, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert "pd=2" in outputs[0] and "reg=1" in outputs[0]
+
+
+def test_python_dash_m_runs_the_cli(p3_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperbetti.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hyperbetti", "betti", p3_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "pd=2  reg=1" in done.stdout
 
 
 def test_betti_field_flag(p3_file, capsys):

@@ -183,13 +183,13 @@ def test_witnesses_match_family_oracle_on_every_reduced_family():
     for h in make_batch("special:3", 14, 8, 2, 19):
         edges = oracle.edge_sets(h)
         kernel = families._sweep_kernel(h)
-        for bits, fam, _, matching, _ in families._reduced_families(kernel):
+        for bits, fam, _, _, _ in families._reduced_families(kernel):
             sd, ssd = kernel.disjoint_witnesses(fam)
             assert sd == oracle.first_disjoint_witness(edges, fam, True), (fam, edges)
             assert ssd == oracle.first_disjoint_witness(edges, fam, False), (fam, edges)
-            # as the survey asks, with the flags the walk already has
+            # as the survey asks, with the flag the walk already has
             semi = kernel.semi_induced(bits)
-            assert kernel.disjoint_witnesses(fam, bits, semi, matching) == (sd, ssd)
+            assert kernel.disjoint_witnesses(fam, bits, semi) == (sd, ssd)
             not_matching += ssd is not None and not oracle.matching(edges, ssd)
     assert not_matching
 

@@ -146,6 +146,12 @@ def test_make_instance_rejects_impossible():
         make_instance("special", 9, 5, 3, 0)
 
 
+@pytest.mark.parametrize("tag", ["uniform", "special"])
+def test_make_instance_needs_an_edge_size(tag):
+    with pytest.raises(ValidationError, match="needs an edge size"):
+        make_instance(tag, None, 6, 5, 0)
+
+
 def test_make_batch_deterministic():
     a = make_batch("general", 6, 5, 4, seed=11)
     b = make_batch("general", 6, 5, 4, seed=11)
