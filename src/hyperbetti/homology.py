@@ -12,6 +12,14 @@ whose only face is the empty face has one-dimensional reduced homology
 in degree -1. Each W is enumerated once and its homology reused for
 every i at that j.
 
+Faces grow one vertex at a time, each carrying the vertices above its
+largest that still extend it. Adding u to a face F below u blocks a
+later w exactly when some edge has top vertex w, second-highest vertex
+u, and all its other vertices in F. So a per-vertex table of those
+edges, built once per hypergraph, serves every W: an edge with a vertex
+outside W can never be completed inside W, and the candidates start
+inside W.
+
 Elimination stops at the kernel dimension. The boundary of a boundary
 is zero, so the image of the boundary map out of level k lies in the
 kernel of the map out of level k - 1, and
@@ -48,9 +56,10 @@ vertex reads no boundary row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import limits
-from .bitsets import bits_of, is_subset, tuple_of
+from .bitsets import bits_of, is_subset
 from .errors import SizeCapExceeded
 from .hypergraph import Hypergraph
 from .linalg import QQ, Field, rank_of
@@ -81,12 +90,36 @@ class BettiTable:
             return "(zero table)"
         imax = self.projective_dimension()
         jmax = max(j for _, j in self.entries)
-        lines = ["      " + "".join(f"j={j:<5d}" for j in range(jmax + 1))]
+        lines = [("      " + "".join(f"j={j:<5d}" for j in range(jmax + 1))).rstrip()]
         for i in range(imax + 1):
             cells = "".join(f"{self.get(i, j) or '.':<7}"[:7] for j in range(jmax + 1))
             lines.append(f"i={i:<4d}{cells}".rstrip())
         lines.append(f"pd={self.projective_dimension()}  reg={self.regularity()}  field={self.field}")
         return "\n".join(lines)
+
+
+@lru_cache(maxsize=1)
+def _extension_table(n: int, edges: tuple[int, ...]) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Per vertex u, what adding u to a face below u blocks above u.
+
+    Entry u is ``(keep, pairs)``: ``keep`` clears the top vertex w of
+    every 2-edge {u, w} with u < w, and ``pairs`` holds one ``(rest,
+    tops)`` for each distinct rest = e - {u, w} over the larger edges e
+    whose second-highest vertex is u and top vertex w, ``tops`` the
+    mask of those w. The table reads no W; see :func:`independent_faces`.
+    """
+    keep = [-1] * n
+    blocks: list[dict[int, int]] = [{} for _ in range(n)]
+    for mask in edges:
+        top = mask.bit_length() - 1
+        below = mask ^ (1 << top)
+        second = below.bit_length() - 1
+        rest = below ^ (1 << second)
+        if rest:
+            blocks[second][rest] = blocks[second].get(rest, 0) | 1 << top
+        else:
+            keep[second] &= ~(1 << top)
+    return [(keep[u], tuple(blocks[u].items())) for u in range(n)]
 
 
 def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
@@ -96,36 +129,40 @@ def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
     faces, i.e. the (k+1)-subsets of W containing no edge, as bitmasks
     in lexicographic order of their sorted vertex tuples. The empty
     face is implicit.
+
+    Each face F carries its candidates: the vertices of W above max(F)
+    that extend it to a face. Adding a candidate u to F blocks a later
+    candidate w exactly when some edge has top vertex w, second-highest
+    vertex u, and every other vertex in F. The per-vertex table of
+    these edges (:func:`_extension_table`) is built once per hypergraph
+    and reads no W: a blocked w outside W is no candidate to clear, and
+    an edge with another vertex outside W has it in its rest, which F,
+    inside W, never contains.
     """
-    verts = tuple_of(wmask)
-    # rests[v]: e - v for each edge e inside W whose top vertex is v. A
-    # face F below v stays a face with v added unless it contains one.
-    rests: dict[int, list[int]] = {v: [] for v in verts}
-    for mask in h.edges:
-        if mask & ~wmask == 0:
-            top = mask.bit_length() - 1
-            rests[top].append(mask ^ (1 << top))
-    grow = [(1 << v, rests[v]) for v in verts]
+    table = _extension_table(h.n, h.edges)
     by_dim: list[list[int]] = []
-    # Each face extends only by vertices above its largest one, so each
-    # level comes out in lexicographic order when the one below it does.
-    faces, starts = [0], [0]
+    # Each face extends only by its candidates, all above its largest
+    # vertex, so each level comes out in lexicographic order when the
+    # one below it does.
+    faces, candidates = [0], [wmask]
     while True:
         next_faces: list[int] = []
-        next_starts: list[int] = []
-        for face, start in zip(faces, starts):
-            for idx in range(start, len(grow)):
-                bit, below = grow[idx]
-                for rest in below:
+        next_candidates: list[int] = []
+        for face, cand in zip(faces, candidates):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                keep, pairs = table[low.bit_length() - 1]
+                child = cand & keep
+                for rest, tops in pairs:
                     if rest & face == rest:
-                        break
-                else:
-                    next_faces.append(face | bit)
-                    next_starts.append(idx + 1)
+                        child &= ~tops
+                next_faces.append(face | low)
+                next_candidates.append(child)
         if not next_faces:
             return by_dim
         by_dim.append(next_faces)
-        faces, starts = next_faces, next_starts
+        faces, candidates = next_faces, next_candidates
 
 
 def _boundary_rows(faces: list[int], below_index: dict[int, int]):

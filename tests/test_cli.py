@@ -307,3 +307,16 @@ def test_fuzz_special_class_above_the_triangulation_cap(capsys):
     assert report["ok"] is True and report["instances"] == 1
     skips = {c["name"]: c.get("detail") for c in report["checks"] if c["status"] == "skip"}
     assert skips["disjointness-characterization"] == "more than 16 vertices"
+
+
+def test_no_printed_table_line_ends_in_whitespace(tmp_path, capsys):
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("a b / b c / c d\n")
+    edgeless = tmp_path / "edgeless.json"
+    edgeless.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    for path in (p4, edgeless):
+        for method in cli.ENGINES:
+            assert main(["betti", str(path), "--method", method]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("      j=0"), (path, method)
+            assert [line for line in lines if line != line.rstrip()] == [], (path, method)

@@ -26,7 +26,7 @@ from hyperbetti.homology import (
     table_from_homology,
     homology_of_restrictions,
 )
-from hyperbetti.hypergraph import build
+from hyperbetti.hypergraph import Hypergraph, build
 from hyperbetti.linalg import GF2, QQ, Field
 from hyperbetti.taylor import betti_via_lyubeznik, betti_via_taylor
 
@@ -203,14 +203,67 @@ def test_faces_come_in_lexicographic_order():
 @given(sized_hypergraphs(), st.randoms(use_true_random=False))
 def test_faces_are_the_edge_free_subsets(h, rng):
     for wmask in [0, h.vertex_mask] + [rng.randrange(1 << h.n) for _ in range(6)]:
-        expected = []
-        for size in range(1, wmask.bit_count() + 1):
-            level = [mask_of(c) for c in itertools.combinations(tuple_of(wmask), size)]
-            level = [f for f in level if not any(is_subset(e, f) for e in h.edges)]
-            if not level:
-                break
-            expected.append(level)
-        assert independent_faces(h, wmask) == expected
+        assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask)
+
+
+def _edge_free_subsets(h, wmask: int) -> list[list[int]]:
+    """The faces by brute force: every subset of W with no edge, level
+    by level, each level in lexicographic order of its sorted tuples."""
+    expected = []
+    for size in range(1, wmask.bit_count() + 1):
+        level = [mask_of(c) for c in itertools.combinations(tuple_of(wmask), size)]
+        level = [f for f in level if not any(is_subset(e, f) for e in h.edges)]
+        if not level:
+            break
+        expected.append(level)
+    return expected
+
+
+def _clutters(n: int) -> list[tuple[int, ...]]:
+    """Every labelled clutter on n vertices: every antichain of vertex
+    sets with two or more vertices, as edge-mask tuples."""
+    sets = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
+    out = []
+
+    def extend(start: int, chosen: tuple[int, ...]) -> None:
+        out.append(chosen)
+        for idx in range(start, len(sets)):
+            mask = sets[idx]
+            if all(not is_subset(mask, e) and not is_subset(e, mask) for e in chosen):
+                extend(idx + 1, chosen + (mask,))
+
+    extend(0, ())
+    return out
+
+
+def test_faces_of_every_small_clutter_are_its_edge_free_subsets():
+    # every W on up to 4 vertices, and W = V for all of 5 (each W of
+    # every 5-vertex clutter takes several seconds, too long here)
+    clutters = {n: _clutters(n) for n in range(6)}
+    assert {n: len(c) for n, c in clutters.items()} == {0: 1, 1: 1, 2: 2, 3: 9, 4: 114, 5: 6894}
+    for n, family in clutters.items():
+        for edges in family:
+            h = Hypergraph(tuple(map(str, range(n))), edges)
+            for wmask in range(1 << n) if n < 5 else [h.vertex_mask]:
+                assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
+
+
+def test_the_extension_table_follows_the_hypergraph():
+    # The table is cached per hypergraph, so each call below must read
+    # the table of its own vertices and edges, not the last call's:
+    # first equal edges on 3 and 6 vertices (3-5 lie above every edge),
+    # then 6 vertices with other edges, and 6 with none.
+    names = [f"v{i}" for i in range(6)]
+    small = build(names[:3], [(0, 1, 2)])
+    above = build(names, [(0, 1, 2)])
+    other = build(names, [(0, 1), (1, 2)])
+    edgeless = build(names, [])
+    for h in (small, above, small, above, other, above, other, edgeless, other):
+        assert independent_faces(h, 0) == []
+        for wmask in range(1 << h.n):
+            assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
+    assert [len(level) for level in independent_faces(edgeless, edgeless.vertex_mask)] == [
+        6, 15, 20, 15, 6, 1]
 
 
 def test_cones_are_exactly_the_restrictions_outside_the_lcm_lattice(monkeypatch):
