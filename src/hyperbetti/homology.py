@@ -20,41 +20,43 @@ edges, built once per hypergraph, serves every W: an edge with a vertex
 outside W can never be completed inside W, and the candidates start
 inside W.
 
-Elimination stops at the kernel dimension. The boundary of a boundary
-is zero, so the image of the boundary map out of level k lies in the
-kernel of the map out of level k - 1, and
-
-    rank d_k <= |F_{k-1}| - rank d_{k-1},
-
-with F_k the k-dimensional faces; for k = 1 the map out of level 0 is
-the augmentation onto the empty face, of rank 1. Equality holds exactly
-when reduced homology vanishes in degree k - 1, the common case. Once
-the rank of d_k reaches the bound, every further boundary row lies in
-the span already found, so those rows are never built or reduced.
-
-Folds skip elimination on most W. Write Delta for the complex of W
-and, for a vertex v, del(v) for its faces without v (the complex of
+Elimination runs on a relative complex. For a vertex v of the complex
+Delta of W, write del(v) for its faces without v (the complex of
 W - v), star(v) for the faces with v and their subsets, and lk(v) for
-the faces F without v such that F + v is a face. Then Delta is star(v)
-and del(v) glued along lk(v). The star is a cone on v, so it is
-acyclic. If lk(v) is a cone too, it is acyclic as well, and
-Mayer-Vietoris gives Delta the reduced homology of del(v) over every
-field. Such a v is a fold vertex, and W takes the dims of W - v, which
-the map already holds, with no elimination. This is the hypergraph form
-of Engstrom's fold lemma ("Complexes of directed trees and independence
-complexes", Discrete Math. 309, 2009). For a graph it reads: v folds
-when some u of W, not adjacent to v, has all its neighbours in W among
-those of v. Cones fold as well. A vertex of W in no edge inside W is an
-apex of the independence complex, and so of every other vertex's link;
-these are exactly the W that are not a union of edges, the W outside
-the lcm lattice of the ideal (Gasharov, Peeva and Welker, "The
-lcm-lattice in monomial resolutions", Math. Res. Lett. 1999). So every
-W outside the lattice with two or more vertices folds, and a single
-vertex reads no boundary row.
+the faces F without v such that F + v is a face. Delta is star(v) and
+del(v) glued along lk(v). The star is a cone on v, so it is acyclic,
+and the reduced homology of Delta is its homology relative to star(v),
+that of (del(v), lk(v)): its cells are the faces of del(v) outside
+lk(v), and the empty face is not among them. v is the lowest vertex of
+W, whose faces lead every level. Over cells C_k,
+
+    rank d_k <= |C_{k-1}| - rank d_{k-1},  rank d_0 = 0,
+
+since the boundary of a boundary is zero. Equality holds exactly when
+homology vanishes in degree k - 1, the common case. Once the rank of
+d_k reaches the bound, the rows past it are never built or reduced.
+
+Folds skip elimination on most W. If lk(v) is a cone too, it is
+acyclic as well, and the homology of (del(v), lk(v)) is the reduced
+homology of del(v), over every field. Such a v is a fold vertex, and W
+takes the dims of W - v, which the map already holds. This is the
+hypergraph form of Engstrom's fold lemma ("Complexes of directed trees
+and independence complexes", Discrete Math. 309, 2009). For a graph it
+reads: v folds when some u of W, not adjacent to v, has all its
+neighbours in W among those of v. The minimal non-faces of each
+vertex's link come from a per-vertex table built once per hypergraph.
+A vertex of W in no edge inside W is an apex of the independence
+complex, and so of every other vertex's link; these are exactly the W
+that are not a union of edges, the W outside the lcm lattice of the
+ideal (Gasharov, Peeva and Welker, "The lcm-lattice in monomial
+resolutions", Math. Res. Lett. 1999). So every W outside the lattice
+with two or more vertices folds, at its lowest vertex unless that is
+its only apex, and a single vertex reads no boundary row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,39 +167,70 @@ def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
         faces, candidates = next_faces, next_candidates
 
 
-def _boundary_rows(faces: list[int], below_index: dict[int, int]):
-    """One sparse row per face, built as it is read: its signed boundary
-    over the level below."""
-    for face in faces:
+def _boundary_rows(cells: list[int], below_index: dict[int, int]):
+    """One sparse row per cell, built as it is read: its signed boundary
+    over the cells of the level below, the faces outside them dropped."""
+    for face in cells:
         row = {}
         sign = 1
         for v in bits_of(face):
-            row[below_index[face ^ (1 << v)]] = sign
+            idx = below_index.get(face ^ (1 << v))
+            if idx is not None:
+                row[idx] = sign
             sign = -sign
         yield row
+
+
+@lru_cache(maxsize=1)
+def _link_table(n: int, edges: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """Per vertex v, ``(edge, contribution)`` pairs: over the edges
+    inside W, the contributions are the minimal non-faces of the link of
+    v in the complex of W, v in W.
+
+    An edge through v contributes e - v. An edge missing v contributes
+    e, unless some edge e' through v has e' - v inside e: then e' lies
+    inside W whenever e does, and e is not minimal. So the table reads
+    no W. The edges form an antichain, so no other contribution is ever
+    absorbed, and none is empty.
+    """
+    rows = []
+    for v in range(n):
+        bit = 1 << v
+        rests = [mask ^ bit for mask in edges if mask & bit]
+        rows.append(tuple((mask, mask & ~bit) for mask in edges
+                          if mask & bit or not any(rest & ~mask == 0 for rest in rests)))
+    return rows
 
 
 def _fold_vertex(h: Hypergraph, wmask: int) -> int | None:
     """The first vertex of W, in bit order, whose link in the
     independence complex of W is a cone, or None.
 
-    The link of v has the minimal sets among e - v, over the edges e
-    inside W, as its minimal non-faces; a vertex u of W - v in none of
-    them is an apex. The edges form an antichain, so every e - v with v
-    in e is minimal, and an edge without v is minimal unless it contains
-    one of those. No e - v is empty, since edges have two or more
-    vertices.
+    A vertex u of W - v in no minimal non-face of the link of v
+    (:func:`_link_table`) is an apex of it. Off the lcm lattice some
+    vertex of W is in no edge inside W, an apex of every other vertex's
+    link, so the lowest vertex folds unless it is the only such vertex,
+    and then the next one does.
     """
-    inside = [mask for mask in h.edges if mask & ~wmask == 0]
+    outside = ~wmask
+    covered = 0
+    for mask in h.edges:
+        if not mask & outside:
+            covered |= mask
+    if covered != wmask:
+        low = wmask & -wmask
+        if covered | low != wmask:
+            return low.bit_length() - 1
+        rest = wmask ^ low
+        return (rest & -rest).bit_length() - 1 if rest else None
+    table = _link_table(h.n, h.edges)
     for v in bits_of(wmask):
-        bit = 1 << v
-        rests = [mask ^ bit for mask in inside if mask & bit]
-        free = wmask ^ bit
-        for rest in rests:
-            free &= ~rest
-        for mask in inside:
-            if mask & free and not mask & bit and not any(rest & ~mask == 0 for rest in rests):
-                free &= ~mask
+        free = wmask ^ (1 << v)
+        for mask, part in table[v]:
+            if not mask & outside:
+                free &= ~part
+                if not free:
+                    break
         if free:
             return v
     return None
@@ -207,22 +240,30 @@ def reduced_homology_dims(by_dim: list[list[int]], field: Field = QQ) -> list[in
     """Reduced homology dimensions, indexed from degree -1.
 
     ``by_dim`` is the output of :func:`independent_faces`. Degree -1 is
-    the first list entry; degree k is entry k + 1.
+    the first list entry; degree k is entry k + 1. Elimination runs on
+    the cells of the complex relative to the star of its lowest vertex.
     """
-    top = len(by_dim) - 1
-    # ranks[k]: rank of the boundary map from level k to level k-1, with
-    # level -1 the single empty face; the map out of level -1 is zero.
+    if not by_dim:
+        return [1]  # only the empty face
+    v = by_dim[0][0]
+    # The faces with v, the lowest vertex, lead every level; those of
+    # level k + 1, less v, are the link's faces at level k.
+    cells, link = [], set()
+    for level in reversed(by_dim):
+        split = bisect_left(level, True, key=lambda face: not face & v)
+        cells.append([face for face in level[split:] if face not in link])
+        link = {face ^ v for face in level[:split]}
+    cells.reverse()
+    top = len(cells) - 1
+    # ranks[k]: rank of the boundary map from cell level k to k - 1; no
+    # cell lies below level 0, so the map out of it is zero.
     ranks = [0] * (top + 2)
-    if by_dim and by_dim[0]:
-        ranks[0] = 1  # augmentation: every vertex maps to the empty face
     for k in range(1, top + 1):
-        below_index = {mask: idx for idx, mask in enumerate(by_dim[k - 1])}
-        bound = len(by_dim[k - 1]) - ranks[k - 1]  # dim ker d_{k-1}
-        ranks[k] = rank_of(_boundary_rows(by_dim[k], below_index), field, limit=bound)
-    dims = [1 - ranks[0]]
-    for k in range(top + 1):
-        above = ranks[k + 1] if k + 1 <= top else 0
-        dims.append(len(by_dim[k]) - ranks[k] - above)
+        if cells[k] and cells[k - 1]:
+            below_index = {mask: idx for idx, mask in enumerate(cells[k - 1])}
+            bound = len(cells[k - 1]) - ranks[k - 1]  # dim ker d_{k-1}
+            ranks[k] = rank_of(_boundary_rows(cells[k], below_index), field, limit=bound)
+    dims = [0] + [len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     # strip trailing zeros but keep at least the degree -1 slot
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()

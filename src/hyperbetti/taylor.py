@@ -165,10 +165,21 @@ class TaylorAnalysis:
 
     @cached_property
     def _absorbed(self) -> dict[tuple[int, int], list[int]]:
-        """Per slice, the number of absorbed members of each symbol, the
-        length of its boundary row, in the order of ``slices``."""
-        return {(i, w): [len(_faces(c, self.slices.get((i - 1, w), {}))) for c in symbols]
-                for (i, w), symbols in self.slices.items()}
+        """Per slice, the number of absorbed members of each symbol, in
+        the order of ``slices``: the members whose removal is a key of
+        the slice below, as in :func:`_faces`."""
+        out = {}
+        for (i, w), symbols in self.slices.items():
+            below = self.slices.get((i - 1, w), {})
+            counts = out[i, w] = []
+            for c in symbols:
+                count, rest = 0, c
+                while rest:
+                    low = rest & -rest
+                    count += c ^ low in below
+                    rest ^= low
+                counts.append(count)
+        return out
 
     def _symbols_absorbed(self, i: int, j: int):
         """The absorbed-member counts of every symbol of type (i, j); the

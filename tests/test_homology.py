@@ -27,7 +27,7 @@ from hyperbetti.homology import (
     homology_of_restrictions,
 )
 from hyperbetti.hypergraph import Hypergraph, build
-from hyperbetti.linalg import GF2, QQ, Field
+from hyperbetti.linalg import GF2, QQ, Field, rank_of
 from hyperbetti.taylor import betti_via_lyubeznik, betti_via_taylor
 
 from conftest import cycle_graph, path_graph
@@ -169,19 +169,45 @@ def _count_rows_read(monkeypatch) -> list[int]:
     return rows_read
 
 
+def _relative_cells(by_dim: list[list[int]]) -> list[list[int]]:
+    """The cells of the complex relative to the star of its lowest
+    vertex v, level by level, from the face set alone: the faces F
+    without v for which F + v is not a face."""
+    if not by_dim:
+        return []
+    v = by_dim[0][0]
+    faces = {face for level in by_dim for face in level}
+    return [[face for face in level if not face & v and face | v not in faces]
+            for level in by_dim]
+
+
 def test_elimination_stops_at_the_kernel_dimension(monkeypatch):
     # One 6-vertex edge on 6 vertices: the independence complex is the
-    # boundary of the 5-simplex, a 4-sphere with no apex. Each boundary
-    # rank below the top meets its kernel bound, so the rows past it are
-    # never read.
+    # boundary of the 5-simplex, a 4-sphere. Relative to the star of
+    # vertex 0 it has a single cell, {1, ..., 5}, so no boundary row is
+    # read at all.
     rows_read = _count_rows_read(monkeypatch)
     sphere = build([f"v{i}" for i in range(6)], [tuple(range(6))])
     for field in (QQ, GF2, GF3):
         rows_read.clear()
         by_dim = independent_faces(sphere, 0b111111)
         assert [len(level) for level in by_dim] == [6, 15, 20, 15, 6]
+        assert _relative_cells(by_dim) == [[], [], [], [], [0b111110]]
         assert reduced_homology_dims(by_dim, field) == [0, 0, 0, 0, 0, 1]
-        assert rows_read == [5, 10, 10, 5]
+        assert rows_read == []
+    # Three disjoint edges: the octahedral 2-sphere. Relative to the
+    # star of vertex 0 its cells are {1}, the four {1, u} with u in
+    # 2..5, and the four triangles {1, a, b}, a in {2, 3}, b in {4, 5}.
+    # d_1 meets its bound |C_0| = 1 at its first row, and d_2 its bound
+    # |C_1| - 1 = 3 at its third, so each reads fewer rows than it has.
+    octahedron = build([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)])
+    for field in (QQ, GF2, GF3):
+        rows_read.clear()
+        by_dim = independent_faces(octahedron, 0b111111)
+        assert [len(level) for level in by_dim] == [6, 12, 8]
+        assert [len(level) for level in _relative_cells(by_dim)] == [1, 4, 4]
+        assert reduced_homology_dims(by_dim, field) == [0, 0, 0, 1]
+        assert rows_read == [1, 3]
     # With no edges every restriction is a simplex, a cone: the map
     # folds each W with two or more vertices, so no boundary row is
     # read at all.
@@ -191,6 +217,25 @@ def test_elimination_stops_at_the_kernel_dimension(monkeypatch):
         hom = homology_of_restrictions(simplex, field)
         assert hom == {wmask: [0] if wmask else [1] for wmask in range(1 << 6)}
     assert rows_read == []
+
+
+def _full_complex_dims(by_dim: list[list[int]], field: Field) -> list[int]:
+    """Reduced homology by elimination on the whole complex, the empty
+    face included at level -1: the dims list of
+    :func:`reduced_homology_dims`, computed without the relative
+    complex."""
+    levels = [[0]] + by_dim
+    ranks = [0]  # the map out of the empty face is zero
+    for k in range(1, len(levels)):
+        index = {face: idx for idx, face in enumerate(levels[k - 1])}
+        rows = [{index[face ^ (1 << u)]: (-1) ** pos for pos, u in enumerate(bits_of(face))}
+                for face in levels[k]]
+        ranks.append(rank_of(rows, field))
+    ranks.append(0)
+    dims = [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
+    while len(dims) > 1 and dims[-1] == 0:
+        dims.pop()
+    return dims
 
 
 def test_faces_come_in_lexicographic_order():
@@ -269,8 +314,9 @@ def test_the_extension_table_follows_the_hypergraph():
 def test_cones_are_exactly_the_restrictions_outside_the_lcm_lattice(monkeypatch):
     # A cone has an apex, a vertex in half of all faces, the empty face
     # counted. Outside the lattice the map folds every W with two or
-    # more vertices, so elimination, which calls rank_of once per level
-    # above the vertices on every W, never runs there.
+    # more vertices, so elimination, which calls rank_of once per pair
+    # of adjacent nonempty levels of the relative complex, never runs
+    # there.
     rows_read = _count_rows_read(monkeypatch)
     rp2 = build([f"p{i}" for i in range(6)], RP2_NON_FACES)
     instances = (make_batch("general", 8, 8, 2, 12) + make_batch("uniform:2", 9, 14, 2, 12)
@@ -289,7 +335,9 @@ def test_cones_are_exactly_the_restrictions_outside_the_lcm_lattice(monkeypatch)
             assert cone == (union != wmask)
             rows_read.clear()
             dims = reduced_homology_dims(by_dim, QQ)
-            assert len(rows_read) == max(len(by_dim) - 1, 0)
+            cells = _relative_cells(by_dim)
+            assert len(rows_read) == sum(1 for k in range(1, len(cells))
+                                         if cells[k] and cells[k - 1])
             if cone:
                 assert dims == [0]
                 if wmask.bit_count() >= 2:
@@ -315,6 +363,54 @@ def test_fold_vertex_is_the_first_vertex_whose_link_is_a_cone(h, rng):
         faces = [face for level in independent_faces(h, wmask) for face in level]
         expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)), None)
         assert homology._fold_vertex(h, wmask) == expected
+
+
+def test_fold_vertex_and_elimination_on_every_small_clutter():
+    # every W of every clutter on up to 4 vertices, and W = V for all of
+    # 5; elimination on the relative complex against the whole complex
+    for n, family in ((n, _clutters(n)) for n in range(6)):
+        for edges in family:
+            h = Hypergraph(tuple(map(str, range(n))), edges)
+            for wmask in range(1 << n) if n < 5 else [h.vertex_mask]:
+                by_dim = independent_faces(h, wmask)
+                faces = [face for level in by_dim for face in level]
+                expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)),
+                                None)
+                assert homology._fold_vertex(h, wmask) == expected, (h, wmask)
+                for field in (QQ, GF2):
+                    assert reduced_homology_dims(by_dim, field) == _full_complex_dims(
+                        by_dim, field), (h, wmask, field)
+
+
+def _link_rows(h) -> list[tuple[tuple[int, int], ...]]:
+    """The link table by its definition: per vertex v, in edge order,
+    (e, e - v) for each edge through v, and (e, e) for each edge missing
+    v that holds no e' - v with v in e'."""
+    rows = []
+    for v in range(h.n):
+        bit = 1 << v
+        rests = [mask ^ bit for mask in h.edges if mask & bit]
+        rows.append(tuple((mask, mask & ~bit) for mask in h.edges
+                          if mask & bit or not any(is_subset(rest, mask) for rest in rests)))
+    return rows
+
+
+def test_the_link_table_follows_the_hypergraph():
+    # The table is cached per hypergraph, so each call below must read
+    # the table of its own vertices and edges, not the last call's:
+    # equal edges on 3 and 6 vertices, then 6 vertices with other edges
+    # (on which {0, 1, 2} folds at another vertex), and 6 with none.
+    names = [f"v{i}" for i in range(6)]
+    small = build(names[:3], [(0, 1), (1, 2)])
+    above = build(names, [(0, 1), (1, 2)])
+    other = build(names, [(0, 2), (1, 2), (3, 4, 5)])
+    edgeless = build(names, [])
+    for h in (small, above, small, above, other, above, other, edgeless, other):
+        assert homology._link_table(h.n, h.edges) == _link_rows(h), h
+        for wmask in range(1 << h.n):
+            faces = [face for level in independent_faces(h, wmask) for face in level]
+            expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)), None)
+            assert homology._fold_vertex(h, wmask) == expected, (h, wmask)
 
 
 def test_fold_vertex_on_graphs_is_the_neighbourhood_fold():
@@ -367,15 +463,16 @@ def test_elimination_runs_only_where_no_vertex_folds(monkeypatch):
         homology_of_restrictions(h, QQ)
         ends = [calls for _, calls in starts[1:]] + [len(rows_read)]
         for (wmask, before), after in zip(starts, ends):
-            by_dim = faces(h, wmask)
+            cells = _relative_cells(faces(h, wmask))
             # without the fold test, elimination runs on every W whose
-            # complex has edges
-            eliminates = len(by_dim) > 1
+            # relative complex has two adjacent nonempty levels
+            eliminates = any(cells[k] and cells[k - 1] for k in range(1, len(cells)))
             folded = homology._fold_vertex(h, wmask) is not None
             assert (after > before) == (eliminates and not folded), (h, wmask)
             saved += eliminates and folded
-    # measured: 5,244 of the 5,509 W whose complex has edges
-    assert saved > 5000
+    # measured: 2,173 of the 2,363 W whose relative complex has two
+    # adjacent nonempty levels
+    assert saved == 2173
 
 
 def test_rp2_table_depends_on_the_field():
@@ -390,6 +487,22 @@ def test_rp2_table_depends_on_the_field():
     assert (qq.projective_dimension(), qq.regularity()) == (3, 2)
     assert (gf2.projective_dimension(), gf2.regularity()) == (4, 3)
     assert tables[GF3].entries == qq.entries
+
+
+@pytest.mark.parametrize("extra, n", [((6, 7), 8), ((0, 6), 7)], ids=["disjoint-edge", "pendant"])
+def test_rp2_with_an_edge_depends_on_the_field(extra, n):
+    # RP^2 beside a disjoint edge, and RP^2 with a pendant edge at
+    # vertex 0: the 2-torsion now sits in restrictions on 7 and 8
+    # vertices, where the relative complex has several levels
+    edges = RP2_NON_FACES + [extra]
+    h = build([f"p{i}" for i in range(n)], edges)
+    tables = {}
+    for field in (QQ, GF2, GF3):
+        tables[field] = betti_table(h, field).entries
+        assert tables[field] == oracle_betti(n, edges, field.p)
+        assert betti_via_lyubeznik(h, field).entries == tables[field]
+    assert tables[QQ] != tables[GF2]
+    assert tables[GF3] == tables[QQ]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=str)
