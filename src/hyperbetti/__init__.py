@@ -23,7 +23,6 @@ from .families import (
     bouquet_invariants,
     classify,
     compute_invariants,
-    is_self_ordered,
     self_ordered_witness,
     survey,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "compute_invariants",
     "from_edge_labels",
     "induced_subhypergraph",
-    "is_self_ordered",
     "is_triangulated",
     "make_batch",
     "make_instance",

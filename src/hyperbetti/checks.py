@@ -46,10 +46,10 @@ from . import limits
 from .bitsets import mask_of
 from .errors import CapExceeded, CertificateError, ValidationError
 from .families import (
+    FamilyClassification,
     FamilySurvey,
     InvariantReport,
     _Kernel,
-    _classification,
     _reduced_families,
     _sweep_kernel,
     classify,
@@ -305,7 +305,7 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
     for bits, fam, _, _, _ in _reduced_families(kernel):
         if not bits:
             continue
-        cls = _classification(kernel, fam)
+        cls = FamilyClassification(kernel, fam)
         for premise, rules in _IMPLICATIONS:
             if getattr(cls, premise):
                 for rule, conclusion in rules:

@@ -91,12 +91,13 @@ class _Kernel:
     its own; a class that also asks for a reduced family is the
     conjunction with ``all(private_parts(bits))``, taken by the caller;
     ``private_parts`` finds the vertices members share in one pass.
-    ``self_contained`` reads the members' private parts, which a caller
-    that carries them, as the survey does, passes in. The ordered class
-    has two tests on a reduced family of two or more members, both built
-    on one witnessing step, ``witnessed``: ``ordered_in`` for one given
-    order, and ``least_ordering``, a memoized and pruned search over
-    orders that returns the first.
+    Every caller already holds a family's bits, private parts and
+    semi-induced flag, so the predicates that read them take them as
+    arguments. The ordered class has two tests on a reduced family of
+    two or more members, both built on one witnessing step,
+    ``witnessed``: ``ordered_in`` for one given order, and
+    ``least_ordering``, a memoized and pruned search over orders that
+    returns the first.
     """
 
     def __init__(self, masks, union=None):
@@ -149,13 +150,10 @@ class _Kernel:
         union, which include the members, are exactly the members."""
         return self.inside(self.union[bits]) == bits
 
-    def self_contained(self, bits: int, private: list[int] | None = None) -> bool:
+    def self_contained(self, bits: int, private: list[int]) -> bool:
         """Every outside edge S inside the union admits a member S_k inside
         S together with the other members, that is, a member whose private
-        part lies in S. ``private`` is ``private_parts(bits)`` when the
-        caller already has it."""
-        if private is None:
-            private = self.private_parts(bits)
+        part lies in S. ``private`` is ``private_parts(bits)``."""
         masks = self.masks
         for s in bits_of(self.inside(self.union[bits]) & ~bits):
             mask = masks[s]
@@ -175,12 +173,11 @@ class _Kernel:
             self._near[k] = out
         return out
 
-    def disjoint_witnesses(self, fam: tuple[int, ...], bits: int | None = None,
-                           semi: bool | None = None):
+    def disjoint_witnesses(self, fam: tuple[int, ...], bits: int, semi: bool):
         """Witnesses S_0 of ``fam`` for the self disjoint and the self
         semi-disjoint class, each a sub-tuple or None. ``bits`` and
         ``semi`` are the family's edge bitmask and whether it is
-        semi-induced, where the caller already has them.
+        semi-induced.
 
         S_0 must be semi-induced, a matching for the disjoint class, and
         every other member must have exactly one vertex outside some
@@ -212,16 +209,12 @@ class _Kernel:
         BudgetExceeded above ``limits.FAMILY_BUDGET`` members.
         """
         _within_budget(len(fam), "members")
-        if bits is None:
-            bits = mask_of(fam)
         forced, free = 0, []
         for k in fam:
             if self.near(k) & bits:
                 free.append(k)
             else:
                 forced |= 1 << k
-        if semi is None:
-            semi = self.semi_induced(bits)
         if semi:
             first = bits
         elif not self.semi_induced(forced):
@@ -296,7 +289,7 @@ class _Kernel:
             self._incident = incident
         return self._incident
 
-    def least_ordering(self, bits: int, private: list[int] | None = None) -> tuple[int, ...] | None:
+    def least_ordering(self, bits: int, private: list[int]) -> tuple[int, ...] | None:
         """Lexicographically least ordering of the reduced family ``bits``,
         of two or more members, that satisfies the outside-edge condition
         of the ordered class; None when no ordering does.
@@ -318,13 +311,10 @@ class _Kernel:
         k, so k witnesses exactly the outside edges that hold its private
         part, and the root fails when some outside edge holds the private
         part of no member. The search would fail at that same first step,
-        so the answer is unchanged. ``private`` is ``private_parts(bits)``
-        when the caller already has it.
+        so the answer is unchanged. ``private`` is ``private_parts(bits)``.
         """
         _within_budget(bits.bit_count(), "members")
         union, witnessed = self.union, self.witnessed
-        if private is None:
-            private = self.private_parts(bits)
         outside = ((1 << len(self.masks)) - 1) & ~bits
         # the root step: ``witnessed`` with need = the private part, inlined,
         # since most families end here and a call per member cost 8% of a
@@ -431,7 +421,7 @@ class FamilyClassification:
 
     Not a dataclass: instances have no ``==`` and no
     ``dataclasses.replace``. Built by ``classify``, and inside the
-    package by ``_classification``.
+    package directly, with any kernel of the family's hypergraph.
     """
 
     def __init__(self, kernel: _Kernel, fam: tuple[int, ...]):
@@ -453,7 +443,9 @@ class FamilyClassification:
 
     @cached_property
     def _witnesses(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-        return self._kernel.disjoint_witnesses(self.family) if self.reduced else (None, None)
+        if not self.reduced:
+            return None, None
+        return self._kernel.disjoint_witnesses(self.family, self._bits, self.semi_induced)
 
     @property
     def self_disjoint_witness(self) -> tuple[int, ...] | None:
@@ -495,18 +487,7 @@ def classify(h: Hypergraph, fam) -> FamilyClassification:
     read (order matters only for the ordered class, which is tested in
     the given order)."""
     fam = _validate_family(h, fam)
-    return _classification(_Kernel(h.edges), fam)
-
-
-def _classification(kernel: _Kernel, fam: tuple[int, ...]) -> FamilyClassification:
-    """``classify`` on a valid family, with any kernel of its hypergraph."""
-    return FamilyClassification(kernel, fam)
-
-
-def is_self_ordered(h: Hypergraph, fam) -> bool:
-    """Test the ordered class in exactly the order given."""
-    fam = _validate_family(h, fam)
-    return _classification(_Kernel(h.edges), fam).self_ordered
+    return FamilyClassification(_Kernel(h.edges), fam)
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +660,9 @@ def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
     kernel = _Kernel(h.edges)
-    cls = _classification(kernel, fam)
+    cls = FamilyClassification(kernel, fam)
     if cls.i >= 2 and cls.reduced:
-        return kernel.least_ordering(mask_of(fam))
+        return kernel.least_ordering(cls._bits, cls._private)
     return fam if cls.self_ordered else None
 
 

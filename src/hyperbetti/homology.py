@@ -92,9 +92,12 @@ class BettiTable:
             return "(zero table)"
         imax = self.projective_dimension()
         jmax = max(j for _, j in self.entries)
-        lines = [("      " + "".join(f"j={j:<5d}" for j in range(jmax + 1))).rstrip()]
+        # the widest entry and a space, and never below 7 columns
+        width = max(7, 1 + max(len(str(b)) for b in self.entries.values()))
+        header = "".join(f"j={j:<{width - 2}d}" for j in range(jmax + 1))
+        lines = [("      " + header).rstrip()]
         for i in range(imax + 1):
-            cells = "".join(f"{self.get(i, j) or '.':<7}"[:7] for j in range(jmax + 1))
+            cells = "".join(f"{self.get(i, j) or '.':<{width}}" for j in range(jmax + 1))
             lines.append(f"i={i:<4d}{cells}".rstrip())
         lines.append(f"pd={self.projective_dimension()}  reg={self.regularity()}  field={self.field}")
         return "\n".join(lines)

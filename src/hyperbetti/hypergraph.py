@@ -49,10 +49,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def edge_vertices(self, s: int) -> tuple[int, ...]:
         """Sorted vertex ids of edge ``s``."""
         return tuple_of(self.edge_mask(s))
@@ -97,7 +93,7 @@ def build(labels, edges) -> Hypergraph:
     for pos, edge in enumerate(edges):
         ids = list(edge)
         for v in ids:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise UnknownVertex(f"edge {pos}: vertex id {v!r} not in 0..{n - 1}")
         mask = mask_of(ids)
         if mask.bit_count() < 2:

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ViolationFound,
 )
-from .families import FamilySurvey, _classification, _reduced_families, _sweep_kernel, survey
+from .families import FamilyClassification, FamilySurvey, _reduced_families, _sweep_kernel, survey
 from .homology import BettiTable
 from .taylor import betti_via_taylor
 from .hypergraph import (
@@ -263,11 +263,11 @@ def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition) -> i
     kernel, kernel1 = _sweep_kernel(h), _sweep_kernel(dec.h1)
     checked = 0
     for _, fam1, _, _, _ in _reduced_families(kernel1):
-        cls1 = _classification(kernel1, fam1)
+        cls1 = FamilyClassification(kernel1, fam1)
         if not (cls1.induced or cls1.self_disjoint):
             continue
         fam = tuple(sorted(back[e] for e in fam1))
-        cls = _classification(kernel, fam)
+        cls = FamilyClassification(kernel, fam)
         if cls1.induced and not cls.induced:
             raise ViolationFound(
                 "matching-persistence",
@@ -294,11 +294,11 @@ def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
     kernel, kernel2 = _sweep_kernel(h), _sweep_kernel(dec.h2)
     checked = 0
     for _, fam2, _, _, _ in _reduced_families(kernel2):
-        cls2 = _classification(kernel2, fam2)
+        cls2 = FamilyClassification(kernel2, fam2)
         if not cls2.self_disjoint:
             continue
         fam = tuple(sorted([back2[e] for e in fam2] + list(add)))
-        cls = _classification(kernel, fam)
+        cls = FamilyClassification(kernel, fam)
         want = (cls2.i + 1 + dec.t, cls2.j + dec.d + dec.t)
         if not cls.self_disjoint or (cls.i, cls.j) != want:
             raise ViolationFound(

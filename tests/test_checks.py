@@ -606,14 +606,14 @@ def test_invariant_inequalities_holds_b_prime_to_d2_prime():
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):
     # induced->matching holds by construction, induced = matching and
     # semi-induced, yet it is the campaign's only rule that catches this
-    real = checks._classification
+    real = checks.FamilyClassification
 
     def induced_as_semi_induced(kernel, fam):
         cls = real(kernel, fam)
         cls.induced = cls.semi_induced
         return cls
 
-    monkeypatch.setattr(checks, "_classification", induced_as_semi_induced)
+    monkeypatch.setattr(checks, "FamilyClassification", induced_as_semi_induced)
     results = [{r.name: r for r in run_checks(h).checks}["implication-chain"]
                for h in make_batch("special:3", 9, 6, 20, 7)]
     failed = [r for r in results if r.status == "fail"]
@@ -625,14 +625,14 @@ def test_implication_chain_catches_self_semi_induced_read_as_reduced(monkeypatch
     # ssi->semi_induced holds by construction too, self semi-induced =
     # reduced and semi-induced, and is likewise the only rule that
     # catches dropping the semi-induced half
-    real = checks._classification
+    real = checks.FamilyClassification
 
     def ssi_as_reduced(kernel, fam):
         cls = real(kernel, fam)
         cls.self_semi_induced = cls.reduced
         return cls
 
-    monkeypatch.setattr(checks, "_classification", ssi_as_reduced)
+    monkeypatch.setattr(checks, "FamilyClassification", ssi_as_reduced)
     results = [checks._check_implication_chain(_Ctx(h, QQ, 0))
                for h in make_batch("chordal", 9, 9, 20, 7)]
     failed = [r for r in results if r.status == "fail"]

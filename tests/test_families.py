@@ -23,7 +23,6 @@ from hyperbetti.families import (
     bouquet_invariants,
     classify,
     compute_invariants,
-    is_self_ordered,
     self_ordered_witness,
     survey,
 )
@@ -184,12 +183,9 @@ def test_witnesses_match_family_oracle_on_every_reduced_family():
         edges = oracle.edge_sets(h)
         kernel = families._sweep_kernel(h)
         for bits, fam, _, _, _ in families._reduced_families(kernel):
-            sd, ssd = kernel.disjoint_witnesses(fam)
+            sd, ssd = kernel.disjoint_witnesses(fam, bits, kernel.semi_induced(bits))
             assert sd == oracle.first_disjoint_witness(edges, fam, True), (fam, edges)
             assert ssd == oracle.first_disjoint_witness(edges, fam, False), (fam, edges)
-            # as the survey asks, with the flag the walk already has
-            semi = kernel.semi_induced(bits)
-            assert kernel.disjoint_witnesses(fam, bits, semi) == (sd, ssd)
             not_matching += ssd is not None and not oracle.matching(edges, ssd)
     assert not_matching
 
@@ -197,12 +193,13 @@ def test_witnesses_match_family_oracle_on_every_reduced_family():
 def test_an_outside_edge_inside_the_forced_union_ends_the_search(monkeypatch):
     # Edges 0 and 1 are one vertex away from no member, so every witness
     # holds both, and with them edge 2, which lies outside the family:
-    # after the family itself, the search tries no candidate with the
-    # free members 3 and 4.
+    # the family itself is not semi-induced, which the classification
+    # already holds, and the search tries no candidate with the free
+    # members 3 and 4.
     h = build([f"v{i}" for i in range(7)], [(0, 1), (2, 3), (1, 2), (4, 5), (4, 6)])
     fam = (0, 1, 3, 4)
     cls = classify(h, fam)
-    assert cls.reduced
+    assert cls.reduced and not cls.semi_induced
     real, calls = families._Kernel.semi_induced, []
 
     def semi_induced(kernel, bits):
@@ -211,7 +208,7 @@ def test_an_outside_edge_inside_the_forced_union_ends_the_search(monkeypatch):
 
     monkeypatch.setattr(families._Kernel, "semi_induced", semi_induced)
     assert (cls.self_disjoint_witness, cls.self_semi_disjoint_witness) == (None, None)
-    assert calls == [mask_of(fam), 0b11]
+    assert calls == [0b11]
     edges = oracle.edge_sets(h)
     assert oracle.first_disjoint_witness(edges, fam, False) is None
 
@@ -228,26 +225,25 @@ def test_classify_rejects_bad_indices(p3):
 
 
 def test_self_ordered_depends_on_order(p4):
-    assert not is_self_ordered(p4, (0, 1))
-    assert is_self_ordered(p4, (1, 0))
+    assert not classify(p4, (0, 1)).self_ordered
+    assert classify(p4, (1, 0)).self_ordered
     assert self_ordered_witness(p4, (0, 1)) == (1, 0)
 
 
 def test_four_cycle_has_no_ordered_pair(c4):
     for pair in itertools.permutations(range(4), 2):
-        assert not is_self_ordered(c4, pair)
+        assert not classify(c4, pair).self_ordered
     assert compute_invariants(c4).as_dict()["c"] == 1
 
 
 def test_singleton_always_ordered(c4):
-    assert is_self_ordered(c4, (2,))
+    assert classify(c4, (2,)).self_ordered
 
 
 def _assert_ordered_entry_points_agree(h, order):
     edges = oracle.edge_sets(h)
     expected = oracle.self_ordered_in(edges, order)
     assert classify(h, order).self_ordered == expected, (order, edges)
-    assert is_self_ordered(h, order) == expected, (order, edges)
     witness = self_ordered_witness(h, order)
     assert witness == oracle.first_self_ordering(edges, order), (order, edges)
     assert witness is None or oracle.self_ordered_in(edges, witness)
@@ -339,7 +335,7 @@ def test_witnesses_have_the_reported_class(p6, triple_overlap, c4):
         assert classify(h, w["d1"]).self_disjoint
         assert classify(h, w["d2"]).self_semi_disjoint
         assert classify(h, w["e"]).self_contained
-        assert is_self_ordered(h, w["c"])
+        assert classify(h, w["c"]).self_ordered
         assert len(w["a"]) == inv.values["a"]
         assert len(w["d2"]) == inv.values["d2"]
 
@@ -527,7 +523,7 @@ _COSTLY = ("disjoint_witnesses", "self_contained", "ordered_in")
 
 def _count_costly_calls(monkeypatch, names=_COSTLY) -> dict[str, list]:
     """Record the family argument of each call to the kernel methods
-    ``names``; the survey also passes ``self_contained`` private parts."""
+    ``names``, the first argument; the facts that follow it pass through."""
     calls = {name: [] for name in names}
     for name in names:
         real = getattr(families._Kernel, name)
@@ -621,14 +617,14 @@ def test_class_implications(h):
 def test_premises_imply_reduced_catches_a_premise_on_an_absorbed_family(c3, monkeypatch):
     # the triangle's three edges are semi-induced and absorbed, so reading
     # self semi-induced as semi-induced alone makes a premise hold there
-    real = families._classification
+    real = families.FamilyClassification
 
     def ssi_as_semi_induced(kernel, fam):
         cls = real(kernel, fam)
         cls.self_semi_induced = cls.semi_induced
         return cls
 
-    monkeypatch.setattr(families, "_classification", ssi_as_semi_induced)
+    monkeypatch.setattr(families, "FamilyClassification", ssi_as_semi_induced)
     with pytest.raises(AssertionError, match=r"'self_semi_induced', \(0, 1, 2\)"):
         _assert_premises_imply_reduced(c3)
 
@@ -658,9 +654,9 @@ def test_ordered_family_stays_ordered_under_any_prefix(p6):
     # prefix of an ordered family is ordered in the induced order
     inv = compute_invariants(p6)
     order = inv.witnesses["c"]
-    assert is_self_ordered(p6, order)
+    assert classify(p6, order).self_ordered
     for k in range(1, len(order)):
-        assert is_self_ordered(p6, order[:k]) or p6.m > 0
+        assert classify(p6, order[:k]).self_ordered or p6.m > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbetti.errors import ParseError, ValidationError
+from hyperbetti.errors import ParseError, UnknownVertex, ValidationError
 from hyperbetti.formats import (
     detect_format,
     instance_payload,
@@ -63,6 +63,14 @@ def test_json_happy_path():
 def test_json_strictness(payload):
     with pytest.raises(ParseError):
         parse_json(payload)
+
+
+def test_build_rejects_bool_vertex_ids():
+    # bool is a subclass of int, so True would otherwise read as vertex 1,
+    # an edge that parse_json already refuses
+    for edge in [(True, 2), (0, False)]:
+        with pytest.raises(UnknownVertex):
+            build(["a", "b", "c"], [edge])
 
 
 def test_json_syntax_error_carries_line():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti.errors import ValidationError
-from hyperbetti.families import is_self_ordered
+from hyperbetti.families import classify
 from hyperbetti.generators import (
     complete_graph,
     complete_uniform,
@@ -58,7 +58,7 @@ def test_fan_spokes_self_ordered_in_every_order(n):
     h = fan_graph(n)
     spokes = tuple(range(n))
     for perm in itertools.permutations(spokes):
-        assert is_self_ordered(h, perm)
+        assert classify(h, perm).self_ordered
 
 
 def test_fan_spoke_certificate_verifies():

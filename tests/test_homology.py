@@ -20,6 +20,7 @@ from hyperbetti.checks import run_checks
 from hyperbetti.errors import SizeCapExceeded
 from hyperbetti.generators import make_batch
 from hyperbetti.homology import (
+    BettiTable,
     betti_table,
     independent_faces,
     reduced_homology_dims,
@@ -77,6 +78,23 @@ def test_edgeless_table():
     assert t.regularity() == 0
 
 
+def test_printed_columns_fit_the_widest_entry():
+    # entries of at most 6 digits keep the 7-character columns
+    narrow = BettiTable({(0, 0): 1, (1, 2): 123456, (2, 3): 2})
+    assert str(narrow) == ("      j=0    j=1    j=2    j=3\n"
+                           "i=0   1      .      .      .\n"
+                           "i=1   .      .      123456 .\n"
+                           "i=2   .      .      .      2\n"
+                           "pd=2  reg=1  field=QQ")
+    # an 8-digit entry widens every column, the header's too, to 9
+    wide = BettiTable({(0, 0): 1, (1, 2): 12345678, (2, 3): 1234567})
+    assert str(wide) == ("      j=0      j=1      j=2      j=3\n"
+                         "i=0   1        .        .        .\n"
+                         "i=1   .        .        12345678 .\n"
+                         "i=2   .        .        .        1234567\n"
+                         "pd=2  reg=1  field=QQ")
+
+
 def test_single_edge_table():
     h = build(["a", "b", "c"], [(0, 2)])
     assert betti_table(h).entries == {(0, 0): 1, (1, 2): 1}
@@ -93,7 +111,7 @@ def test_pd_reg_values(p6=None):
 
 def test_faces_of_four_cycle():
     h = cycle_graph(4)
-    by_dim = independent_faces(h, h.vertex_mask)
+    by_dim = independent_faces(h, (1 << h.n) - 1)
     assert [len(level) for level in by_dim] == [4, 2]
     # two disjoint segments: one reduced homology class in degree 0
     assert reduced_homology_dims(by_dim, QQ) == [0, 1]
@@ -247,7 +265,7 @@ def test_faces_come_in_lexicographic_order():
 @settings(max_examples=50, deadline=None)
 @given(sized_hypergraphs(), st.randoms(use_true_random=False))
 def test_faces_are_the_edge_free_subsets(h, rng):
-    for wmask in [0, h.vertex_mask] + [rng.randrange(1 << h.n) for _ in range(6)]:
+    for wmask in [0, (1 << h.n) - 1] + [rng.randrange(1 << h.n) for _ in range(6)]:
         assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask)
 
 
@@ -289,7 +307,7 @@ def test_faces_of_every_small_clutter_are_its_edge_free_subsets():
     for n, family in clutters.items():
         for edges in family:
             h = Hypergraph(tuple(map(str, range(n))), edges)
-            for wmask in range(1 << n) if n < 5 else [h.vertex_mask]:
+            for wmask in range(1 << n) if n < 5 else [(1 << h.n) - 1]:
                 assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
 
 
@@ -307,7 +325,7 @@ def test_the_extension_table_follows_the_hypergraph():
         assert independent_faces(h, 0) == []
         for wmask in range(1 << h.n):
             assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
-    assert [len(level) for level in independent_faces(edgeless, edgeless.vertex_mask)] == [
+    assert [len(level) for level in independent_faces(edgeless, (1 << edgeless.n) - 1)] == [
         6, 15, 20, 15, 6, 1]
 
 
@@ -359,7 +377,7 @@ def _link_is_a_cone(faces: list[int], wmask: int, v: int) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(sized_hypergraphs(), st.randoms(use_true_random=False))
 def test_fold_vertex_is_the_first_vertex_whose_link_is_a_cone(h, rng):
-    for wmask in [h.vertex_mask] + [rng.randrange(1 << h.n) for _ in range(8)]:
+    for wmask in [(1 << h.n) - 1] + [rng.randrange(1 << h.n) for _ in range(8)]:
         faces = [face for level in independent_faces(h, wmask) for face in level]
         expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)), None)
         assert homology._fold_vertex(h, wmask) == expected
@@ -371,7 +389,7 @@ def test_fold_vertex_and_elimination_on_every_small_clutter():
     for n, family in ((n, _clutters(n)) for n in range(6)):
         for edges in family:
             h = Hypergraph(tuple(map(str, range(n))), edges)
-            for wmask in range(1 << n) if n < 5 else [h.vertex_mask]:
+            for wmask in range(1 << n) if n < 5 else [(1 << h.n) - 1]:
                 by_dim = independent_faces(h, wmask)
                 faces = [face for level in by_dim for face in level]
                 expected = next((v for v in bits_of(wmask) if _link_is_a_cone(faces, wmask, v)),

@@ -312,7 +312,7 @@ def test_verifier_counts_match_family_oracle(p6):
 
 
 def test_verifiers_fail_when_the_full_hypergraph_loses_its_classes(p6, monkeypatch):
-    real = splitting._classification
+    real = splitting.FamilyClassification
 
     def classes_lost_in_h(kernel, fam):
         # h is the instance of the loop below, whose kernel shares its edges
@@ -321,7 +321,7 @@ def test_verifiers_fail_when_the_full_hypergraph_loses_its_classes(p6, monkeypat
             return cls
         return SimpleNamespace(i=cls.i, j=cls.j, induced=False, self_disjoint=False)
 
-    monkeypatch.setattr(splitting, "_classification", classes_lost_in_h)
+    monkeypatch.setattr(splitting, "FamilyClassification", classes_lost_in_h)
     for h in _verified_instances(p6):
         dec = split(h)
         for verify, name in ((verify_matching_persistence, "matching-persistence"),
