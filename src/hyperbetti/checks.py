@@ -9,6 +9,12 @@ campaign and shrinks the first failure.
 Each check names with ``_declare`` what it needs (see ``_NEEDS``); an
 unmet need makes it a ``skip`` with that need's reason, and an exception
 inside a check becomes its ``fail`` result while the others still run.
+A check's body only compares: it is a generator that yields None for
+each comparison that holds and the detail of the first one that does
+not, where the entry stops, and returns the pass result's witness. The
+entry alone counts ``checked`` and builds every result; a body that
+makes no comparison passes with ``checked`` 0, or skips with the reason
+its declaration gives as ``empty``.
 The per-instance artifacts (restriction map, table, survey, invariants,
 Taylor analysis, triangulation test, split, recursive table) are built
 on first use, inside the check that first reads them, and kept. An
@@ -34,6 +40,7 @@ seed: everything that varies between runs lives under the ``meta`` key.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import random
@@ -88,7 +95,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 SAMPLED_ORDERINGS = 6
 
 
@@ -249,28 +256,41 @@ _NEEDS = {
 }
 
 
-def _declare(name: str, *needs: str):
+def _declare(name: str, *needs: str, empty: str | None = None):
     """Declare the campaign check ``name``, run only when all ``needs`` hold.
 
-    The body takes ``(ctx, name)``; the entry it becomes takes ``ctx``,
-    skips with the first unmet need's reason, and turns any exception
-    from the gates or the body, such as an artifact that fails to build,
-    into a ``fail`` with a replayable instance. Both stay inside the
-    entry: wrappers around ``_CHECKS`` entries, such as a tracer's, keep
-    no function attributes.
+    The body is a generator on ``ctx`` that yields once per comparison,
+    None if it holds and the failure detail if not, and returns the pass
+    result's witness. The entry it becomes takes ``ctx`` and returns a
+    skip with the first unmet need's reason; a ``fail`` at the first
+    detail, counting as ``checked`` the comparisons that held before it;
+    a skip with reason ``empty``, if given, when no comparison was made;
+    else a pass counting them. Any exception from the gates or the body,
+    such as an artifact that fails to build, is a ``fail`` with
+    ``checked`` 0. Both stay inside the entry: wrappers around
+    ``_CHECKS`` entries, such as a tracer's, keep no function attributes.
     """
     gates = [_NEEDS[need] for need in needs]
 
     def wrap(body):
         @functools.wraps(body)
         def entry(ctx: _Ctx) -> CheckResult:
+            checked = 0
             try:
                 for holds, why in gates:
                     if not holds(ctx):
                         return _skip(name, why.format(limits=limits))
-                return body(ctx, name)
+                comparisons = body(ctx)
+                try:
+                    while (detail := next(comparisons)) is None:
+                        checked += 1
+                except StopIteration as done:
+                    if empty is not None and checked == 0:
+                        return _skip(name, empty)
+                    return CheckResult(name, "pass", checked, witness=done.value)
             except Exception as exc:
                 return _fail(name, ctx.h, f"{type(exc).__name__}: {exc}")
+            return _fail(name, ctx.h, detail, checked)
 
         entry.check_name = name
         return entry
@@ -293,15 +313,13 @@ _IMPLICATIONS = (
 
 
 @_declare("implication-chain", "survey")
-def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
+def _check_implication_chain(ctx: _Ctx):
     """Each nonempty reduced family's classes satisfy ``_IMPLICATIONS``,
     a conclusion read only where its premise holds. No rule fires on an
     absorbed family: every premise implies reduced on a nonempty family,
     as a matching is reduced and each self class asks for it (a singleton
     is reduced)."""
-    h = ctx.h
-    kernel = _sweep_kernel(h)
-    checked = 0
+    kernel = _sweep_kernel(ctx.h)
     for bits, fam, _, _, _ in _reduced_families(kernel):
         if not bits:
             continue
@@ -310,13 +328,12 @@ def _check_implication_chain(ctx: _Ctx, name: str) -> CheckResult:
             if getattr(cls, premise):
                 for rule, conclusion in rules:
                     if not getattr(cls, conclusion):
-                        return _fail(name, h, f"family {fam} violates {rule}", checked)
-        checked += 1
-    return CheckResult(name, "pass", checked)
+                        yield f"family {fam} violates {rule}"
+        yield None
 
 
 @_declare("invariant-inequalities", "survey")
-def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
+def _check_invariant_inequalities(ctx: _Ctx):
     """The invariants' order relations, and b' = d2', an identity (see README).
 
     Each order relation is a class inclusion of ``_IMPLICATIONS`` read
@@ -340,103 +357,73 @@ def _check_invariant_inequalities(ctx: _Ctx, name: str) -> CheckResult:
         ("d1_prime<=d2_prime", v["d1_prime"] <= v["d2_prime"]),
     )
     for rel, holds in relations:
-        if not holds:
-            return _fail(name, ctx.h, f"relation {rel} fails: {v}", 0)
-    return CheckResult(name, "pass", len(relations))
+        yield None if holds else f"relation {rel} fails: {v}"
 
 
 @_declare("graph-identities", "survey", "graph")
-def _check_graph_identities(ctx: _Ctx, name: str) -> CheckResult:
+def _check_graph_identities(ctx: _Ctx):
     v = ctx.invariants.values
-    if not (v["d_g"] == v["d1"] == v["d2"]):
-        return _fail(name, ctx.h, f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
-    if not (v["d_g_prime"] == v["d1_prime"] == v["d2_prime"]):
-        return _fail(
-            name, ctx.h,
-            f"d_G' {v['d_g_prime']} vs d1' {v['d1_prime']}, d2' {v['d2_prime']}")
-    if ctx.sv.types["self_disjoint"] != ctx.sv.types["self_semi_disjoint"]:
-        return _fail(name, ctx.h, "graph has a self semi-disjoint type with no self disjoint set")
-    return CheckResult(name, "pass", 3)
+    yield (None if v["d_g"] == v["d1"] == v["d2"]
+           else f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
+    yield (None if v["d_g_prime"] == v["d1_prime"] == v["d2_prime"]
+           else f"d_G' {v['d_g_prime']} vs d1' {v['d1_prime']}, d2' {v['d2_prime']}")
+    yield (None if ctx.sv.types["self_disjoint"] == ctx.sv.types["self_semi_disjoint"]
+           else "graph has a self semi-disjoint type with no self disjoint set")
 
 
 @_declare("uniform-spread-identity", "survey", "uniform")
-def _check_uniform_spread_identity(ctx: _Ctx, name: str) -> CheckResult:
+def _check_uniform_spread_identity(ctx: _Ctx):
     v = ctx.invariants.values
     d = ctx.profile.d
-    if v["d1_prime"] != (d - 1) * v["a"]:
-        return _fail(name, ctx.h, f"d1' {v['d1_prime']} != (d-1)*a = {(d - 1) * v['a']}")
-    return CheckResult(name, "pass", 1)
+    yield (None if v["d1_prime"] == (d - 1) * v["a"]
+           else f"d1' {v['d1_prime']} != (d-1)*a = {(d - 1) * v['a']}")
 
 
 @_declare("degree-window", "table", "edges")
-def _check_degree_window(ctx: _Ctx, name: str) -> CheckResult:
+def _check_degree_window(ctx: _Ctx):
     sizes = [mask.bit_count() for mask in ctx.h.edges]
     t, tp = max(sizes), min(sizes)
-    checked = 0
     for (i, j), value in ctx.table.entries.items():
-        if i == 0 or value == 0:
-            continue
-        if not (i + tp - 1 <= j <= min(ctx.h.n, t * i)):
-            return _fail(name, ctx.h, f"entry ({i},{j}) outside degree window", checked)
-        checked += 1
+        if i and value:
+            yield (None if i + tp - 1 <= j <= min(ctx.h.n, t * i)
+                   else f"entry ({i},{j}) outside degree window")
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
-    if not (tp - 1 <= reg <= (t - 1) * pd):
-        return _fail(name, ctx.h, f"reg {reg} outside [{tp - 1}, {(t - 1) * pd}]", checked)
-    return CheckResult(name, "pass", checked + 1)
+    yield None if tp - 1 <= reg <= (t - 1) * pd else f"reg {reg} outside [{tp - 1}, {(t - 1) * pd}]"
 
 
 @_declare("restriction-monotonicity", "table", "taylor")
-def _check_restriction_monotonicity(ctx: _Ctx, name: str) -> CheckResult:
+def _check_restriction_monotonicity(ctx: _Ctx):
     """beta(H|W) <= beta(H) holds for any nonnegative map summed over
     subsets of W; what can be wrong is the map. So hold it, W by W, to
     the Taylor complex's block of union W, which is beta_{i,W}(H|W)."""
     taylor = ctx.taylor.restrictions()
-    checked = 0
     for w in sorted(ctx.hom.keys() | taylor.keys()):
-        if ctx.hom.get(w) != taylor.get(w):
-            return _fail(
-                name, ctx.h,
-                f"restriction {w:b}: map has {ctx.hom.get(w)}, Taylor block {taylor.get(w)}",
-                checked)
-        checked += 1
-    return CheckResult(name, "pass", checked)
+        yield (None if ctx.hom.get(w) == taylor.get(w)
+               else f"restriction {w:b}: map has {ctx.hom.get(w)}, Taylor block {taylor.get(w)}")
 
 
-@_declare("engine-agreement", "table")
-def _check_engine_agreement(ctx: _Ctx, name: str) -> CheckResult:
-    checked = 0
+@_declare("engine-agreement", "table", empty="no second engine applicable")
+def _check_engine_agreement(ctx: _Ctx):
     if ctx.taylor is not None:
-        if ctx.taylor.table().entries != ctx.table.entries:
-            return _fail(name, ctx.h, "Taylor table differs from restriction-homology table")
-        checked += 1
+        yield (None if ctx.taylor.table().entries == ctx.table.entries
+               else "Taylor table differs from restriction-homology table")
     if ctx.recursive is not None:
-        if ctx.recursive.entries != ctx.table.entries:
-            return _fail(name, ctx.h, "recursive table differs from restriction-homology table",
-                         checked)
-        checked += 1
-    if checked == 0:
-        return _skip(name, "no second engine applicable")
-    return CheckResult(name, "pass", checked)
+        yield (None if ctx.recursive.entries == ctx.table.entries
+               else "recursive table differs from restriction-homology table")
 
 
 @_declare("induced-matching-slices", "table", "survey", "edges")
-def _check_induced_matching_slices(ctx: _Ctx, name: str) -> CheckResult:
+def _check_induced_matching_slices(ctx: _Ctx):
     t = max(mask.bit_count() for mask in ctx.h.edges)
-    checked = 0
     for i in range(1, ctx.h.m + 1):
         expected = ctx.sv.counts_induced_uniform.get((t, i), 0)
         actual = ctx.table.get(i, t * i)
-        if expected != actual:
-            return _fail(
-                name, ctx.h,
-                f"beta({i},{t * i})={actual} but {expected} induced matchings of {t}-sets",
-                checked)
-        checked += 1
-    return CheckResult(name, "pass", checked)
+        yield (None if expected == actual
+               else f"beta({i},{t * i})={actual} but {expected} induced matchings of {t}-sets")
 
 
 @_declare("pd-reg-lower-bounds", "table", "survey")
-def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
+def _check_pd_reg_lower_bounds(ctx: _Ctx):
     v = ctx.invariants.values
     pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
     # pd >= b and reg >= d2' follow from these and invariant-inequalities
@@ -449,13 +436,11 @@ def _check_pd_reg_lower_bounds(ctx: _Ctx, name: str) -> CheckResult:
     for t, a_t in v["a_t"].items():
         bounds.append((f"reg>=({t}-1)*a_{t}", reg >= (t - 1) * a_t))
     for rel, holds in bounds:
-        if not holds:
-            return _fail(name, ctx.h, f"bound {rel} fails: pd={pd} reg={reg} {v}")
-    return CheckResult(name, "pass", len(bounds))
+        yield None if holds else f"bound {rel} fails: pd={pd} reg={reg} {v}"
 
 
-@_declare("lower-bound-certificates", "table", "survey")
-def _check_lower_bound_certificates(ctx: _Ctx, name: str) -> CheckResult:
+@_declare("lower-bound-certificates", "table", "survey", empty="no nonempty witness families")
+def _check_lower_bound_certificates(ctx: _Ctx):
     plans = (
         ("a", "induced_matching"),
         ("b", "semi_induced"),
@@ -469,43 +454,33 @@ def _check_lower_bound_certificates(ctx: _Ctx, name: str) -> CheckResult:
             continue
         cert = Certificate(kind, tuple(fam), len(fam), chain_union(ctx.h, fam).bit_count())
         try:
-            verdict = certify_nonvanishing(ctx.h, cert, ctx.field, table=ctx.table)
+            beta = certify_nonvanishing(ctx.h, cert, ctx.field, table=ctx.table).beta
         except CertificateError as exc:
-            return _fail(
-                name, ctx.h, f"{kind} certificate for {tuple(fam)} failed: {exc}",
-                len(issued))
-        issued.append(
-            {"kind": kind, "family": list(fam), "i": cert.i, "j": cert.j,
-             "beta": verdict.beta})
-    if not issued:
-        return _skip(name, "no nonempty witness families")
-    return CheckResult(name, "pass", len(issued), witness={"certificates": issued})
+            yield f"{kind} certificate for {tuple(fam)} failed: {exc}"
+        issued.append({"kind": kind, "family": list(fam), "i": cert.i, "j": cert.j, "beta": beta})
+        yield None
+    return {"certificates": issued}
 
 
 @_declare("basis-sandwich", "taylor", "survey")
-def _check_basis_sandwich(ctx: _Ctx, name: str) -> CheckResult:
-    checked = 0
+def _check_basis_sandwich(ctx: _Ctx):
     for (i, j) in ctx.taylor.types():
-        if i == 0:
-            continue
-        b = len(ctx.taylor.b_set(i, j))
-        ssi = ctx.sv.counts_ssi.get((i, j), 0)
-        scsi = ctx.sv.counts_scsi.get((i, j), 0)
-        if not ssi <= b <= scsi:
-            return _fail(
-                name, ctx.h,
-                f"slice ({i},{j}): ssi {ssi} <= |B| {b} <= scsi {scsi} fails", checked)
-        checked += 1
-    return CheckResult(name, "pass", checked)
+        if i:
+            b = len(ctx.taylor.b_set(i, j))
+            ssi = ctx.sv.counts_ssi.get((i, j), 0)
+            scsi = ctx.sv.counts_scsi.get((i, j), 0)
+            yield (None if ssi <= b <= scsi
+                   else f"slice ({i},{j}): ssi {ssi} <= |B| {b} <= scsi {scsi} fails")
 
 
-@_declare("conditional-slice-bounds", "table", "taylor")
-def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
+@_declare("conditional-slice-bounds", "table", "taylor",
+          empty="no slice satisfies either hypothesis")
+def _check_conditional_slice_bounds(ctx: _Ctx):
     """beta <= |B| under the all-reduced hypothesis and beta >= |B| under
-    the no-double-absorption one. The paper's bounds by scsi and ssi
-    follow from these and ``basis-sandwich``'s ssi <= |B| <= scsi on the
-    same slice, so they are not compared again here."""
-    checked = 0
+    the no-double-absorption one, one comparison per slice where either
+    holds. The paper's bounds by scsi and ssi follow from these and
+    ``basis-sandwich``'s ssi <= |B| <= scsi on the same slice, so they
+    are not compared again here."""
     for (i, j) in ctx.taylor.types():
         if i == 0:
             continue
@@ -516,38 +491,27 @@ def _check_conditional_slice_bounds(ctx: _Ctx, name: str) -> CheckResult:
         beta = ctx.table.get(i, j)
         b = len(ctx.taylor.b_set(i, j))
         if hyp1 and not beta <= b:
-            return _fail(
-                name, ctx.h,
-                f"slice ({i},{j}) under all-reduced hypothesis: beta {beta} > |B| {b}",
-                checked)
-        if hyp2 and not beta >= b:
-            return _fail(
-                name, ctx.h,
-                f"slice ({i},{j}) under no-double-absorption hypothesis: beta {beta} < |B| {b}",
-                checked)
-        checked += 1
-    if checked == 0:
-        return _skip(name, "no slice satisfies either hypothesis")
-    return CheckResult(name, "pass", checked)
+            yield f"slice ({i},{j}) under all-reduced hypothesis: beta {beta} > |B| {b}"
+        yield (None if not hyp2 or beta >= b else
+               f"slice ({i},{j}) under no-double-absorption hypothesis: beta {beta} < |B| {b}")
 
 
-@_declare("conditional-pd-cap", "table", "survey")
-def _check_conditional_pd_cap(ctx: _Ctx, name: str) -> CheckResult:
+@_declare("conditional-pd-cap", "table", "survey",
+          empty="all-reduced hypothesis fails at or above e")
+def _check_conditional_pd_cap(ctx: _Ctx):
     e = ctx.invariants.values["e"]
     # the all-reduced hypothesis fails at some size i >= e exactly when the
     # whole edge set is absorbed: a member absorbed in any family is absorbed
     # in it too, and it has m >= e members. Otherwise e = m, no Taylor symbol
     # has an absorbed member, and the Taylor resolution is minimal: pd = m
-    if not all(_Kernel(ctx.h.edges).private_parts((1 << ctx.h.m) - 1)):
-        return _skip(name, "all-reduced hypothesis fails at or above e")
-    pd = ctx.table.projective_dimension()
-    if pd != e:
-        return _fail(name, ctx.h, f"pd {pd} differs from e {e} despite hypothesis")
-    return CheckResult(name, "pass", 1, witness={"pd": pd, "e": e})
+    if all(_Kernel(ctx.h.edges).private_parts((1 << ctx.h.m) - 1)):
+        pd = ctx.table.projective_dimension()
+        yield None if pd == e else f"pd {pd} differs from e {e} despite hypothesis"
+        return {"pd": pd, "e": e}
 
 
 @_declare("admissibility-orderings", "survey", "edges")
-def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
+def _check_admissibility_orderings(ctx: _Ctx):
     h = ctx.h
     rng = random.Random(ctx.seed)
     orderings = [tuple(range(h.m))]
@@ -555,33 +519,18 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
         perm = list(range(h.m))
         rng.shuffle(perm)
         orderings.append(tuple(perm))
-    families = []
-    seen = set()
-    for key in ("a", "b", "c", "d2", "e"):
-        fam = tuple(sorted(ctx.invariants.witnesses[key]))
-        if fam and fam not in seen:
-            seen.add(fam)
-            families.append(fam)
-    checked = 0
-    for fam in families:
+    witnesses = (tuple(sorted(ctx.invariants.witnesses[key])) for key in ("a", "b", "c", "d2", "e"))
+    for fam in filter(None, dict.fromkeys(witnesses)):
         cls = classify(h, fam)
         for order in orderings:
             positions = tuple(sorted(order.index(s) for s in fam))
-            admissible = is_l_admissible(h, order, positions)
-            if cls.self_semi_induced and not admissible:
-                return _fail(
-                    name, h,
-                    f"self semi-induced family {fam} not admissible under {order}", checked)
-            checked += 1
+            yield (None if not cls.self_semi_induced or is_l_admissible(h, order, positions)
+                   else f"self semi-induced family {fam} not admissible under {order}")
         fam_first = tuple(fam) + tuple(s for s in range(h.m) if s not in fam)
         front = tuple(range(len(fam)))
         front_ok = is_l_admissible(h, fam_first, front)
-        if cls.reduced != front_ok:
-            return _fail(
-                name, h,
-                f"family {fam}: reduced={cls.reduced} but family-first admissibility={front_ok}",
-                checked)
-        checked += 1
+        yield (None if cls.reduced == front_ok else
+               f"family {fam}: reduced={cls.reduced} but family-first admissibility={front_ok}")
     ordered = ctx.invariants.witnesses.get("c", ())
     # Maximality under the family-first ordering needs a prefix member to
     # absorb, so it starts at two edges; a lone edge can sit inside an
@@ -590,13 +539,8 @@ def _check_admissibility_orderings(ctx: _Ctx, name: str) -> CheckResult:
         rest = tuple(s for s in range(h.m) if s not in ordered)
         order = tuple(ordered) + rest
         front = tuple(range(len(ordered)))
-        if not is_maximal_l_admissible(h, order, front):
-            return _fail(
-                name, h,
-                f"self ordered family {ordered} not maximal admissible when listed first",
-                checked)
-        checked += 1
-    return CheckResult(name, "pass", checked)
+        yield (None if is_maximal_l_admissible(h, order, front) else
+               f"self ordered family {ordered} not maximal admissible when listed first")
 
 
 def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, BettiTable]:
@@ -612,44 +556,39 @@ def _split_tables(ctx: _Ctx, dec: SplittingDecomposition) -> tuple[BettiTable, B
 
 
 @_declare("splitting-recursion", "special", "table")
-def _check_splitting_recursion(ctx: _Ctx, name: str) -> CheckResult:
+def _check_splitting_recursion(ctx: _Ctx):
     dec = ctx.dec
     tab1, tab2 = _split_tables(ctx, dec)
     rhs_entries = split_sum(dec.t, dec.d, tab1.entries, tab2.entries)
-    checked = 0
     for i in range(ctx.h.m + 2):
         for j in range(ctx.h.n + 1):
             lhs = ctx.table.get(i, j)
             rhs = rhs_entries.get((i, j), 0)
-            if lhs != rhs:
-                return _fail(
-                    name, ctx.h,
-                    f"recursion mismatch at ({i},{j}): table {lhs}, split sum {rhs}",
-                    checked)
-            checked += 1
-    return CheckResult(name, "pass", checked)
+            yield (None if lhs == rhs
+                   else f"recursion mismatch at ({i},{j}): table {lhs}, split sum {rhs}")
 
 
 @_declare("matching-persistence", "special", "survey")
-def _check_matching_persistence(ctx: _Ctx, name: str) -> CheckResult:
-    count = verify_matching_persistence(ctx.h, ctx.dec)
-    return CheckResult(name, "pass", count, witness={"x": ctx.dec.x, "s": ctx.dec.s})
+def _check_matching_persistence(ctx: _Ctx):
+    yield from itertools.repeat(None, verify_matching_persistence(ctx.h, ctx.dec))
+    return {"x": ctx.dec.x, "s": ctx.dec.s}
 
 
 @_declare("split-extension", "special", "survey")
-def _check_split_extension(ctx: _Ctx, name: str) -> CheckResult:
-    count = verify_split_extension(ctx.h, ctx.dec)
-    return CheckResult(name, "pass", count, witness={"x": ctx.dec.x, "s": ctx.dec.s})
+def _check_split_extension(ctx: _Ctx):
+    yield from itertools.repeat(None, verify_split_extension(ctx.h, ctx.dec))
+    return {"x": ctx.dec.x, "s": ctx.dec.s}
 
 
 @_declare("disjointness-characterization", "special", "survey", "recursive")
-def _check_disjointness_characterization(ctx: _Ctx, name: str) -> CheckResult:
+def _check_disjointness_characterization(ctx: _Ctx):
     """Nonzero positions, pd = d1 = d2 and reg = d1' = d2'. On a chordal
     graph ``graph-identities`` and ``uniform-spread-identity`` run too,
     and with them these give pd = d_G, reg = d_G' and d_G' = a."""
     rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
                                                precomputed=ctx.sv)
-    return CheckResult(name, "pass", 3, witness=rep)
+    yield from (None, None, None)
+    return rep
 
 
 _CHECKS = (

@@ -325,7 +325,7 @@ def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
     sd_types = sv.types["self_disjoint"]
     if set(table.entries) != sd_types:
         raise ViolationFound(
-            "disjoint-characterization",
+            "disjointness-characterization",
             f"nonzero positions {sorted(table.entries)} differ from "
             f"self disjoint types {sorted(sd_types)}",
             instance=h)
@@ -334,11 +334,11 @@ def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
     d1p, d2p = sv.maxima["d1_prime"].value, sv.maxima["d2_prime"].value
     if not pd == d1 == d2:
         raise ViolationFound(
-            "disjoint-characterization",
+            "disjointness-characterization",
             f"pd {pd} vs disjointness sizes {d1}, {d2}", instance=h)
     if not reg == d1p == d2p:
         raise ViolationFound(
-            "disjoint-characterization",
+            "disjointness-characterization",
             f"reg {reg} vs disjointness spreads {d1p}, {d2p}", instance=h)
     return {
         "entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},

@@ -69,7 +69,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 8
+    assert a["schema_version"] == 9
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -129,6 +129,22 @@ def test_budget_overrun_is_a_skip(monkeypatch):
         else:
             # every other check reads the family survey, and passes
             assert r.status == "pass", r.name
+
+
+def test_checks_that_make_no_comparison_skip(monkeypatch):
+    # Each edge alone is reduced and an induced matching, so an instance
+    # with an edge has a slice (1, j) under the all-reduced hypothesis and
+    # a nonempty witness of a: only the edgeless one leaves these two
+    # checks nothing to compare
+    results = {r.name: (r.status, r.detail) for r in run_checks(build(["x"], [])).checks}
+    assert results["lower-bound-certificates"] == ("skip", "no nonempty witness families")
+    assert results["conditional-slice-bounds"] == ("skip", "no slice satisfies either hypothesis")
+    # C5 is not chordal, so it has no recursive table, and a family budget
+    # of 0 refuses its Taylor analysis but not its table
+    monkeypatch.setattr(limits, "FAMILY_BUDGET", 0)
+    results = {r.name: (r.status, r.detail) for r in run_checks(cycle_graph(5)).checks}
+    assert results["degree-window"] == ("pass", "")
+    assert results["engine-agreement"] == ("skip", "no second engine applicable")
 
 
 def test_triangulated_instance_above_the_recursion_cap():
@@ -270,15 +286,17 @@ def test_entries_keep_their_declared_names():
     # span names of wrapped entries are derived from __name__
     for check, name in zip(checks._CHECKS, CHECK_NAMES):
         assert check.__name__ == "_check_" + name.replace("-", "_")
+        # a body yields its comparisons; one that returns a result fails here by name
+        assert inspect.isgeneratorfunction(check.__wrapped__), name
 
 
 @checks._declare("implication-chain")
-def _check_implication_chain(ctx, name):
-    raise ViolationFound(name, "injected")
+def _check_implication_chain(ctx):
+    raise ViolationFound("implication-chain", "injected")
 
 
 @checks._declare("splitting-recursion", "edges")
-def _check_splitting_recursion(ctx, name):
+def _check_splitting_recursion(ctx):
     raise ZeroDivisionError("injected")
 
 
@@ -507,6 +525,18 @@ def _wrong_a(sv):
     sv.maxima["a"].value += 1
 
 
+def test_disjointness_characterization_failure_names_the_check(monkeypatch):
+    # a d1 one above its value breaks pd = d1 = d2 in the library's verifier
+    def wrong_d1(sv):
+        sv.maxima["d1"].value += 1
+
+    _wrong_survey(wrong_d1)(monkeypatch)
+    result = {r.name: r for r in run_checks(path_graph(4)).checks}["disjointness-characterization"]
+    assert result.status == "fail"
+    assert result.detail.startswith("ViolationFound: disjointness-characterization: pd "), (
+        result.detail)
+
+
 def _recursive_without_top_row(monkeypatch):
     real = checks.betti_recursive
 
@@ -601,6 +631,8 @@ def test_invariant_inequalities_holds_b_prime_to_d2_prime():
     result = entry(ctx)
     assert result.status == "fail"
     assert result.detail.startswith("relation b_prime==d2_prime fails")
+    # the seven relations listed before it held
+    assert result.checked == 7
 
 
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):
