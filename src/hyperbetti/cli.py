@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .checks import run_checks, run_fuzz
-from .errors import HyperbettiError, ParseError, ViolationFound
+from .errors import HyperbettiError, ParseError, SizeCapExceeded, ViolationFound
 from .families import classify, compute_invariants, self_ordered_witness
 from .formats import parse
 from .homology import betti_table
@@ -64,7 +64,13 @@ def cmd_invariants(args) -> int:
 def cmd_betti(args) -> int:
     h = _load(args.file)
     field = parse_field(args.field)
-    print(ENGINES[args.method](h, field))
+    try:
+        table = ENGINES[args.method](h, field)
+    except SizeCapExceeded as exc:
+        if args.method != "hochster":
+            raise
+        raise SizeCapExceeded(f"{exc}; --method lyubeznik has no vertex cap") from None
+    print(table)
     return 0
 
 

@@ -12,13 +12,16 @@ whose only face is the empty face has one-dimensional reduced homology
 in degree -1. Each W is enumerated once and its homology reused for
 every i at that j.
 
-Faces grow one vertex at a time, each carrying the vertices above its
-largest that still extend it. Adding u to a face F below u blocks a
-later w exactly when some edge has top vertex w, second-highest vertex
-u, and all its other vertices in F. So a per-vertex table of those
-edges, built once per hypergraph, serves every W: an edge with a vertex
-outside W can never be completed inside W, and the candidates start
-inside W.
+Faces grow from those of W less its lowest vertex v. The complex of W
+is the cone on v over lk(v), glued to the complex of W - v (see below),
+so its faces are those of W - v and G + v for each face G of W - v
+that v extends. An edge inside G + v through v has v as its lowest
+vertex, so a per-vertex table of the edges whose lowest vertex is v,
+built once per hypergraph, serves every W. The faces with v lead every
+level in lexicographic order, so level k is v on the extended faces of
+level k - 1 of W - v, followed by level k of W - v: a concatenation,
+with no merge. W are visited in increasing order, and W - v, which is
+W & (W - 1), always comes before W.
 
 Elimination runs on a relative complex. For a vertex v of the complex
 Delta of W, write del(v) for its faces without v (the complex of
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import limits
-from .bitsets import bits_of, is_subset
+from .bitsets import bits_of, is_subset, tuple_of
 from .errors import SizeCapExceeded
 from .hypergraph import Hypergraph
 from .linalg import QQ, Field, rank_of
@@ -104,30 +107,52 @@ class BettiTable:
 
 
 @lru_cache(maxsize=1)
-def _extension_table(n: int, edges: tuple[int, ...]) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Per vertex u, what adding u to a face below u blocks above u.
+def _extension_table(n: int, edges: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Per vertex v, the edges whose lowest vertex is v, less v.
 
-    Entry u is ``(keep, pairs)``: ``keep`` clears the top vertex w of
-    every 2-edge {u, w} with u < w, and ``pairs`` holds one ``(rest,
-    tops)`` for each distinct rest = e - {u, w} over the larger edges e
-    whose second-highest vertex is u and top vertex w, ``tops`` the
-    mask of those w. The table reads no W; see :func:`independent_faces`.
+    Entry v is ``(nb, rests)``: ``nb`` is the mask of the other vertices
+    of the 2-edges, and ``rests`` holds e - v for each larger edge e. The
+    table reads no W; see :func:`independent_faces`.
     """
-    keep = [-1] * n
-    blocks: list[dict[int, int]] = [{} for _ in range(n)]
+    nb = [0] * n
+    rests: list[list[int]] = [[] for _ in range(n)]
     for mask in edges:
-        top = mask.bit_length() - 1
-        below = mask ^ (1 << top)
-        second = below.bit_length() - 1
-        rest = below ^ (1 << second)
-        if rest:
-            blocks[second][rest] = blocks[second].get(rest, 0) | 1 << top
+        low = mask & -mask
+        rest = mask ^ low
+        v = low.bit_length() - 1
+        if rest & (rest - 1):
+            rests[v].append(rest)
         else:
-            keep[second] &= ~(1 << top)
-    return [(keep[u], tuple(blocks[u].items())) for u in range(n)]
+            nb[v] |= rest
+    return [(nb[v], tuple(rests[v])) for v in range(n)]
 
 
-def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
+def _with_lowest(entry: tuple[int, tuple[int, ...]], bit: int,
+                 below: list[list[int]]) -> list[list[int]]:
+    """The levels of W from ``below``, those of W - v, for v = min(W)
+    the vertex of ``bit`` and ``entry`` its row of :func:`_extension_table`.
+
+    Level k is v on each face of level k - 1 that v extends, then level
+    k of W - v. Once v extends no face of a level, it extends none
+    above it either, and the rest of ``below`` is reused as it is.
+    """
+    nb, rests = entry
+    levels = []
+    cone = [bit]  # the faces with v at level k, from the empty face up
+    for k, level in enumerate(below):
+        levels.append(cone + level)
+        cone = level
+        for rest in rests:
+            cone = [face for face in cone if face & rest != rest]
+        cone = [face | bit for face in cone if not face & nb]
+        if not cone:
+            return levels + below[k + 1:]
+    levels.append(cone)
+    return levels
+
+
+def independent_faces(h: Hypergraph, wmask: int,
+                      below: list[list[int]] | None = None) -> list[list[int]]:
     """Faces of the independence complex of the restriction to ``wmask``.
 
     Returned as lists by dimension: position k holds the k-dimensional
@@ -135,39 +160,25 @@ def independent_faces(h: Hypergraph, wmask: int) -> list[list[int]]:
     in lexicographic order of their sorted vertex tuples. The empty
     face is implicit.
 
-    Each face F carries its candidates: the vertices of W above max(F)
-    that extend it to a face. Adding a candidate u to F blocks a later
-    candidate w exactly when some edge has top vertex w, second-highest
-    vertex u, and every other vertex in F. The per-vertex table of
-    these edges (:func:`_extension_table`) is built once per hypergraph
-    and reads no W: a blocked w outside W is no candidate to clear, and
-    an edge with another vertex outside W has it in its rest, which F,
-    inside W, never contains.
+    ``below``, when given, is what this function returned for W less
+    its lowest vertex v, ``wmask & (wmask - 1)``; without it, the same
+    step runs on the vertices of W from the top down. A face G of W - v
+    takes v exactly when no edge whose lowest vertex is v lies inside
+    G + v, which the per-vertex table of those edges
+    (:func:`_extension_table`) tests with no W: G lies inside W, and
+    an edge with a vertex outside W is never inside G + v. The levels
+    returned may be the very lists of ``below``, so callers only read
+    them.
     """
+    if not wmask:
+        return []
     table = _extension_table(h.n, h.edges)
-    by_dim: list[list[int]] = []
-    # Each face extends only by its candidates, all above its largest
-    # vertex, so each level comes out in lexicographic order when the
-    # one below it does.
-    faces, candidates = [0], [wmask]
-    while True:
-        next_faces: list[int] = []
-        next_candidates: list[int] = []
-        for face, cand in zip(faces, candidates):
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                keep, pairs = table[low.bit_length() - 1]
-                child = cand & keep
-                for rest, tops in pairs:
-                    if rest & face == rest:
-                        child &= ~tops
-                next_faces.append(face | low)
-                next_candidates.append(child)
-        if not next_faces:
-            return by_dim
-        by_dim.append(next_faces)
-        faces, candidates = next_faces, next_candidates
+    low = wmask & -wmask
+    if below is None:
+        below = []
+        for v in reversed(tuple_of(wmask ^ low)):
+            below = _with_lowest(table[v], 1 << v, below)
+    return _with_lowest(table[low.bit_length() - 1], low, below)
 
 
 def _boundary_rows(cells: list[int], below_index: dict[int, int]):
@@ -286,13 +297,19 @@ def homology_of_restrictions(h: Hypergraph, field: Field = QQ) -> dict[int, list
     """
     limit = limits.vertex_cap()
     if h.n > limit:
-        raise SizeCapExceeded(f"{h.n} vertices exceeds Betti cap {limit}")
+        raise SizeCapExceeded(
+            f"{h.n} vertices exceeds Betti cap {limit}; set BETTI_CAP_N to raise it")
     out = {}
+    # Faces are built for every W, folded or not: the benchmark counts
+    # restrictions by these calls, and its test pins them at 2^n
+    # (perfbench/test_perfbench.py). Each call is one step from the
+    # faces of W & (W - 1), W less its lowest vertex, which is the last
+    # W visited with one vertex fewer: faces[d] holds the levels of the
+    # last W visited with d vertices.
+    faces: list[list[list[int]] | None] = [None] * (h.n + 1)
     for wmask in range(1 << h.n):
-        # Faces are enumerated for every W, folded or not: the benchmark
-        # counts restrictions by these calls, and its test pins them at
-        # 2^n (perfbench/test_perfbench.py).
-        by_dim = independent_faces(h, wmask)
+        d = wmask.bit_count()
+        faces[d] = by_dim = independent_faces(h, wmask, faces[d - 1] if d else None)
         v = _fold_vertex(h, wmask)
         out[wmask] = reduced_homology_dims(by_dim, field) if v is None else out[wmask ^ (1 << v)]
     return out

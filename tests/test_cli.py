@@ -77,6 +77,21 @@ def test_lyubeznik_over_its_symbol_budget_exits_two(tmp_path, capsys):
     assert "error" in err and f"budget {LYUBEZNIK_BUDGET}" in err
 
 
+def test_hochster_over_its_vertex_cap_names_the_setting_and_lyubeznik(tmp_path, capsys,
+                                                                     monkeypatch):
+    # an 8-edge matching has 16 vertices, above the Hochster cap of 14
+    monkeypatch.delenv("BETTI_CAP_N", raising=False)
+    f = tmp_path / "matching.txt"
+    f.write_text("\n".join(f"a{k} b{k}" for k in range(8)) + "\n")
+    assert main(["betti", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert "16 vertices exceeds Betti cap 14" in captured.err
+    assert "BETTI_CAP_N" in captured.err and "--method lyubeznik" in captured.err
+    assert not captured.out
+    assert main(["betti", str(f), "--method", "lyubeznik"]) == 0
+    assert "pd=8" in capsys.readouterr().out
+
+
 def test_taylor_runs_up_to_the_family_budget(tmp_path, capsys):
     # the Taylor complex walks the survey's 2^m edge families, under its budget
     def matching(k):

@@ -266,7 +266,14 @@ def test_faces_come_in_lexicographic_order():
 @given(sized_hypergraphs(), st.randoms(use_true_random=False))
 def test_faces_are_the_edge_free_subsets(h, rng):
     for wmask in [0, (1 << h.n) - 1] + [rng.randrange(1 << h.n) for _ in range(6)]:
-        assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask)
+        expected = _edge_free_subsets(h, wmask)
+        assert independent_faces(h, wmask) == expected
+        assert _grown_from_below(h, wmask) == expected
+
+
+def _grown_from_below(h, wmask: int) -> list[list[int]]:
+    """The faces of W grown from those of W less its lowest vertex."""
+    return independent_faces(h, wmask, independent_faces(h, wmask & (wmask - 1)))
 
 
 def _edge_free_subsets(h, wmask: int) -> list[list[int]]:
@@ -308,7 +315,21 @@ def test_faces_of_every_small_clutter_are_its_edge_free_subsets():
         for edges in family:
             h = Hypergraph(tuple(map(str, range(n))), edges)
             for wmask in range(1 << n) if n < 5 else [(1 << h.n) - 1]:
-                assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
+                expected = _edge_free_subsets(h, wmask)
+                assert independent_faces(h, wmask) == expected, (h, wmask)
+                assert _grown_from_below(h, wmask) == expected, (h, wmask)
+
+
+def _extension_rows(h) -> list[tuple[int, tuple[int, ...]]]:
+    """The extension table by its definition: per vertex v, the mask of
+    the other vertices of the 2-edges whose lowest vertex is v, and e - v
+    for each larger such edge e, in edge order."""
+    rows = []
+    for v in range(h.n):
+        lowest = [tuple_of(mask) for mask in h.edges if min(tuple_of(mask)) == v]
+        rows.append((mask_of(e[1] for e in lowest if len(e) == 2),
+                     tuple(mask_of(e[1:]) for e in lowest if len(e) > 2)))
+    return rows
 
 
 def test_the_extension_table_follows_the_hypergraph():
@@ -322,9 +343,12 @@ def test_the_extension_table_follows_the_hypergraph():
     other = build(names, [(0, 1), (1, 2)])
     edgeless = build(names, [])
     for h in (small, above, small, above, other, above, other, edgeless, other):
+        assert homology._extension_table(h.n, h.edges) == _extension_rows(h), h
         assert independent_faces(h, 0) == []
         for wmask in range(1 << h.n):
-            assert independent_faces(h, wmask) == _edge_free_subsets(h, wmask), (h, wmask)
+            expected = _edge_free_subsets(h, wmask)
+            assert independent_faces(h, wmask) == expected, (h, wmask)
+            assert _grown_from_below(h, wmask) == expected, (h, wmask)
     assert [len(level) for level in independent_faces(edgeless, (1 << edgeless.n) - 1)] == [
         6, 15, 20, 15, 6, 1]
 
@@ -469,9 +493,9 @@ def test_elimination_runs_only_where_no_vertex_folds(monkeypatch):
     faces = homology.independent_faces
     starts: list[tuple[int, int]] = []  # (W, rank_of calls before W)
 
-    def recording_faces(h, wmask):
+    def recording_faces(h, wmask, *below):
         starts.append((wmask, len(rows_read)))
-        return faces(h, wmask)
+        return faces(h, wmask, *below)
 
     monkeypatch.setattr(homology, "independent_faces", recording_faces)
     saved = 0
@@ -491,6 +515,32 @@ def test_elimination_runs_only_where_no_vertex_folds(monkeypatch):
     # measured: 2,173 of the 2,363 W whose relative complex has two
     # adjacent nonempty levels
     assert saved == 2173
+
+
+def test_each_restriction_grows_from_the_faces_of_w_less_its_lowest_vertex(monkeypatch):
+    # one call per W in increasing order, each but W = 0 handed the very
+    # levels returned for W & (W - 1), and the map as without the reuse;
+    # the recorder holds every result, so no two are the same object
+    faces = homology.independent_faces
+    calls: list[tuple[int, list | None, list]] = []  # (W, below, result)
+
+    def recording_faces(h, wmask, *below):
+        result = faces(h, wmask, *below)
+        calls.append((wmask, below[0] if below else None, result))
+        return result
+
+    for h in _fold_corpus():
+        expected = {wmask: reduced_homology_dims(faces(h, wmask), QQ)
+                    for wmask in range(1 << h.n)}
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "independent_faces", recording_faces)
+            got = homology_of_restrictions(h, QQ)
+        assert got == expected, h
+        assert [wmask for wmask, _, _ in calls] == list(range(1 << h.n)), h
+        assert calls[0][1] is None
+        for wmask, below, _ in calls[1:]:
+            assert below is calls[wmask & (wmask - 1)][2], (h, wmask)
 
 
 def test_rp2_table_depends_on_the_field():
