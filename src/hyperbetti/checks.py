@@ -14,7 +14,9 @@ each comparison that holds and the detail of the first one that does
 not, where the entry stops, and returns the pass result's witness. The
 entry alone counts ``checked`` and builds every result; a body that
 makes no comparison passes with ``checked`` 0, or skips with the reason
-its declaration gives as ``empty``.
+its declaration gives as ``empty``. The splitting checks' bodies yield
+from the library's verifiers, which keep the same protocol: a violated
+property is always a yielded detail, never an exception.
 The per-instance artifacts (restriction map, table, survey, invariants,
 Taylor analysis, triangulation test, split, recursive table) are built
 on first use, inside the check that first reads them, and kept. An
@@ -40,7 +42,6 @@ seed: everything that varies between runs lives under the ``meta`` key.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 import random
@@ -76,10 +77,10 @@ from .hypergraph import (
 from .linalg import QQ, Field
 from .splitting import (
     SplittingDecomposition,
+    _disjointness_comparisons,
     betti_recursive,
     split,
     split_sum,
-    verify_disjointness_characterization,
     verify_matching_persistence,
     verify_split_extension,
 )
@@ -95,7 +96,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 SAMPLED_ORDERINGS = 6
 
 
@@ -570,13 +571,13 @@ def _check_splitting_recursion(ctx: _Ctx):
 
 @_declare("matching-persistence", "special", "survey")
 def _check_matching_persistence(ctx: _Ctx):
-    yield from itertools.repeat(None, verify_matching_persistence(ctx.h, ctx.dec))
+    yield from verify_matching_persistence(ctx.h, ctx.dec)
     return {"x": ctx.dec.x, "s": ctx.dec.s}
 
 
 @_declare("split-extension", "special", "survey")
 def _check_split_extension(ctx: _Ctx):
-    yield from itertools.repeat(None, verify_split_extension(ctx.h, ctx.dec))
+    yield from verify_split_extension(ctx.h, ctx.dec)
     return {"x": ctx.dec.x, "s": ctx.dec.s}
 
 
@@ -585,10 +586,7 @@ def _check_disjointness_characterization(ctx: _Ctx):
     """Nonzero positions, pd = d1 = d2 and reg = d1' = d2'. On a chordal
     graph ``graph-identities`` and ``uniform-spread-identity`` run too,
     and with them these give pd = d_G, reg = d_G' and d_G' = a."""
-    rep = verify_disjointness_characterization(ctx.h, ctx.field, table=ctx.recursive,
-                                               precomputed=ctx.sv)
-    yield from (None, None, None)
-    return rep
+    return (yield from _disjointness_comparisons(ctx.recursive, ctx.sv))
 
 
 _CHECKS = (

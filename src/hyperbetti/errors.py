@@ -105,7 +105,8 @@ class BettiVanishes(CertificateError):
 
 
 class ViolationFound(HyperbettiError):
-    """A verification campaign found a violated property.
+    """A library verifier found a violated property; the campaign reports
+    its violations as results instead.
 
     Carries the check name and a replayable instance payload.
     """

@@ -249,19 +249,23 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
 
 # ---------------------------------------------------------------------------
 # instance-level verification of the supporting facts
+#
+# The campaign's protocol: a verifier yields None for each comparison
+# that holds and the detail of the first that does not, where the caller
+# stops. A violated property is yielded, not raised; an exception is an
+# error, a campaign ``fail`` with ``checked`` 0.
 
 
-def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition) -> int:
+def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition):
     """Families of the deletion keep their class in the full hypergraph.
 
     With x simplicial and s an edge through it, as in the split ``dec``
     of ``h``, every induced matching of H1 = H minus that edge stays an
     induced matching of H, and likewise for self disjoint families, each
-    the empty or a reduced family of H1. Returns how many were checked.
+    the empty or a reduced family of H1. Yields once per such family.
     """
     back = {new: old for old, new in dec.h1_edge_map.items()}
     kernel, kernel1 = _sweep_kernel(h), _sweep_kernel(dec.h1)
-    checked = 0
     for _, fam1, _, _, _ in _reduced_families(kernel1):
         cls1 = FamilyClassification(kernel1, fam1)
         if not (cls1.induced or cls1.self_disjoint):
@@ -269,30 +273,23 @@ def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition) -> i
         fam = tuple(sorted(back[e] for e in fam1))
         cls = FamilyClassification(kernel, fam)
         if cls1.induced and not cls.induced:
-            raise ViolationFound(
-                "matching-persistence",
-                f"induced matching {fam} of the deletion breaks in the full hypergraph",
-                instance=h)
-        if cls1.self_disjoint and not cls.self_disjoint:
-            raise ViolationFound(
-                "matching-persistence",
-                f"self disjoint family {fam} of the deletion breaks in the full hypergraph",
-                instance=h)
-        checked += 1
-    return checked
+            yield f"induced matching {fam} of the deletion breaks in the full hypergraph"
+        elif cls1.self_disjoint and not cls.self_disjoint:
+            yield f"self disjoint family {fam} of the deletion breaks in the full hypergraph"
+        else:
+            yield None
 
 
-def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
+def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition):
     """Self disjoint families below the split extend across it.
 
     Each self disjoint family of H2 of type (i, j), joined with the
     split edge and the chosen neighbor edges, must be self disjoint in
-    H of type (i + 1 + t, j + d + t). Returns how many were checked.
+    H of type (i + 1 + t, j + d + t). Yields once per such family.
     """
     back2 = {new: old for old, new in dec.h2_edge_map.items()}
     add = (dec.s, *dec.neighbor_edges)
     kernel, kernel2 = _sweep_kernel(h), _sweep_kernel(dec.h2)
-    checked = 0
     for _, fam2, _, _, _ in _reduced_families(kernel2):
         cls2 = FamilyClassification(kernel2, fam2)
         if not cls2.self_disjoint:
@@ -300,46 +297,25 @@ def verify_split_extension(h: Hypergraph, dec: SplittingDecomposition) -> int:
         fam = tuple(sorted([back2[e] for e in fam2] + list(add)))
         cls = FamilyClassification(kernel, fam)
         want = (cls2.i + 1 + dec.t, cls2.j + dec.d + dec.t)
-        if not cls.self_disjoint or (cls.i, cls.j) != want:
-            raise ViolationFound(
-                "split-extension",
-                f"family {fam} should be self disjoint of type {want}, "
-                f"got ({cls.i},{cls.j}) disjoint={cls.self_disjoint}",
-                instance=h)
-        checked += 1
-    return checked
+        yield (None if cls.self_disjoint and (cls.i, cls.j) == want else
+               f"family {fam} should be self disjoint of type {want}, "
+               f"got ({cls.i},{cls.j}) disjoint={cls.self_disjoint}")
 
 
-def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
-                                         table: BettiTable | None = None,
-                                         precomputed: FamilySurvey | None = None) -> dict:
-    """Nonzero table positions equal the self disjoint types, and the
-    homological invariants equal the disjointness invariants.
-
-    ``table`` and ``precomputed`` stand in for ``betti_recursive(h,
-    field)`` and ``survey(h)`` when the caller already has them.
-    """
-    if table is None:
-        table = betti_recursive(h, field)
-    sv = precomputed if precomputed is not None else survey(h)
+def _disjointness_comparisons(table: BettiTable, sv: FamilySurvey):
+    """The characterization's three comparisons, on the recursive
+    ``table`` and the survey ``sv`` of one instance: the nonzero
+    positions against the self disjoint types, pd = d1 = d2 and
+    reg = d1' = d2'. Returns the report of a pass."""
     sd_types = sv.types["self_disjoint"]
-    if set(table.entries) != sd_types:
-        raise ViolationFound(
-            "disjointness-characterization",
-            f"nonzero positions {sorted(table.entries)} differ from "
-            f"self disjoint types {sorted(sd_types)}",
-            instance=h)
+    yield (None if set(table.entries) == sd_types else
+           f"nonzero positions {sorted(table.entries)} differ from "
+           f"self disjoint types {sorted(sd_types)}")
     pd, reg = table.projective_dimension(), table.regularity()
     d1, d2 = sv.maxima["d1"].value, sv.maxima["d2"].value
     d1p, d2p = sv.maxima["d1_prime"].value, sv.maxima["d2_prime"].value
-    if not pd == d1 == d2:
-        raise ViolationFound(
-            "disjointness-characterization",
-            f"pd {pd} vs disjointness sizes {d1}, {d2}", instance=h)
-    if not reg == d1p == d2p:
-        raise ViolationFound(
-            "disjointness-characterization",
-            f"reg {reg} vs disjointness spreads {d1p}, {d2p}", instance=h)
+    yield None if pd == d1 == d2 else f"pd {pd} vs disjointness sizes {d1}, {d2}"
+    yield None if reg == d1p == d2p else f"reg {reg} vs disjointness spreads {d1p}, {d2p}"
     return {
         "entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
         "pd": pd,
@@ -349,3 +325,26 @@ def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
         "d1_prime": d1p,
         "d2_prime": d2p,
     }
+
+
+def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
+                                         table: BettiTable | None = None,
+                                         precomputed: FamilySurvey | None = None) -> dict:
+    """Nonzero table positions equal the self disjoint types, and the
+    homological invariants equal the disjointness invariants.
+
+    Returns the report; the first comparison that fails raises
+    ViolationFound. ``table`` and ``precomputed`` stand in for
+    ``betti_recursive(h, field)`` and ``survey(h)`` when the caller
+    already has them.
+    """
+    if table is None:
+        table = betti_recursive(h, field)
+    comparisons = _disjointness_comparisons(
+        table, precomputed if precomputed is not None else survey(h))
+    try:
+        while (detail := next(comparisons)) is None:
+            pass
+    except StopIteration as done:
+        return done.value
+    raise ViolationFound("disjointness-characterization", detail, instance=h)

@@ -167,18 +167,11 @@ class TaylorAnalysis:
     def _absorbed(self) -> dict[tuple[int, int], list[int]]:
         """Per slice, the number of absorbed members of each symbol, in
         the order of ``slices``: the members whose removal is a key of
-        the slice below, as in :func:`_faces`."""
+        the slice below, one per entry of its :func:`_faces` row."""
         out = {}
         for (i, w), symbols in self.slices.items():
             below = self.slices.get((i - 1, w), {})
-            counts = out[i, w] = []
-            for c in symbols:
-                count, rest = 0, c
-                while rest:
-                    low = rest & -rest
-                    count += c ^ low in below
-                    rest ^= low
-                counts.append(count)
+            out[i, w] = [len(_faces(c, below)) for c in symbols]
         return out
 
     def _symbols_absorbed(self, i: int, j: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import inspect
@@ -69,7 +70,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 9
+    assert a["schema_version"] == 10
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -288,6 +289,28 @@ def test_entries_keep_their_declared_names():
         assert check.__name__ == "_check_" + name.replace("-", "_")
         # a body yields its comparisons; one that returns a result fails here by name
         assert inspect.isgeneratorfunction(check.__wrapped__), name
+
+
+def _violation_names():
+    """The module and check-name argument of each ViolationFound(...)
+    that the package constructs."""
+    for path in sorted(Path(checks.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ViolationFound"):
+                check = node.args[0] if node.args else next(
+                    kw.value for kw in node.keywords if kw.arg == "check")
+                yield path.name, check
+
+
+def test_raised_violations_name_a_check():
+    # a library verifier raises under the name of the check that reports
+    # the same property, or of the split step's neighbor-edge rule
+    found = list(_violation_names())
+    assert found
+    for module, check in found:
+        assert isinstance(check, ast.Constant) and check.value in (*CHECK_NAMES, "neighbor-edge"), (
+            module, ast.unparse(check))
 
 
 @checks._declare("implication-chain")
@@ -526,15 +549,14 @@ def _wrong_a(sv):
 
 
 def test_disjointness_characterization_failure_names_the_check(monkeypatch):
-    # a d1 one above its value breaks pd = d1 = d2 in the library's verifier
+    # a d1 one above its value breaks pd = d1 = d2, after the positions held
     def wrong_d1(sv):
         sv.maxima["d1"].value += 1
 
     _wrong_survey(wrong_d1)(monkeypatch)
     result = {r.name: r for r in run_checks(path_graph(4)).checks}["disjointness-characterization"]
-    assert result.status == "fail"
-    assert result.detail.startswith("ViolationFound: disjointness-characterization: pd "), (
-        result.detail)
+    assert (result.status, result.checked) == ("fail", 1)
+    assert result.detail == "pd 2 vs disjointness sizes 3, 2", result.detail
 
 
 def _recursive_without_top_row(monkeypatch):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from hyperbetti import hypergraph, splitting
+from hyperbetti.checks import run_checks
 from hyperbetti.bitsets import bits_of
 from hyperbetti.errors import (
     NotSimplicial,
@@ -262,15 +263,22 @@ def test_complete_uniform_invariants():
     assert t.regularity() == 2 == inv["d1_prime"]
 
 
+def _held(comparisons):
+    """How many comparisons a verifier yielded, each of which must hold."""
+    yielded = list(comparisons)
+    assert yielded == [None] * len(yielded), yielded
+    return len(yielded)
+
+
 def test_persistence_lemma_exhaustive(p6):
-    assert verify_matching_persistence(p6, split(p6, 0, 0)) > 0
+    assert _held(verify_matching_persistence(p6, split(p6, 0, 0))) > 0
     k = build(list("abcd"), list(itertools.combinations(range(4), 2)))
     for x in range(4):
         for s, mask in enumerate(k.edges):
             if mask >> x & 1:
-                verify_matching_persistence(k, split(k, x, s))
+                _held(verify_matching_persistence(k, split(k, x, s)))
     h = star_hypergraph(3)
-    verify_matching_persistence(h, split(h, 2, 0))
+    _held(verify_matching_persistence(h, split(h, 2, 0)))
 
 
 def test_persistence_lemma_validation(p4):
@@ -282,11 +290,11 @@ def test_persistence_lemma_validation(p4):
 
 
 def test_extension_lemma(p4, p6):
-    assert verify_split_extension(p6, split(p6)) == 4
-    assert verify_split_extension(p4, split(p4)) > 0
-    assert verify_split_extension(k43(), split(k43())) == 1
+    assert _held(verify_split_extension(p6, split(p6))) == 4
+    assert _held(verify_split_extension(p4, split(p4))) > 0
+    assert _held(verify_split_extension(k43(), split(k43()))) == 1
     h = star_hypergraph(3)
-    assert verify_split_extension(h, split(h)) > 0
+    assert _held(verify_split_extension(h, split(h))) > 0
 
 
 def _every_family(m):
@@ -307,28 +315,52 @@ def test_verifier_counts_match_family_oracle(p6):
         persistent = [fam for fam in _every_family(dec.h1.m)
                       if oracle.induced(e1, fam) or oracle.self_disjoint(e1, fam)]
         extended = [fam for fam in _every_family(dec.h2.m) if oracle.self_disjoint(e2, fam)]
-        assert verify_matching_persistence(h, dec) == len(persistent), h.edges
-        assert verify_split_extension(h, dec) == len(extended), h.edges
+        assert _held(verify_matching_persistence(h, dec)) == len(persistent), h.edges
+        assert _held(verify_split_extension(h, dec)) == len(extended), h.edges
+
+
+# On P6, with the classes of its families of two or more edges lost, the
+# first family each verifier finds broken, and how many held before it.
+_P6_FIRST_BROKEN = {
+    "matching-persistence":
+        (2, "self disjoint family (1, 2) of the deletion breaks in the full hypergraph"),
+    "split-extension":
+        (0, "family (0, 1) should be self disjoint of type (2, 3), got (2,3) disjoint=False"),
+}
 
 
 def test_verifiers_fail_when_the_full_hypergraph_loses_its_classes(p6, monkeypatch):
     real = splitting.FamilyClassification
 
     def classes_lost_in_h(kernel, fam):
-        # h is the instance of the loop below, whose kernel shares its edges
+        # h is the instance of the loop below, whose kernel shares its
+        # edges; its families of fewer than ``kept`` edges keep their classes
         cls = real(kernel, fam)
-        if kernel.masks is not h.edges:
+        if kernel.masks is not h.edges or len(fam) < kept:
             return cls
         return SimpleNamespace(i=cls.i, j=cls.j, induced=False, self_disjoint=False)
 
     monkeypatch.setattr(splitting, "FamilyClassification", classes_lost_in_h)
-    for h in _verified_instances(p6):
-        dec = split(h)
-        for verify, name in ((verify_matching_persistence, "matching-persistence"),
-                             (verify_split_extension, "split-extension")):
-            with pytest.raises(ViolationFound) as caught:
-                verify(h, dec)
-            assert caught.value.check == name
+    verifiers = {"matching-persistence": verify_matching_persistence,
+                 "split-extension": verify_split_extension}
+    for kept in (0, 2):
+        held_first = set()
+        for h in _verified_instances(p6):
+            dec = split(h)
+            results = {r.name: r for r in run_checks(h).checks}
+            for name, verify in verifiers.items():
+                yielded = list(verify(h, dec))
+                first = next(k for k, detail in enumerate(yielded) if detail is not None)
+                # the campaign stops at the first detail and counts the families before it
+                result = results[name]
+                assert (result.status, result.checked, result.detail) == (
+                    "fail", first, yielded[first]), (name, h.edges)
+                if first:
+                    held_first.add(name)
+                if kept and h is p6:
+                    assert (first, yielded[first]) == _P6_FIRST_BROKEN[name]
+        # with every family of H broken, the empty family already is
+        assert held_first == (set(verifiers) if kept else set())
 
 
 def test_characterization_on_trees_and_stars(p6):
