@@ -57,7 +57,7 @@ from .families import (
     FamilyClassification,
     FamilySurvey,
     InvariantReport,
-    _Kernel,
+    _kernel_of,
     _reduced_families,
     _sweep_kernel,
     classify,
@@ -505,7 +505,7 @@ def _check_conditional_pd_cap(ctx: _Ctx):
     # whole edge set is absorbed: a member absorbed in any family is absorbed
     # in it too, and it has m >= e members. Otherwise e = m, no Taylor symbol
     # has an absorbed member, and the Taylor resolution is minimal: pd = m
-    if all(_Kernel(ctx.h.edges).private_parts((1 << ctx.h.m) - 1)):
+    if all(_kernel_of(ctx.h.edges).private_parts((1 << ctx.h.m) - 1)):
         pd = ctx.table.projective_dimension()
         yield None if pd == e else f"pd {pd} differs from e {e} despite hypothesis"
         return {"pd": pd, "e": e}

@@ -35,12 +35,15 @@ campaign's family sweeps all call it. The Taylor and Lyubeznik engines
 do not: they read absorption off their own slices (see ``taylor``).
 
 ``classify`` decides the matching, semi-induced, reduced, self
-semi-induced and induced classes up front, each in one pass over the
-members. The self-contained, self (semi-)disjoint and self ordered
-classes, which scan outside edges or search sub-families, are computed
-on first read and cached (see ``FamilyClassification``), so a caller
-pays only for the classes it reads. The searches over sub-families and
-orders refuse a family of more than ``limits.FAMILY_BUDGET`` members.
+semi-induced and induced classes up front, all from one pass over the
+members (``_Kernel.cover``). The self-contained, self (semi-)disjoint
+and self ordered classes, which scan outside edges or search
+sub-families, are computed on first read and cached (see
+``FamilyClassification``), so a caller pays only for the classes it
+reads. The searches over sub-families and orders refuse a family of
+more than ``limits.FAMILY_BUDGET`` members. Consecutive calls on the
+same edges share one kernel (``_kernel_of``), with its per-edge tables
+and its memos of unions and of the edges inside a vertex set.
 
 Every class but the semi-induced one holds only on the empty or reduced
 families, which ``_reduced_families`` walks for ``survey``,
@@ -53,11 +56,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import limits
 from .bitsets import bits_of, mask_of, tuple_of
-from .errors import BudgetExceeded, NotAGraph, ValidationError
+from .errors import BudgetExceeded, IndexOutOfRange, NotAGraph, ValidationError
 from .hypergraph import Hypergraph, uniformity_profile
 
 
@@ -87,17 +90,19 @@ class _Kernel:
     ``masks`` are the edges' vertex masks and ``union[bits]`` the vertex
     union of the family ``bits``: a full table for a sweep over every
     family (``_sweep_kernel``), or by default a ``_Unions`` filled on
-    demand. Each predicate tests one condition of the module docstring on
-    its own; a class that also asks for a reduced family is the
-    conjunction with ``all(private_parts(bits))``, taken by the caller;
-    ``private_parts`` finds the vertices members share in one pass.
-    Every caller already holds a family's bits, private parts and
-    semi-induced flag, so the predicates that read them take them as
-    arguments. The ordered class has two tests on a reduced family of
-    two or more members, both built on one witnessing step,
-    ``witnessed``: ``ordered_in`` for one given order, and
-    ``least_ordering``, a memoized and pruned search over orders that
-    returns the first.
+    demand, as ``_kernel_of`` keeps one. Each predicate tests one
+    condition of the module docstring on its own; a class that also asks
+    for a reduced family is the conjunction with
+    ``all(private_parts(bits))``, taken by the caller. ``cover`` is the
+    one pass over the members that ``FamilyClassification`` and
+    ``private_parts`` read; it records the union it finds, where
+    ``semi_induced`` reads it. Every caller already holds a family's
+    bits, private parts and semi-induced flag, so the predicates that
+    read them take them as arguments. The ordered class has two tests on
+    a reduced family of two or more members, both built on one
+    witnessing step, ``witnessed``: ``ordered_in`` for one given order,
+    and ``least_ordering``, a memoized and pruned search over orders
+    that returns the first.
     """
 
     def __init__(self, masks, union=None):
@@ -108,23 +113,34 @@ class _Kernel:
         self._near: list[int | None] = [None] * len(masks)
         self._incident: list[int] | None = None
 
-    def private_parts(self, bits: int) -> list[int]:
-        """Per member of ``bits``, in index order, its private part: the
-        vertices of the member that lie in no other member: the member
-        minus ``twice``, the vertices two or more members cover."""
+    def cover(self, bits: int) -> tuple[int, int, list[int]]:
+        """One pass over the members of ``bits``: their vertex union,
+        ``twice``, the vertices two or more members cover, empty exactly
+        on a matching, and per member, in index order, its private part,
+        the member minus ``twice``. The union is recorded in ``union``."""
         masks, members = self.masks, []
         once = twice = 0
-        while bits:
-            low = bits & -bits
-            bits ^= low
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
             mask = masks[low.bit_length() - 1]
             twice |= once & mask
             once |= mask
             members.append(mask)
-        return [mask & ~twice for mask in members]
+        self.union[bits] = once
+        return once, twice, [mask & ~twice for mask in members]
+
+    def private_parts(self, bits: int) -> list[int]:
+        """Per member of ``bits``, in index order, its private part: the
+        vertices of the member that lie in no other member."""
+        return self.cover(bits)[2]
 
     def matching(self, bits: int) -> bool:
-        """Members pairwise disjoint."""
+        """Members pairwise disjoint: their sizes add up to the size of
+        their union, so ``twice`` of ``cover`` is empty. The disjoint
+        witness search tests its candidates here, where the union is one
+        lookup, at about a third of the cost of ``cover``."""
         sizes, total = self.sizes, 0
         rest = bits
         while rest:
@@ -401,6 +417,16 @@ def _sweep_kernel(h: Hypergraph) -> _Kernel:
     return _Kernel(h.edges, union)
 
 
+@lru_cache(maxsize=1)
+def _kernel_of(edges: tuple[int, ...]) -> _Kernel:
+    """The kernel with unions filled on demand of the hypergraph whose
+    edge masks are ``edges``. Kept for the last hypergraph asked about,
+    so consecutive calls on its edges share the sizes, the ``near`` and
+    ``incident`` tables and the ``union`` and ``inside`` memos; each memo
+    grows by at most one entry per distinct family or union looked up."""
+    return _Kernel(edges)
+
+
 # ---------------------------------------------------------------------------
 # single-family classification
 
@@ -408,10 +434,11 @@ def _sweep_kernel(h: Hypergraph) -> _Kernel:
 class FamilyClassification:
     """Every class of one family, as attributes named after the classes.
 
-    Set on construction, each in one pass over the members: ``family``,
-    ``i``, ``j``, ``matching``, ``semi_induced``, ``reduced``,
-    ``self_semi_induced`` and ``induced``. The costly classes are
-    computed on first read and cached: ``self_contained`` and
+    Set on construction, all from one pass over the members
+    (``_Kernel.cover``) and one lookup of the edges inside their union:
+    ``family``, ``i``, ``j``, ``matching``, ``semi_induced``,
+    ``reduced``, ``self_semi_induced`` and ``induced``. The costly
+    classes are computed on first read and cached: ``self_contained`` and
     ``self_ordered`` (in the order of ``family``) as cached properties,
     and ``self_disjoint``, ``self_semi_disjoint`` and their witnesses
     (each a sub-tuple of ``family`` or None) as properties that read one
@@ -420,19 +447,20 @@ class FamilyClassification:
     members.
 
     Not a dataclass: instances have no ``==`` and no
-    ``dataclasses.replace``. Built by ``classify``, and inside the
-    package directly, with any kernel of the family's hypergraph.
+    ``dataclasses.replace``. Built by ``classify`` with the kernel it
+    shares across calls on the same edges, and inside the package
+    directly, with any kernel of the family's hypergraph.
     """
 
     def __init__(self, kernel: _Kernel, fam: tuple[int, ...]):
         bits = mask_of(fam)
+        union, twice, self._private = kernel.cover(bits)
         self._kernel, self._bits = kernel, bits
         self.family = fam
         self.i = len(fam)
-        self.j = kernel.union[bits].bit_count()
-        self.matching = kernel.matching(bits)
+        self.j = union.bit_count()
+        self.matching = not twice
         self.semi_induced = kernel.semi_induced(bits)
-        self._private = kernel.private_parts(bits)
         self.reduced = all(self._private)
         self.self_semi_induced = self.reduced and self.semi_induced
         self.induced = self.matching and self.semi_induced
@@ -474,10 +502,15 @@ class FamilyClassification:
 
 
 def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
-    fam = tuple(fam)
+    """``fam`` as a tuple, once each index is an edge index of ``h`` and
+    none repeats: its bitmask then has a bit per member."""
+    fam, m = tuple(fam), h.m
+    bits = 0
     for s in fam:
-        h.edge_mask(s)
-    if len(set(fam)) != len(fam):
+        if type(s) is not int or not 0 <= s < m:  # hypergraph._is_index, inlined
+            raise IndexOutOfRange(f"edge index {s!r} out of range for {m} edges")
+        bits |= 1 << s
+    if bits.bit_count() != len(fam):
         raise ValidationError(f"family {fam} repeats an edge index")
     return fam
 
@@ -485,9 +518,10 @@ def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
 def classify(h: Hypergraph, fam) -> FamilyClassification:
     """Every family class of ``fam``, the costly ones decided on first
     read (order matters only for the ordered class, which is tested in
-    the given order)."""
+    the given order). Calls on the same edges share one kernel
+    (``_kernel_of``)."""
     fam = _validate_family(h, fam)
-    return FamilyClassification(_Kernel(h.edges), fam)
+    return FamilyClassification(_kernel_of(h.edges), fam)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +693,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
 def self_ordered_witness(h: Hypergraph, fam) -> tuple[int, ...] | None:
     """Lexicographically least ordering of ``fam`` in the ordered class."""
     fam = tuple(sorted(_validate_family(h, fam)))
-    kernel = _Kernel(h.edges)
+    kernel = _kernel_of(h.edges)
     cls = FamilyClassification(kernel, fam)
     if cls.i >= 2 and cls.reduced:
         return kernel.least_ordering(cls._bits, cls._private)
@@ -821,6 +855,6 @@ def bouquet_invariants(h: Hypergraph) -> BouquetReport:
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All induced matchings of ``h`` as sorted index tuples (empty omitted)."""
-    kernel = _Kernel(h.edges)
+    kernel = _kernel_of(h.edges)
     return [tuple_of(bits) for bits in _matchings(h.edges, range(h.m))
             if bits and kernel.semi_induced(bits)]

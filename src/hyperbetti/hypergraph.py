@@ -54,20 +54,26 @@ class Hypergraph:
         return tuple_of(self.edge_mask(s))
 
     def edge_mask(self, s: int) -> int:
-        if not 0 <= s < self.m:
-            raise IndexOutOfRange(f"edge index {s} out of range for {self.m} edges")
+        if not _is_index(s, self.m):
+            raise IndexOutOfRange(f"edge index {s!r} out of range for {self.m} edges")
         return self.edges[s]
 
     def edge_labels(self, s: int) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in self.edge_vertices(s))
 
     def check_vertex(self, x: int) -> None:
-        if not 0 <= x < self.n:
-            raise IndexOutOfRange(f"vertex id {x} out of range for {self.n} vertices")
+        if not _is_index(x, self.n):
+            raise IndexOutOfRange(f"vertex id {x!r} out of range for {self.n} vertices")
 
     def __repr__(self) -> str:
         es = ", ".join("{" + ",".join(self.edge_labels(s)) + "}" for s in range(self.m))
         return f"Hypergraph(n={self.n}, edges=[{es}])"
+
+
+def _is_index(x, bound: int) -> bool:
+    """Whether ``x`` is an int, not a bool or another subclass, in
+    0..bound - 1: a vertex id or an edge index."""
+    return type(x) is int and 0 <= x < bound
 
 
 def build(labels, edges) -> Hypergraph:
@@ -93,7 +99,7 @@ def build(labels, edges) -> Hypergraph:
     for pos, edge in enumerate(edges):
         ids = list(edge)
         for v in ids:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if not _is_index(v, n):
                 raise UnknownVertex(f"edge {pos}: vertex id {v!r} not in 0..{n - 1}")
         mask = mask_of(ids)
         if mask.bit_count() < 2:

@@ -220,6 +220,21 @@ def test_classify_rejects_bad_indices(p3):
         classify(p3, (1, 1))
 
 
+def test_indices_must_be_ints_not_bools(p3):
+    # True == 1, so a bool index would otherwise pass the range test and
+    # stay in the classified family, while a float index raised TypeError
+    for fam in [(True, 2), (0, False), (1.0,), ("0",)]:
+        with pytest.raises(IndexOutOfRange):
+            classify(p3, fam)
+        with pytest.raises(IndexOutOfRange):
+            self_ordered_witness(p3, fam)
+    for bad in (True, False, 1.0):
+        with pytest.raises(IndexOutOfRange):
+            p3.edge_mask(bad)
+        with pytest.raises(IndexOutOfRange):
+            p3.check_vertex(bad)
+
+
 # ---------------------------------------------------------------------------
 # the ordered class depends on the order
 
@@ -411,6 +426,70 @@ def test_classify_matches_family_oracle(h, rnd):
                                       (cls.self_semi_disjoint_witness, False)):
                 if witness is not None:
                     assert oracle.is_disjoint_witness(edges, fam, witness, matching)
+
+
+def _oracle_classification(edges, order) -> dict:
+    """Every attribute of the classification of ``order``, by the oracle."""
+    expected = {name: holds(edges, order) for name, holds in oracle.UNORDERED_CLASSES.items()}
+    expected.update(
+        family=order, i=len(order), j=len(oracle.union(edges, order)),
+        self_ordered=oracle.self_ordered_in(edges, order),
+        self_disjoint_witness=oracle.first_disjoint_witness(edges, order, True),
+        self_semi_disjoint_witness=oracle.first_disjoint_witness(edges, order, False))
+    return expected
+
+
+def test_the_classify_kernel_follows_the_hypergraph():
+    # classify keeps the kernel of the last hypergraph it saw, so each
+    # call below must read its own hypergraph's edges: the path and the
+    # star have equal n and m and other edges, the pair of triangles equal
+    # n and other m, the wide matching equal m and other n, and the
+    # relabelled path the path's edges under other labels.
+    names = [f"v{i}" for i in range(5)]
+    path = build(names, [(0, 1), (1, 2), (2, 3)])
+    star = build(names, [(0, 1), (0, 2), (0, 3)])
+    pair = build(names, [(0, 1, 2), (2, 3, 4)])
+    wide = build(names + ["v5"], [(0, 1), (2, 3), (4, 5)])
+    relabelled = build([f"w{i}" for i in range(5)], [(0, 1), (1, 2), (2, 3)])
+    for h in (path, star, path, pair, star, wide, path, relabelled, star, pair, wide):
+        edges = oracle.edge_sets(h)
+        for r in range(h.m + 1):
+            for fam in itertools.combinations(range(h.m), r):
+                order = fam[::-1]
+                cls = classify(h, order)
+                for name, value in _oracle_classification(edges, order).items():
+                    assert getattr(cls, name) == value, (name, order, h)
+                assert self_ordered_witness(h, order) == oracle.first_self_ordering(edges, fam)
+
+
+def _clutters(n: int):
+    """Every clutter on the vertices 0..n-1 with edges of two or more
+    vertices, the edgeless one included, edges in lexicographic order."""
+    candidates = [edge for r in range(2, n + 1) for edge in itertools.combinations(range(n), r)]
+    for k in range(len(candidates) + 1):
+        for chosen in itertools.combinations(candidates, k):
+            if not any(set(a) <= set(b) for a, b in itertools.permutations(chosen, 2)):
+                yield build([f"v{i}" for i in range(n)], chosen)
+
+
+def test_eager_classes_match_family_oracle_on_every_small_clutter():
+    """Through an on-demand and a sweep kernel, every family, the empty
+    one included, each given in decreasing index order."""
+    seen = 0
+    for n in range(5):
+        for h in _clutters(n):
+            edges = oracle.edge_sets(h)
+            for kernel in (families._kernel_of(h.edges), families._sweep_kernel(h)):
+                for r in range(h.m + 1):
+                    for fam in itertools.combinations(range(h.m), r):
+                        order = fam[::-1]
+                        cls = families.FamilyClassification(kernel, order)
+                        expected = _oracle_classification(edges, order)
+                        for name in _EAGER:
+                            assert getattr(cls, name) == expected[name], (name, order, edges)
+                        seen += 1
+    # 1, 1, 2, 9 and 114 clutters on 0-4 vertices, with 1101 families
+    assert seen == 2 * 1101
 
 
 @settings(max_examples=40, deadline=None)
