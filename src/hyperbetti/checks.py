@@ -78,6 +78,7 @@ from .linalg import QQ, Field
 from .splitting import (
     SplittingDecomposition,
     _disjointness_comparisons,
+    _relate,
     betti_recursive,
     split,
     split_sum,
@@ -96,7 +97,7 @@ from .taylor import (
     lyubeznik_restrictions,
 )
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 SAMPLED_ORDERINGS = 6
 
 
@@ -346,38 +347,24 @@ def _check_invariant_inequalities(ctx: _Ctx):
     fail only through the survey's pruning and bookkeeping of maxima.
     """
     v = ctx.invariants.values
-    relations = (
-        ("a<=m", v["a"] <= v["m"]),
-        ("a<=b", v["a"] <= v["b"]),
-        ("b<=d2", v["b"] <= v["d2"]),
-        ("b<=e", v["b"] <= v["e"]),
-        ("a<=d1", v["a"] <= v["d1"]),
-        ("d1<=d2", v["d1"] <= v["d2"]),
-        ("c<=e", v["c"] <= v["e"]),
-        ("b_prime==d2_prime", v["b_prime"] == v["d2_prime"]),
-        ("d1_prime<=d2_prime", v["d1_prime"] <= v["d2_prime"]),
-    )
-    for rel, holds in relations:
-        yield None if holds else f"relation {rel} fails: {v}"
+    for rule in ("a<=m", "a<=b", "b<=d2", "b<=e", "a<=d1", "d1<=d2", "c<=e",
+                 "b_prime==d2_prime", "d1_prime<=d2_prime"):
+        yield _relate(rule, v)
 
 
 @_declare("graph-identities", "survey", "graph")
 def _check_graph_identities(ctx: _Ctx):
     v = ctx.invariants.values
-    yield (None if v["d_g"] == v["d1"] == v["d2"]
-           else f"d_G {v['d_g']} vs d1 {v['d1']}, d2 {v['d2']}")
-    yield (None if v["d_g_prime"] == v["d1_prime"] == v["d2_prime"]
-           else f"d_G' {v['d_g_prime']} vs d1' {v['d1_prime']}, d2' {v['d2_prime']}")
-    yield (None if ctx.sv.types["self_disjoint"] == ctx.sv.types["self_semi_disjoint"]
-           else "graph has a self semi-disjoint type with no self disjoint set")
+    yield _relate("d_g==d1==d2", v)
+    yield _relate("d_g_prime==d1_prime==d2_prime", v)
+    yield _relate("self_disjoint==self_semi_disjoint", ctx.sv.types)
 
 
 @_declare("uniform-spread-identity", "survey", "uniform")
 def _check_uniform_spread_identity(ctx: _Ctx):
     v = ctx.invariants.values
-    d = ctx.profile.d
-    yield (None if v["d1_prime"] == (d - 1) * v["a"]
-           else f"d1' {v['d1_prime']} != (d-1)*a = {(d - 1) * v['a']}")
+    yield _relate("d1_prime==(d-1)*a", {"d1_prime": v["d1_prime"],
+                                        "(d-1)*a": (ctx.profile.d - 1) * v["a"]})
 
 
 @_declare("degree-window", "table", "edges")
@@ -388,8 +375,9 @@ def _check_degree_window(ctx: _Ctx):
         if i and value:
             yield (None if i + tp - 1 <= j <= min(ctx.h.n, t * i)
                    else f"entry ({i},{j}) outside degree window")
-    pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
-    yield None if tp - 1 <= reg <= (t - 1) * pd else f"reg {reg} outside [{tp - 1}, {(t - 1) * pd}]"
+    yield _relate("t'-1<=reg<=(t-1)*pd", {
+        "t'-1": tp - 1, "reg": ctx.table.regularity(),
+        "(t-1)*pd": (t - 1) * ctx.table.projective_dimension()})
 
 
 @_declare("restriction-monotonicity", "table", "taylor")
@@ -426,18 +414,13 @@ def _check_induced_matching_slices(ctx: _Ctx):
 @_declare("pd-reg-lower-bounds", "table", "survey")
 def _check_pd_reg_lower_bounds(ctx: _Ctx):
     v = ctx.invariants.values
-    pd, reg = ctx.table.projective_dimension(), ctx.table.regularity()
+    sides = {**v, "pd": ctx.table.projective_dimension(), "reg": ctx.table.regularity()}
     # pd >= b and reg >= d2' follow from these and invariant-inequalities
-    bounds = [
-        ("pd>=c", pd >= v["c"]),
-        ("pd>=d2", pd >= v["d2"]),
-        ("reg>=b_prime", reg >= v["b_prime"]),
-        ("reg>=c_prime", reg >= v["c_prime"]),
-    ]
+    for rule in ("pd>=c", "pd>=d2", "reg>=b_prime", "reg>=c_prime"):
+        yield _relate(rule, sides)
     for t, a_t in v["a_t"].items():
-        bounds.append((f"reg>=({t}-1)*a_{t}", reg >= (t - 1) * a_t))
-    for rel, holds in bounds:
-        yield None if holds else f"bound {rel} fails: pd={pd} reg={reg} {v}"
+        bound = f"({t}-1)*a_{t}"
+        yield _relate(f"reg>={bound}", {"reg": sides["reg"], bound: (t - 1) * a_t})
 
 
 @_declare("lower-bound-certificates", "table", "survey", empty="no nonempty witness families")
@@ -506,9 +489,9 @@ def _check_conditional_pd_cap(ctx: _Ctx):
     # in it too, and it has m >= e members. Otherwise e = m, no Taylor symbol
     # has an absorbed member, and the Taylor resolution is minimal: pd = m
     if all(_kernel_of(ctx.h.edges).private_parts((1 << ctx.h.m) - 1)):
-        pd = ctx.table.projective_dimension()
-        yield None if pd == e else f"pd {pd} differs from e {e} despite hypothesis"
-        return {"pd": pd, "e": e}
+        sides = {"pd": ctx.table.projective_dimension(), "e": e}
+        yield _relate("pd==e", sides)
+        return sides
 
 
 @_declare("admissibility-orderings", "survey", "edges")

@@ -87,13 +87,9 @@ class ParseError(HyperbettiError, ValueError):
 class CertificateError(HyperbettiError):
     """A nonvanishing certificate failed to verify.
 
-    Either outcome signals a bug or a counterexample, so the raising site
-    attaches the full instance to the exception for replay.
+    Either outcome signals a bug or a counterexample in the instance
+    that was certified.
     """
-
-    def __init__(self, message: str, instance=None):
-        super().__init__(message)
-        self.instance = instance
 
 
 class PremiseFails(CertificateError):
@@ -108,10 +104,9 @@ class ViolationFound(HyperbettiError):
     """A library verifier found a violated property; the campaign reports
     its violations as results instead.
 
-    Carries the check name and a replayable instance payload.
+    ``check`` names the property that failed.
     """
 
-    def __init__(self, check: str, message: str, instance=None):
+    def __init__(self, check: str, message: str):
         super().__init__(f"{check}: {message}")
         self.check = check
-        self.instance = instance

@@ -20,6 +20,9 @@ the ``field`` argument only tags the returned table.
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -111,7 +114,7 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
     elif not h.edge_mask(s) & xbit:
         raise ValidationError(f"edge {s} does not contain vertex {h.labels[x]}")
     smask = h.edges[s]
-    nmask = _split_neighborhood(h.edges, x, smask, h)
+    nmask = _split_neighborhood(h.edges, x, smask)
     zs = tuple(bits_of(nmask))
     chosen = tuple(
         next(e for e, mask in enumerate(h.edges) if mask & ~smask == 1 << z and not mask & xbit)
@@ -128,14 +131,14 @@ def split(h: Hypergraph, x: int | None = None, s: int | None = None) -> Splittin
     )
 
 
-def _split_neighborhood(edges, x: int, smask: int, h: Hypergraph) -> int:
+def _split_neighborhood(edges, x: int, smask: int) -> int:
     """The split step's neighbor-edge rule: N(S), the vertices outside
     the split edge S = ``smask`` through x of the edge masks ``edges``
     that meet it.
 
     Each z in N(S) must lie in an edge that avoids x and has only z
     outside S. Within the class such an edge always exists, so a miss
-    raises ViolationFound on ``h``, the instance being split.
+    raises ViolationFound.
     """
     xbit = 1 << x
     nmask = reach = 0
@@ -150,8 +153,7 @@ def _split_neighborhood(edges, x: int, smask: int, h: Hypergraph) -> int:
         raise ViolationFound(
             "neighbor-edge",
             f"no edge through vertex {z} avoiding vertex {x} with the rest inside "
-            f"the split edge, in the subhypergraph of edge masks {edges}",
-            instance=h)
+            f"the split edge, in the subhypergraph of edge masks {edges}")
     return nmask
 
 
@@ -236,7 +238,7 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
             out = memo[key] = dict(betti_via_taylor(g, field).entries)
             return out
         smask = next(mask for mask in key if mask >> x & 1)
-        nmask = _split_neighborhood(key, x, smask, h)
+        nmask = _split_neighborhood(key, x, smask)
         cut = smask | nmask
         out = memo[key] = split_sum(
             nmask.bit_count(), d,
@@ -253,7 +255,37 @@ def betti_recursive(h: Hypergraph, field: Field = QQ) -> BettiTable:
 # The campaign's protocol: a verifier yields None for each comparison
 # that holds and the detail of the first that does not, where the caller
 # stops. A violated property is yielded, not raised; an exception is an
-# error, a campaign ``fail`` with ``checked`` 0.
+# error, a campaign ``fail`` with ``checked`` 0. The paper's relations
+# are each one ``_relate`` call, so they fail in one form.
+
+_ORDER = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
+_LINK = re.compile("(<=|==|>=)")
+
+
+@functools.lru_cache(maxsize=256)
+def _links(rule: str) -> tuple:
+    """The links of ``rule``, each (left name, comparison, right name).
+
+    Kept, as the campaign evaluates about twenty rules per instance: the
+    checks' literals, and one per edge size."""
+    parts = _LINK.split(rule)
+    names = parts[::2]
+    return tuple(zip(names, [_ORDER[link] for link in parts[1::2]], names[1:]))
+
+
+def _relate(rule: str, sides: dict) -> str | None:
+    """None when the chain ``rule`` holds on ``sides``, else its failure.
+
+    ``rule`` is side names chained by ``<=``, ``==`` or ``>=``, as the
+    paper writes it, such as ``"x<=y==z"``, and ``sides`` maps each name
+    to its value. The failure names only the rule's sides, in its
+    order: ``relation <rule> fails: <name>=<value>, ...``.
+    """
+    for left, holds, right in _links(rule):
+        if not holds(sides[left], sides[right]):
+            return f"relation {rule} fails: " + ", ".join(
+                f"{name}={sides[name]}" for name in _LINK.split(rule)[::2])
+    return None
 
 
 def verify_matching_persistence(h: Hypergraph, dec: SplittingDecomposition):
@@ -307,44 +339,27 @@ def _disjointness_comparisons(table: BettiTable, sv: FamilySurvey):
     ``table`` and the survey ``sv`` of one instance: the nonzero
     positions against the self disjoint types, pd = d1 = d2 and
     reg = d1' = d2'. Returns the report of a pass."""
-    sd_types = sv.types["self_disjoint"]
-    yield (None if set(table.entries) == sd_types else
-           f"nonzero positions {sorted(table.entries)} differ from "
-           f"self disjoint types {sorted(sd_types)}")
-    pd, reg = table.projective_dimension(), table.regularity()
-    d1, d2 = sv.maxima["d1"].value, sv.maxima["d2"].value
-    d1p, d2p = sv.maxima["d1_prime"].value, sv.maxima["d2_prime"].value
-    yield None if pd == d1 == d2 else f"pd {pd} vs disjointness sizes {d1}, {d2}"
-    yield None if reg == d1p == d2p else f"reg {reg} vs disjointness spreads {d1p}, {d2p}"
-    return {
-        "entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
-        "pd": pd,
-        "reg": reg,
-        "d1": d1,
-        "d2": d2,
-        "d1_prime": d1p,
-        "d2_prime": d2p,
-    }
+    yield _relate("nonzero_positions==self_disjoint_types", {
+        "nonzero_positions": sorted(table.entries),
+        "self_disjoint_types": sorted(sv.types["self_disjoint"])})
+    sides = {"pd": table.projective_dimension(), "reg": table.regularity(),
+             **{key: sv.maxima[key].value for key in ("d1", "d2", "d1_prime", "d2_prime")}}
+    yield _relate("pd==d1==d2", sides)
+    yield _relate("reg==d1_prime==d2_prime", sides)
+    return {"entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())}, **sides}
 
 
-def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ, *,
-                                         table: BettiTable | None = None,
-                                         precomputed: FamilySurvey | None = None) -> dict:
+def verify_disjointness_characterization(h: Hypergraph, field: Field = QQ) -> dict:
     """Nonzero table positions equal the self disjoint types, and the
     homological invariants equal the disjointness invariants.
 
     Returns the report; the first comparison that fails raises
-    ViolationFound. ``table`` and ``precomputed`` stand in for
-    ``betti_recursive(h, field)`` and ``survey(h)`` when the caller
-    already has them.
+    ViolationFound.
     """
-    if table is None:
-        table = betti_recursive(h, field)
-    comparisons = _disjointness_comparisons(
-        table, precomputed if precomputed is not None else survey(h))
+    comparisons = _disjointness_comparisons(betti_recursive(h, field), survey(h))
     try:
         while (detail := next(comparisons)) is None:
             pass
     except StopIteration as done:
         return done.value
-    raise ViolationFound("disjointness-characterization", detail, instance=h)
+    raise ViolationFound("disjointness-characterization", detail)

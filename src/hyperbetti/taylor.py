@@ -373,18 +373,18 @@ def certify_nonvanishing(h: Hypergraph, cert: Certificate, field: Field = QQ,
     i, j = len(fam), union.bit_count()
     if (i, j) != (cert.i, cert.j):
         raise PremiseFails(
-            f"family {fam} has type ({i},{j}), certificate claims ({cert.i},{cert.j})", instance=h)
+            f"family {fam} has type ({i},{j}), certificate claims ({cert.i},{cert.j})")
     cls = classify(h, fam)
     if cert.kind == "induced_matching" and not cls.induced:
-        raise PremiseFails(f"family {fam} is not an induced matching", instance=h)
+        raise PremiseFails(f"family {fam} is not an induced matching")
     if cert.kind == "semi_induced" and not cls.self_semi_induced:
-        raise PremiseFails(f"family {fam} is not a self semi-induced matching", instance=h)
+        raise PremiseFails(f"family {fam} is not a self semi-induced matching")
     if cert.kind == "self_ordered" and not cls.self_ordered:
-        raise PremiseFails(f"family {fam} is not self ordered in the given order", instance=h)
+        raise PremiseFails(f"family {fam} is not self ordered in the given order")
     detail = f"{cert.kind} family of type ({i},{j})"
     if cert.kind == "self_semi_disjoint":
         if not cls.self_semi_disjoint:
-            raise PremiseFails(f"family {fam} is not self semi-disjoint", instance=h)
+            raise PremiseFails(f"family {fam} is not self semi-disjoint")
         witness = cls.self_semi_disjoint_witness
         sub, edge_map = induced_subhypergraph(h, list(bits_of(union)))
         fam_sub = sorted(edge_map[s] for s in fam)
@@ -395,11 +395,10 @@ def certify_nonvanishing(h: Hypergraph, cert: Certificate, field: Field = QQ,
         positions = tuple(sorted(ordering.index(s) for s in fam_sub))
         if not is_maximal_l_admissible(sub, ordering, positions):
             raise PremiseFails(
-                f"symbol of family {fam} is not maximal admissible under the witness ordering",
-                instance=h)
+                f"symbol of family {fam} is not maximal admissible under the witness ordering")
         detail += f", witness {tuple(witness)} checked maximal admissible"
     beta = (table if table is not None else betti_table(h, field)).get(i, j)
     if beta == 0:
         raise BettiVanishes(
-            f"certificate {cert.kind} {fam}: table entry ({i},{j}) vanishes over {field}", instance=h)
+            f"certificate {cert.kind} {fam}: table entry ({i},{j}) vanishes over {field}")
     return CertificateVerdict(True, beta, detail)

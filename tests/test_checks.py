@@ -70,7 +70,7 @@ def test_report_shape_and_determinism():
     h = path_graph(4)
     a = run_checks(h, QQ, seed=3).as_dict()
     b = run_checks(h, QQ, seed=3).as_dict()
-    assert a["schema_version"] == 10
+    assert a["schema_version"] == 11
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"Reports carry `schema_version` {checks.SCHEMA_VERSION} " in readme
     assert set(a) == {"schema_version", "ok", "seed", "instances", "checks",
@@ -556,7 +556,7 @@ def test_disjointness_characterization_failure_names_the_check(monkeypatch):
     _wrong_survey(wrong_d1)(monkeypatch)
     result = {r.name: r for r in run_checks(path_graph(4)).checks}["disjointness-characterization"]
     assert (result.status, result.checked) == ("fail", 1)
-    assert result.detail == "pd 2 vs disjointness sizes 3, 2", result.detail
+    assert result.detail == "relation pd==d1==d2 fails: pd=2, d1=3, d2=2", result.detail
 
 
 def _recursive_without_top_row(monkeypatch):
@@ -639,7 +639,7 @@ def test_conditional_pd_cap_catches_pd_above_m(monkeypatch, shift):
     monkeypatch.setattr(type(ctx.table), "projective_dimension", lambda table: h.m + shift)
     result = entry(ctx)
     assert result.status == "fail"
-    assert result.detail == f"pd {h.m + shift} differs from e {h.m} despite hypothesis"
+    assert result.detail == f"relation pd==e fails: pd={h.m + shift}, e={h.m}"
 
 
 def test_invariant_inequalities_holds_b_prime_to_d2_prime():
@@ -652,9 +652,107 @@ def test_invariant_inequalities_holds_b_prime_to_d2_prime():
     v["d2_prime"] = v["b_prime"] + 1
     result = entry(ctx)
     assert result.status == "fail"
-    assert result.detail.startswith("relation b_prime==d2_prime fails")
+    assert result.detail == "relation b_prime==d2_prime fails: b_prime=2, d2_prime=3"
     # the seven relations listed before it held
     assert result.checked == 7
+
+
+def _move(key, base, delta):
+    """Set invariant ``key`` ``delta`` past ``base``, an invariant, pd or reg."""
+    def move(ctx, monkeypatch):
+        v = ctx.invariants.values
+        v[key] = {**v, "pd": ctx.table.projective_dimension(),
+                  "reg": ctx.table.regularity()}[base] + delta
+    return move
+
+
+def _move_a_t(t):
+    def move(ctx, monkeypatch):
+        ctx.invariants.values["a_t"][t] = ctx.table.regularity() + 1
+    return move
+
+
+def _move_table(method, value):
+    """Make every table's ``method`` return ``value(ctx)``."""
+    def move(ctx, monkeypatch):
+        fixed = value(ctx)
+        monkeypatch.setattr(BettiTable, method, lambda table: fixed)
+    return move
+
+
+def _move_maximum(key):
+    def move(ctx, monkeypatch):
+        ctx.sv.maxima[key].value += 1
+    return move
+
+
+def _extra_type(kind):
+    def move(ctx, monkeypatch):
+        ctx.sv.types[kind] = ctx.sv.types[kind] | {(9, 99)}
+    return move
+
+
+def _rule(name, rule, h, move, before, tag=""):
+    return pytest.param(name, rule, h, move, before, id=f"{name}:{rule}{tag}")
+
+
+# Each rule of the relation bodies, with one side moved so that it fails
+# while the rules before it in its body still hold; ``before`` counts
+# those, and None marks the reg window, which follows degree-window's
+# loop over the table's entries.
+_P5, _FREE = path_graph(5), random_free_vertex(5, 3)
+_BROKEN_RULES = [
+    _rule("invariant-inequalities", "a<=m", _FREE, _move("a", "m", 1), 0),
+    _rule("invariant-inequalities", "a<=b", _FREE, _move("b", "a", -1), 1),
+    _rule("invariant-inequalities", "b<=d2", _FREE, _move("b", "d2", 1), 2),
+    _rule("invariant-inequalities", "b<=e", _FREE, _move("e", "b", -1), 3),
+    _rule("invariant-inequalities", "a<=d1", _FREE, _move("d1", "a", -1), 4),
+    _rule("invariant-inequalities", "d1<=d2", _FREE, _move("d1", "d2", 1), 5),
+    _rule("invariant-inequalities", "c<=e", _FREE, _move("c", "e", 1), 6),
+    _rule("invariant-inequalities", "b_prime==d2_prime", _FREE,
+          _move("d2_prime", "b_prime", 1), 7),
+    _rule("invariant-inequalities", "d1_prime<=d2_prime", _FREE,
+          _move("d1_prime", "d2_prime", 1), 8),
+    _rule("graph-identities", "d_g==d1==d2", _P5, _move("d_g", "d1", 1), 0),
+    _rule("graph-identities", "d_g_prime==d1_prime==d2_prime", _P5,
+          _move("d2_prime", "d1_prime", 1), 1),
+    _rule("graph-identities", "self_disjoint==self_semi_disjoint", _P5,
+          _extra_type("self_semi_disjoint"), 2),
+    _rule("uniform-spread-identity", "d1_prime==(d-1)*a", _P5,
+          _move("d1_prime", "d1_prime", 1), 0),
+    _rule("degree-window", "t'-1<=reg<=(t-1)*pd", _FREE,
+          _move_table("regularity", lambda ctx: 0), None, tag="-low"),
+    _rule("degree-window", "t'-1<=reg<=(t-1)*pd", _FREE,
+          _move_table("projective_dimension", lambda ctx: 0), None, tag="-high"),
+    _rule("pd-reg-lower-bounds", "pd>=c", _FREE, _move("c", "pd", 1), 0),
+    _rule("pd-reg-lower-bounds", "pd>=d2", _FREE, _move("d2", "pd", 1), 1),
+    _rule("pd-reg-lower-bounds", "reg>=b_prime", _FREE, _move("b_prime", "reg", 1), 2),
+    _rule("pd-reg-lower-bounds", "reg>=c_prime", _FREE, _move("c_prime", "reg", 1), 3),
+    # one rule per edge size t, in the order of a_t: 2, 4, 3
+    _rule("pd-reg-lower-bounds", "reg>=(2-1)*a_2", _FREE, _move_a_t(2), 4),
+    _rule("pd-reg-lower-bounds", "reg>=(4-1)*a_4", _FREE, _move_a_t(4), 5),
+    _rule("pd-reg-lower-bounds", "reg>=(3-1)*a_3", _FREE, _move_a_t(3), 6),
+    _rule("conditional-pd-cap", "pd==e", _FREE,
+          _move_table("projective_dimension", lambda ctx: ctx.invariants.values["e"] + 1), 0),
+    _rule("disjointness-characterization", "nonzero_positions==self_disjoint_types", _P5,
+          _extra_type("self_disjoint"), 0),
+    _rule("disjointness-characterization", "pd==d1==d2", _P5, _move_maximum("d1"), 1),
+    _rule("disjointness-characterization", "reg==d1_prime==d2_prime", _P5,
+          _move_maximum("d2_prime"), 2),
+]
+
+
+@pytest.mark.parametrize("name, rule, h, move, before", _BROKEN_RULES)
+def test_each_relation_fails_in_its_own_terms(name, rule, h, move, before, monkeypatch):
+    entry = _entry(name)
+    ctx = _Ctx(h, QQ, 0)
+    passed = entry(ctx)
+    assert passed.status == "pass"
+    move(ctx, monkeypatch)
+    result = entry(ctx)
+    assert result.status == "fail"
+    assert result.detail.startswith(f"relation {rule} fails: "), result.detail
+    assert result.checked == (passed.checked - 1 if before is None else before)
 
 
 def test_implication_chain_catches_induced_read_as_semi_induced(monkeypatch):

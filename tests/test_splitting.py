@@ -18,7 +18,7 @@ from hyperbetti.errors import (
     ValidationError,
     ViolationFound,
 )
-from hyperbetti.families import compute_invariants, survey
+from hyperbetti.families import compute_invariants
 from hyperbetti.generators import make_batch
 from hyperbetti.homology import betti_table
 from hyperbetti.hypergraph import Hypergraph, build, delete_edge, is_triangulated
@@ -374,15 +374,11 @@ def test_characterization_on_trees_and_stars(p6):
     assert rep["pd"] == 2 and rep["reg"] == 2
 
 
-def test_characterization_takes_a_precomputed_table_and_survey(p6):
-    for h in (p6, star_hypergraph(3)):
-        fresh = verify_disjointness_characterization(h)
-        given = verify_disjointness_characterization(
-            h, table=betti_recursive(h), precomputed=survey(h))
-        assert given == fresh
-    # the given table is the one checked
-    with pytest.raises(ViolationFound):
-        verify_disjointness_characterization(p6, table=betti_table(path_graph(5)))
+def test_characterization_raises_on_a_wrong_table(p6, monkeypatch):
+    monkeypatch.setattr(splitting, "betti_recursive",
+                        lambda h, field=QQ: betti_table(path_graph(5)))
+    with pytest.raises(ViolationFound, match="relation nonzero_positions==self_disjoint_types"):
+        verify_disjointness_characterization(p6)
 
 
 def test_canonical_key_stability():
