@@ -32,7 +32,9 @@ Inside the package a family is also an edge bitmask, bit s standing for
 edge index s, and every class predicate above lives once, in
 ``_Kernel``: ``classify``, ``survey``, the bouquet search and the
 campaign's family sweeps all call it. The Taylor and Lyubeznik engines
-do not: they read absorption off their own slices (see ``taylor``).
+do not: they read absorption off their own slices (see ``taylor``). The
+self (semi-)disjoint search reads which edges are one vertex away from
+each edge off a near table, built once per kernel.
 
 ``classify`` decides the matching, semi-induced, reduced, self
 semi-induced and induced classes up front, all from one pass over the
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import limits
 from .bitsets import bits_of, mask_of, tuple_of
@@ -90,8 +92,10 @@ class _Kernel:
     ``masks`` are the edges' vertex masks and ``union[bits]`` the vertex
     union of the family ``bits``: a full table for a sweep over every
     family (``_sweep_kernel``), or by default a ``_Unions`` filled on
-    demand, as ``_kernel_of`` keeps one. Each predicate tests one
-    condition of the module docstring on its own; a class that also asks
+    demand, as ``_kernel_of`` keeps one. The ``near`` and ``incident``
+    tables, per edge and per vertex, are filled on first use. Each
+    predicate tests one condition of the module docstring on its own; a
+    class that also asks
     for a reduced family is the conjunction with
     ``all(private_parts(bits))``, taken by the caller. ``cover`` is the
     one pass over the members that ``FamilyClassification`` and
@@ -110,7 +114,7 @@ class _Kernel:
         self.union = _Unions(masks) if union is None else union
         self.sizes = [mask.bit_count() for mask in masks]
         self._inside: dict[int, int] = {}
-        self._near: list[int | None] = [None] * len(masks)
+        self._near: list[int] | None = None
         self._incident: list[int] | None = None
 
     def cover(self, bits: int) -> tuple[int, int, list[int]]:
@@ -171,23 +175,27 @@ class _Kernel:
         S together with the other members, that is, a member whose private
         part lies in S. ``private`` is ``private_parts(bits)``."""
         masks = self.masks
-        for s in bits_of(self.inside(self.union[bits]) & ~bits):
-            mask = masks[s]
-            if all(part & ~mask for part in private):
+        outside = self.inside(self.union[bits]) & ~bits
+        while outside:
+            low = outside & -outside
+            outside ^= low
+            mask = masks[low.bit_length() - 1]
+            for part in private:
+                if not part & ~mask:
+                    break
+            else:
                 return False
         return True
 
-    def near(self, k: int) -> int:
-        """Edges b with S_k minus S_b a single vertex."""
-        out = self._near[k]
-        if out is None:
-            mk = self.masks[k]
-            out = 0
-            for b, mb in enumerate(self.masks):
-                if (mk & ~mb).bit_count() == 1:
-                    out |= 1 << b
-            self._near[k] = out
-        return out
+    def near(self) -> list[int]:
+        """Per edge k, the edges b with S_k minus S_b a single vertex, as
+        an edge bitmask; a table filled once per kernel, by hand as
+        ``incident`` is."""
+        if self._near is None:
+            masks = self.masks
+            self._near = [mask_of(b for b, mb in enumerate(masks) if (mk & ~mb).bit_count() == 1)
+                          for mk in masks]
+        return self._near
 
     def disjoint_witnesses(self, fam: tuple[int, ...], bits: int, semi: bool):
         """Witnesses S_0 of ``fam`` for the self disjoint and the self
@@ -201,8 +209,9 @@ class _Kernel:
         Candidates are scanned by decreasing size, then lexicographically
         in the positions of ``fam``, so the family itself comes first: it
         is the semi-disjoint witness whenever it is semi-induced. A member
-        one vertex away from no other member must lie in S_0, so only the
-        other members are chosen; two candidates that share those forced
+        one vertex away from no other member, as the kernel's near table
+        (``near``) says, must lie in S_0, so only the other members are
+        chosen; two candidates that share those forced
         members compare as their chosen parts do, so the scan order stays
         the same.
 
@@ -225,9 +234,10 @@ class _Kernel:
         BudgetExceeded above ``limits.FAMILY_BUDGET`` members.
         """
         _within_budget(len(fam), "members")
+        near = self.near()
         forced, free = 0, []
         for k in fam:
-            if self.near(k) & bits:
+            if near[k] & bits:
                 free.append(k)
             else:
                 forced |= 1 << k
@@ -236,9 +246,11 @@ class _Kernel:
         elif not self.semi_induced(forced):
             return None, None
         else:
-            first = self._first_witness(bits, (forced | mask_of(chosen)
+            # a candidate is the forced members plus a sum of distinct free bits
+            free_bits = [1 << k for k in free]
+            first = self._first_witness(bits, (forced + sum(chosen)
                                                for size in range(len(free) - 1, -1, -1)
-                                               for chosen in itertools.combinations(free, size)))
+                                               for chosen in itertools.combinations(free_bits, size)))
             if first is None:
                 return None, None
         semi_disjoint = tuple(k for k in fam if first >> k & 1)
@@ -255,10 +267,20 @@ class _Kernel:
     def _first_witness(self, bits: int, candidates) -> int | None:
         """The first of the sub-families ``candidates`` of ``bits`` that is
         semi-induced and has every other member of ``bits`` one vertex away
-        from one of its members."""
-        near, semi_induced = self.near, self.semi_induced
+        from one of its members. Both tests are inlined, as the search's
+        inner loop: ``semi_induced`` is one ``inside`` lookup of the
+        candidate's union, and the second reads the near table."""
+        union, inside, near = self.union, self.inside, self.near()
         for sub in candidates:
-            if semi_induced(sub) and all(near(k) & sub for k in bits_of(bits ^ sub)):
+            if inside(union[sub]) != sub:
+                continue
+            rest = bits ^ sub
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not near[low.bit_length() - 1] & sub:
+                    break
+            else:
                 return sub
         return None
 
@@ -438,11 +460,11 @@ class FamilyClassification:
     (``_Kernel.cover``) and one lookup of the edges inside their union:
     ``family``, ``i``, ``j``, ``matching``, ``semi_induced``,
     ``reduced``, ``self_semi_induced`` and ``induced``. The costly
-    classes are computed on first read and cached: ``self_contained`` and
-    ``self_ordered`` (in the order of ``family``) as cached properties,
+    classes are properties computed on first read and kept:
+    ``self_contained``, ``self_ordered`` (in the order of ``family``),
     and ``self_disjoint``, ``self_semi_disjoint`` and their witnesses
-    (each a sub-tuple of ``family`` or None) as properties that read one
-    cached witness pair, from a search made only on a reduced family.
+    (each a sub-tuple of ``family`` or None), which read one kept
+    witness pair, from a search made only on a reduced family.
     The searches raise BudgetExceeded above ``limits.FAMILY_BUDGET``
     members.
 
@@ -465,15 +487,30 @@ class FamilyClassification:
         self.self_semi_induced = self.reduced and self.semi_induced
         self.induced = self.matching and self.semi_induced
 
-    @cached_property
-    def self_contained(self) -> bool:
-        return self.reduced and self._kernel.self_contained(self._bits, self._private)
+    # The costly classes, memoized by hand: a functools.cached_property
+    # takes a lock on its first read on CPython 3.11 (0.88 us per first
+    # read against 0.11 us for this pattern, timeit on a 2-core x86-64
+    # host). Class-level defaults leave __init__ no extra work.
+    _self_contained: bool | None = None
+    _witness_pair: tuple[tuple[int, ...] | None, tuple[int, ...] | None] | None = None
+    _self_ordered: bool | None = None
 
-    @cached_property
+    @property
+    def self_contained(self) -> bool:
+        if self._self_contained is None:
+            self._self_contained = self.reduced and self._kernel.self_contained(
+                self._bits, self._private)
+        return self._self_contained
+
+    @property
     def _witnesses(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-        if not self.reduced:
-            return None, None
-        return self._kernel.disjoint_witnesses(self.family, self._bits, self.semi_induced)
+        if self._witness_pair is None:
+            if self.reduced:
+                self._witness_pair = self._kernel.disjoint_witnesses(
+                    self.family, self._bits, self.semi_induced)
+            else:
+                self._witness_pair = None, None
+        return self._witness_pair
 
     @property
     def self_disjoint_witness(self) -> tuple[int, ...] | None:
@@ -491,14 +528,17 @@ class FamilyClassification:
     def self_semi_disjoint(self) -> bool:
         return self._witnesses[1] is not None
 
-    @cached_property
+    @property
     def self_ordered(self) -> bool:
         """A singleton is ordered, and the empty family only when there
         are no edges; two or more members only when reduced, and then in
         the order of ``family`` when ``ordered_in`` says so."""
-        if self.i <= 1:
-            return self.i == 1 or not self._kernel.masks
-        return self.reduced and self._kernel.ordered_in(self.family)
+        if self._self_ordered is None:
+            if self.i <= 1:
+                self._self_ordered = self.i == 1 or not self._kernel.masks
+            else:
+                self._self_ordered = self.reduced and self._kernel.ordered_in(self.family)
+        return self._self_ordered
 
 
 def _validate_family(h: Hypergraph, fam) -> tuple[int, ...]:
@@ -578,7 +618,8 @@ def _reduced_families(kernel: _Kernel):
     stays absorbed when members join, so a family grows by an edge above
     its last index only when the grown family is reduced: the new edge has
     a vertex outside the union, and every old private part keeps a vertex
-    outside the new edge."""
+    outside the new edge. The first test is one AND, so a child that fails
+    it is dropped before its private parts are built."""
     masks = kernel.masks
     # children are pushed last index first, so they pop in lexicographic order
     stack = [(0, (), 0, True, [])]
@@ -586,11 +627,13 @@ def _reduced_families(kernel: _Kernel):
         bits, fam, u, matching, private = item = stack.pop()
         for s in range(len(masks) - 1, bits.bit_length() - 1, -1):
             mask = masks[s]
-            child = bits | 1 << s
+            new = mask & ~u
+            if not new:
+                continue
             child_private = [part & ~mask for part in private]
-            child_private.append(mask & ~u)
             if all(child_private):
-                stack.append((child, fam + (s,), u | mask, matching and not mask & u,
+                child_private.append(new)
+                stack.append((bits | 1 << s, fam + (s,), u | mask, matching and not mask & u,
                               child_private))
         yield item
 
@@ -600,13 +643,16 @@ def survey(h: Hypergraph) -> FamilySurvey:
 
     A family with an absorbed member is in none of the classes surveyed,
     so only the reduced families are visited. On them each predicate runs
-    only where its answer can change the result: the self disjoint and
-    the self ordered tests run only on a family whose type is not yet in
-    that class. A family of a type already seen cannot add a type, and
-    its size and spread equal those of a family offered before it, so it
-    cannot raise a maximum or, since ``_Max`` keeps the first witness on
-    ties, change one. Every self disjoint family is self semi-disjoint,
-    so the same skip leaves the semi-disjoint class unchanged too.
+    only where its answer can change the result. The self disjoint tests
+    run only on a family whose type is not yet in that class: a family of
+    a type already seen cannot add a type, and its size and spread equal
+    those of a family offered before it, so it cannot raise a maximum
+    or, since ``_Max`` keeps the first witness on ties, change one. Every
+    self disjoint family is self semi-disjoint, so the same skip leaves
+    the semi-disjoint class unchanged too. The ordered types are not
+    reported, only c and c', so the self ordered tests run only on a
+    family that could raise c or c': one whose size exceeds c or whose
+    spread exceeds c'.
 
     Most of those searches fail, and fail cheaply: ``least_ordering``
     rejects at its root, from the private parts the walk carries, a family
@@ -623,16 +669,16 @@ def survey(h: Hypergraph) -> FamilySurvey:
     # sub-families; a full table beat unions filled on demand by 10-20%,
     # at 16 edges too
     kernel = _sweep_kernel(h)
-    sizes = kernel.sizes
+    sizes, inside = kernel.sizes, kernel.inside
 
     types = {"self_disjoint": {(0, 0)}, "self_semi_disjoint": {(0, 0)}}
-    ordered_types: set[tuple[int, int]] = set()
     counts_ssi = {(0, 0): 1}
     counts_scsi = {(0, 0): 1}
     counts_induced_uniform: dict[tuple[int, int], int] = {}
     maxima = {name: _Max() for name in
               ("m", "a", "b", "b_prime", "c", "c_prime", "d1", "d2",
                "d1_prime", "d2_prime", "e")}
+    c, c_prime = maxima["c"], maxima["c_prime"]
     a_t: dict[int, _Max] = {}
 
     for bits, fam, u, matching, private in _reduced_families(kernel):
@@ -642,7 +688,7 @@ def survey(h: Hypergraph) -> FamilySurvey:
         i = len(fam)
         j = u.bit_count()
 
-        semi = kernel.semi_induced(bits)
+        semi = inside(u) == bits
 
         if matching:
             maxima["m"].offer(i, fam)
@@ -673,12 +719,11 @@ def survey(h: Hypergraph) -> FamilySurvey:
                 maxima["d1"].offer(i, fam)
                 maxima["d1_prime"].offer(j - i, fam)
 
-        if (i, j) not in ordered_types:
+        if i > c.value or j - i > c_prime.value:
             order = fam if i == 1 else kernel.least_ordering(bits, private)
             if order is not None:
-                ordered_types.add((i, j))
-                maxima["c"].offer(i, order)
-                maxima["c_prime"].offer(j - i, order)
+                c.offer(i, order)
+                c_prime.offer(j - i, order)
 
     return FamilySurvey(
         types=types,

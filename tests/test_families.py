@@ -195,20 +195,23 @@ def test_an_outside_edge_inside_the_forced_union_ends_the_search(monkeypatch):
     # holds both, and with them edge 2, which lies outside the family:
     # the family itself is not semi-induced, which the classification
     # already holds, and the search tries no candidate with the free
-    # members 3 and 4.
+    # members 3 and 4. Every semi-induced test of the search, the closure
+    # test and each candidate's, is one ``inside`` lookup of a union, and
+    # each member has a private vertex, so the unions name the families
+    # tested: only the forced members 0b11 are.
     h = build([f"v{i}" for i in range(7)], [(0, 1), (2, 3), (1, 2), (4, 5), (4, 6)])
     fam = (0, 1, 3, 4)
     cls = classify(h, fam)
     assert cls.reduced and not cls.semi_induced
-    real, calls = families._Kernel.semi_induced, []
+    real, calls = families._Kernel.inside, []
 
-    def semi_induced(kernel, bits):
-        calls.append(bits)
-        return real(kernel, bits)
+    def inside(kernel, u):
+        calls.append(u)
+        return real(kernel, u)
 
-    monkeypatch.setattr(families._Kernel, "semi_induced", semi_induced)
+    monkeypatch.setattr(families._Kernel, "inside", inside)
     assert (cls.self_disjoint_witness, cls.self_semi_disjoint_witness) == (None, None)
-    assert calls == [0b11]
+    assert calls == [h.edges[0] | h.edges[1]]
     edges = oracle.edge_sets(h)
     assert oracle.first_disjoint_witness(edges, fam, False) is None
 
@@ -572,6 +575,39 @@ def test_survey_visits_each_reduced_family_once(monkeypatch):
         assert searched and all(oracle.reduced(edges, fam) for fam in searched)
         assert len(set(calls["disjoint_witnesses"])) == len(calls["disjoint_witnesses"])
         assert len(set(calls["least_ordering"])) == len(calls["least_ordering"])
+
+
+def test_survey_searches_orders_only_where_c_or_c_prime_can_rise(monkeypatch):
+    """``least_ordering`` runs only on a family whose size i or spread
+    j - i exceeds the c or c' of the self-ordered families the walk
+    offered before it, and on fewer families than the reduced ones of
+    two or more members; c and c' and their witnesses are the oracle's.
+    The oracle decides the ordered class only where a family could raise
+    its running maxima, since no other family can change them."""
+    calls = _count_costly_calls(monkeypatch, ("least_ordering",))["least_ordering"]
+    for h in (make_batch("general", 10, 12, 2, 5) + make_batch("uniform:3", 9, 13, 2, 5)
+              + make_batch("chordal", 10, 10, 2, 5)):
+        calls.clear()
+        sv = survey(h)
+        edges = oracle.edge_sets(h)
+        walk = sorted(fam for r in range(1, h.m + 1)
+                      for fam in itertools.combinations(range(h.m), r))
+        c, c_prime = (0, ()), (0, ())
+        for fam in walk:
+            size, spread = len(fam), len(oracle.union(edges, fam)) - len(fam)
+            if size > c[0] or spread > c_prime[0]:
+                order = oracle.first_self_ordering(edges, fam)
+                if order is not None and size > c[0]:
+                    c = size, order
+                if order is not None and spread > c_prime[0]:
+                    c_prime = spread, order
+            elif len(fam) > 1:
+                assert mask_of(fam) not in calls, (fam, edges)
+        assert (sv.maxima["c"].value, sv.maxima["c"].witness) == c, edges
+        assert (sv.maxima["c_prime"].value, sv.maxima["c_prime"].witness) == c_prime, edges
+        assert calls == sorted(set(calls), key=lambda bits: tuple(bits_of(bits)))
+        reduced = sum(len(fam) > 1 and oracle.reduced(edges, fam) for fam in walk)
+        assert 0 < len(calls) < reduced
 
 
 @settings(max_examples=60, deadline=None)
